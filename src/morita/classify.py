@@ -14,12 +14,16 @@ from fractions import Fraction
 
 from . import linalg
 from .exact import Poly, RationalFunction
-from .partitions import Partition, gamma_star, hook_partition, kostka
+from .partitions import OutOfRange, gamma_star, hook_partition, kostka
 from .traces import a_coefficients, g_function
 
 
 class InternalDivisibility(AssertionError):
     """The shift s failed to be an integer -- an implementation bug."""
+
+
+class ObstructionMismatch(AssertionError):
+    """The obstruction value is off its closed form -- an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,8 @@ class Relation:
     s: int
 
     def __post_init__(self):
-        assert self.q in (1, -1)
+        if self.q not in (1, -1):
+            raise OutOfRange("q must be 1 or -1, got %r" % (self.q,))
 
     def describe(self):
         if self.q == 1:
@@ -95,28 +100,32 @@ class KTheoryVector:
 def hook_matrix(n):
     """Rows m = 1..n-1: the a-coefficient vectors of the hooks (m, 1^(n-m)).
     Lower-triangular with nonzero diagonal."""
-    assert n >= 2
+    if n < 2:
+        raise OutOfRange("need n >= 2, got %d" % n)
     return [a_coefficients(hook_partition(n, m), n) for m in range(1, n)]
 
 
 def invert_hook_matrix(n):
-    """Matrix C with 1/(x+k) = sum over m of C[k-1][m-1] * G_{hook m},
-    verified by exact recombination."""
-    a = [[Fraction(v) for v in row] for row in hook_matrix(n)]
-    c = linalg.invert(a)
-    for k in range(1, n):
-        lhs = RationalFunction(Poly([1]), Poly([k, 1]))
-        rhs = RationalFunction(Poly())
-        for m in range(1, n):
-            rhs = rhs + c[k - 1][m - 1] * g_function(hook_partition(n, m), n)
-        assert lhs == rhs, "hook-basis recombination failed at k=%d" % k
-    return c
+    """Matrix C with 1/(x+k) = sum over m of C[k-1][m-1] * G_{hook m};
+    recombination_failures checks it by rebuilding the rational functions."""
+    return linalg.invert(hook_matrix(n))
+
+
+def recombination_failures(n, c):
+    """The k in 1..n-1 at which 1/(x+k) != sum over m of
+    C[k-1][m-1] * G_{hook m}, for a claimed inverse C of hook_matrix(n)."""
+    hooks = [g_function(hook_partition(n, m), n) for m in range(1, n)]
+    zero = RationalFunction(Poly())
+    return [k for k in range(1, n)
+            if sum((coeff * g for coeff, g in zip(c[k - 1], hooks)), zero)
+            != RationalFunction(Poly([1]), Poly([k, 1]))]
 
 
 def build_f(n, v):
     """The monic integer polynomial f(x) = prod(x+k) + sum a_k prod_{j!=k}(x+j)
     attached to the data vector; also returns the vector a_k."""
-    assert n >= 2
+    if n < 2:
+        raise OutOfRange("need n >= 2, got %d" % n)
     a = [0] * (n - 1)
     for lam, coeff in v.coords.items():
         if coeff == 0:
@@ -165,9 +174,8 @@ def derive_relation(n, v):
 def remark_identity_check(n, v):
     """Check sum(a_k) = n(n-1) * sum over lam of K[conj(lam), alpha] * n_lam,
     where alpha = (2, 1^(n-2))."""
-    assert n >= 2
     _, a = build_f(n, v)
-    alpha = hook_partition(n, 2) if n >= 2 else None
+    alpha = hook_partition(n, 2)
     total = 0
     for lam, coeff in v.coords.items():
         if coeff:
@@ -196,12 +204,16 @@ def iso_obstruction(n, l, sign):
     Equals (n-1)! * (-sign*n*l)^n: nonzero whenever l != 0, which rules
     out any nonzero integer shift between isomorphic members of the
     family."""
-    assert n >= 2 and sign in (1, -1)
+    if n < 2 or sign not in (1, -1):
+        raise OutOfRange("need n >= 2 and sign 1 or -1, got n = %d, sign = %r"
+                         % (n, sign))
     p = Poly([1])
     for k in range(1, n):
         p = p * Poly([n * l + k, sign])
     p = p * Poly.from_roots([0] * n)
     value = p(-sign * n * l)
     expected = Fraction(math.factorial(n - 1) * (-sign * n * l) ** n)
-    assert value == expected
+    if value != expected:
+        raise ObstructionMismatch("n=%d, l=%d, sign=%d: %s != closed form %s"
+                                  % (n, l, sign, value, expected))
     return value

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes are a contract: 0 when every asserted identity held, 1 on a
-verification failure or a rejected classification, 2 on usage or input
-errors.  Reports go to stdout as JSON (CSV where tabular).
+verification failure, a rejected classification or an internal error
+(a failed internal consistency check), 2 on usage or input errors.
+Reports go to stdout as JSON (CSV where tabular).
 """
 
 import argparse
@@ -13,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import classify, poisson, traces
-from .exact import RationalFunction
-from .partitions import enumerate_partitions, gamma_star, hook_partition
+from .partitions import gamma_star
 
 
 class MalformedFile(ValueError):
@@ -46,8 +46,7 @@ def _emit_csv(rows, fieldnames):
 
 def _cmd_traces(args):
     if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--n must be at least 2")
     rows = traces.trace_table(args.n)
     if args.format == "csv":
         _emit_csv(rows, ["partition", "dim", "content_poly", "g", "a"])
@@ -80,7 +79,9 @@ def _verify_triangularity(max_n):
             row = mat[m - 1]
             if any(row[k - 1] != 0 for k in range(1, m)) or row[m - 1] == 0:
                 failures.append({"n": n, "m": m, "row": row})
-        classify.invert_hook_matrix(n)  # asserts exact recombination
+        inverse = classify.invert_hook_matrix(n)
+        failures.extend({"n": n, "k": k, "error": "hook-basis recombination failed"}
+                        for k in classify.recombination_failures(n, inverse))
     return failures
 
 
@@ -89,7 +90,7 @@ def _verify_routes(max_n):
     for n in range(2, max_n + 1):
         for lam in gamma_star(n):
             try:
-                traces.a_coefficients(lam, n)
+                traces.check_routes(lam, n)
             except (traces.RouteDisagreement, traces.NonIntegerCoefficient) as e:
                 failures.append({"n": n, "partition": lam.to_json(),
                                  "error": str(e)})
@@ -106,8 +107,7 @@ _VERIFY_CHECKS = {
 
 def _cmd_verify(args):
     if args.max_n < 2:
-        print("error: --max-n must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n must be at least 2")
     failures = _VERIFY_CHECKS[args.check](args.max_n)
     status = "pass" if not failures else "fail"
     _emit_json(_report("verify %s" % args.check, status,
@@ -122,13 +122,11 @@ def _parse_nvec(s, n):
 
 def _cmd_classify(args):
     if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--n must be at least 2")
     try:
         v = _parse_nvec(args.nvec, args.n)
     except ValueError as e:
-        print("error: bad --nvec: %s" % e, file=sys.stderr)
-        return 2
+        raise ValueError("bad --nvec: %s" % e)
     result = classify.derive_relation(args.n, v)
     if isinstance(result, classify.Rejection):
         _emit_json(_report("classify", "rejection",
@@ -144,8 +142,7 @@ def _cmd_classify(args):
 
 def _cmd_classify_search(args):
     if args.n < 2 or args.bound < 0:
-        print("error: need --n >= 2 and --bound >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("need --n >= 2 and --bound >= 0")
     found = classify.search_relations(args.n, args.bound)
     payload = {"n": args.n, "bound": args.bound,
                "gamma_star_order": [lam.to_json() for lam in gamma_star(args.n)],
@@ -159,8 +156,7 @@ def _cmd_classify_search(args):
 
 def _cmd_iso_obstruction(args):
     if args.n < 2 or args.l_min > args.l_max:
-        print("error: need --n >= 2 and --l-min <= --l-max", file=sys.stderr)
-        return 2
+        raise ValueError("need --n >= 2 and --l-min <= --l-max")
     rows = []
     ok = True
     for l in range(args.l_min, args.l_max + 1):
@@ -216,15 +212,9 @@ def parse_group_file(path):
 
 def _cmd_hp0(args):
     if args.max_degree < 0:
-        print("error: --max-degree must be nonnegative", file=sys.stderr)
-        return 2
-    try:
-        form, generators = parse_group_file(args.group)
-        action = poisson.close_group(generators, form)
-    except (MalformedFile, DimensionOdd, poisson.NotSymplectic,
-            poisson.OrderCapExceeded, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        raise ValueError("--max-degree must be nonnegative")
+    form, generators = parse_group_file(args.group)  # input errors exit 2 in run()
+    action = poisson.close_group(generators, form)
     graded = poisson.hp0_dims(action, args.max_degree)
     payload = {"group_order": action.order, "graded": graded.to_json()}
     status = "pass"
@@ -288,6 +278,9 @@ def run(argv):
         return 2 if e.code else 0
     try:
         return args.func(args)
+    except AssertionError as e:  # a failed internal consistency check is a bug
+        print("internal error: %s" % e, file=sys.stderr)
+        return 1
     except Exception as e:  # malformed input must not crash the process
         print("error: %s" % e, file=sys.stderr)
         return 2

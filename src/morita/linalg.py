@@ -85,9 +85,5 @@ def mat_mul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]

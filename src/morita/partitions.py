@@ -7,7 +7,6 @@ and the nontrivial tail is what vectors over "Gamma star" are indexed by.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -15,8 +14,12 @@ class WeightMismatch(ValueError):
     pass
 
 
-class InternalDisagreement(AssertionError):
-    """Two independent evaluation routes differ -- an implementation bug."""
+class InvalidPartition(ValueError):
+    """Parts that are not positive and weakly decreasing."""
+
+
+class OutOfRange(ValueError):
+    """An integer argument outside the range the function is defined on."""
 
 
 class Partition:
@@ -30,8 +33,9 @@ class Partition:
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
-        assert all(p > 0 for p in parts), parts
-        assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)), parts
+        if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
+            raise InvalidPartition("parts must be positive and weakly decreasing: %r"
+                                   % (parts,))
         self.parts = parts
         self.weight = sum(parts)
         self.length = len(parts)
@@ -122,7 +126,8 @@ def content_multiset(lam):
 
 def enumerate_partitions(n):
     """All partitions of n in descending lexicographic order."""
-    assert n >= 1
+    if n < 1:
+        raise OutOfRange("need n >= 1, got %d" % n)
 
     def gen(rest, cap):
         if rest == 0:
@@ -142,7 +147,8 @@ def gamma_star(n):
 
 def hook_partition(n, m):
     """The hook (m, 1^(n-m))."""
-    assert 1 <= m <= n
+    if not 1 <= m <= n:
+        raise OutOfRange("need 1 <= m <= n, got m = %d, n = %d" % (m, n))
     return Partition((m,) + (1,) * (n - m))
 
 
@@ -201,18 +207,9 @@ def monomial_eval_ones(sigma, k):
     return math.comb(k, l) * math.factorial(l) // denom
 
 
-def _schur_hook_content(lam, k):
-    # product of (k + content)/hook over the cells; an integer for k >= 0
-    val = Fraction(1)
-    conj = lam.conjugate().parts
-    for (i, j) in lam.cells():
-        hook = lam.parts[i] - j + conj[j] - i - 1
-        val *= Fraction(k + j - i, hook)
-    assert val.denominator == 1
-    return int(val)
-
-
 def _schur_kostka(lam, k):
+    # sum over sigma of K[lam, sigma] * m_sigma(1^k): the reference route
+    # for schur_eval_ones and for the Schur form of the a-coefficients
     total = 0
     for sigma in enumerate_partitions(lam.weight):
         if sigma.length > k:
@@ -222,19 +219,15 @@ def _schur_kostka(lam, k):
 
 
 def schur_eval_ones(lam, k):
-    """Schur function of lam at k ones, by two independent routes.
-
-    Route (i) is the Kostka expansion over monomial symmetric functions,
-    route (ii) the hook-content product; their agreement is asserted on
-    every call.
+    """Schur function of lam at k ones, by the hook-content product
+    prod over the cells of (k + content)/hook (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3 Ex. 4).  The product vanishes
+    when lam has more than k rows.  The tests compare it with the
+    independent Kostka expansion in _schur_kostka.
     """
-    assert k >= 0
-    if lam.length > k:
-        return 0
-    via_kostka = _schur_kostka(lam, k)
-    via_hooks = _schur_hook_content(lam, k)
-    if via_kostka != via_hooks:
-        raise InternalDisagreement(
-            "schur routes differ for %r at k=%d: %d vs %d"
-            % (lam, k, via_kostka, via_hooks))
-    return via_hooks
+    if k < 0:
+        raise OutOfRange("need k >= 0, got %d" % k)
+    num = lam.dimension()  # = |lam|! / prod of hooks
+    for c in lam.content_multiset():
+        num *= k + c
+    return num // math.factorial(lam.weight)

@@ -8,7 +8,6 @@ polynomial P of degree n pairs with the quotient iff
 sum over g of (u, g v) P(u + g v) vanishes identically in u, v.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,7 +37,6 @@ def standard_form(d):
 
 
 def _is_symplectic(g, j):
-    n = len(j)
     gt = linalg.transpose([list(r) for r in g])
     return _freeze(linalg.mat_mul(linalg.mat_mul(gt, [list(r) for r in j]),
                                   [list(r) for r in g])) == j
@@ -243,7 +241,10 @@ def monomials(nvars, degree):
 def bracket(p, q, form):
     """Poisson bracket of the symplectic form: constant bivector -J^{-1},
     normalized so that {x_i, x_{d+i}} = 1 for the standard block form."""
-    j_inv = linalg.invert([list(r) for r in form])
+    return _bracket(p, q, linalg.invert([list(r) for r in form]))
+
+
+def _bracket(p, q, j_inv):
     n = p.nvars
     out = MultiPoly(n)
     dp = [p.diff(a) for a in range(n)]
@@ -294,6 +295,7 @@ def bracket_span_dim(action, degree):
     landing in degree d (inputs of degrees i + j = d + 2)."""
     assert degree >= 0
     monos = monomials(action.dim, degree)
+    j_inv = linalg.invert([list(r) for r in action.form])
     bases = {}
     rows = []
     for i in range(1, degree + 2):
@@ -305,7 +307,7 @@ def bracket_span_dim(action, degree):
                 bases[d_] = invariant_basis(action, d_)
         for p in bases[i]:
             for q in bases[j]:
-                br = bracket(p, q, action.form)
+                br = _bracket(p, q, j_inv)
                 if not br.is_zero():
                     rows.append(_coeff_vector(br, monos))
     return linalg.rank(rows)

@@ -3,8 +3,8 @@
 Every trace value here is a rational function in x = n*c, understood as
 the coefficient of the canonical basis element of the one-dimensional
 trace group.  The central table is the integer coefficient matrix
-a[lam, k] of the elementary-fraction expansion of G_lam, computed by
-three independent routes that must agree.
+a[lam, k] of the elementary-fraction expansion of G_lam, from its closed
+form; check_routes compares it with two independent routes.
 """
 
 import math
@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Poly, RationalFunction, partial_fractions
-from .partitions import enumerate_partitions, gamma_star, schur_eval_ones
+from .partitions import (OutOfRange, WeightMismatch, _schur_kostka,
+                         enumerate_partitions, gamma_star)
 
 
 class TrivialPartition(ValueError):
@@ -38,12 +39,20 @@ def f_trivial(n):
     return Poly.from_roots([-k for k in range(n)])
 
 
-def g_function(lam, n):
-    """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)), reduced."""
+def _check_weight(lam, n):
     if lam.weight != n:
-        raise ValueError("partition weight %d != n = %d" % (lam.weight, n))
+        raise WeightMismatch("partition weight %d != n = %d" % (lam.weight, n))
+
+
+def _check_nontrivial(lam, n):
+    _check_weight(lam, n)
     if lam.length == 1:
         raise TrivialPartition("G is defined on nontrivial representations only")
+
+
+def g_function(lam, n):
+    """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)), reduced."""
+    _check_nontrivial(lam, n)
     d = lam.dimension()
     return RationalFunction(d * (f_trivial(n) - content_polynomial(lam)),
                             f_trivial(n))
@@ -58,69 +67,74 @@ def _a_via_conjugate_content(lam, n):
     # (-1)^(n-k-1) * dim(lam) / (k! (n-1-k)!) * F_{lam'}(k)
     f_conj = content_polynomial(lam.conjugate())
     d = lam.dimension()
-    out = []
-    for k in range(1, n):
-        sign = (-1) ** (n - k - 1)
-        out.append(Fraction(sign * d, math.factorial(k) * math.factorial(n - 1 - k))
-                   * f_conj(k))
-    return out
+    return [Fraction((-1) ** (n - k - 1) * d,
+                     math.factorial(k) * math.factorial(n - 1 - k)) * f_conj(k)
+            for k in range(1, n)]
 
 
 def _a_via_schur(lam, n):
-    # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k)
+    # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k), with s from the Kostka
+    # expansion: the hook-content product is the conjugate-content form rewritten
     conj = lam.conjugate()
     return [Fraction((-1) ** (n - k - 1) * n * math.comb(n - 1, k)
-                     * schur_eval_ones(conj, k))
+                     * _schur_kostka(conj, k))
             for k in range(1, n)]
 
 
 def a_coefficients(lam, n):
-    """The integer vector a[lam, 1..n-1] with G_lam = sum a_k/(x+k).
-
-    Computed by partial fractions, by the conjugate-content closed form,
-    and by the Schur-function form; the three must agree and be integral.
-    """
+    """The integer vector a[lam, 1..n-1] with G_lam = sum a_k/(x+k), from
+    the conjugate-content closed form (check_routes cross-checks it)."""
     return list(_a_coefficients_cached(lam, n))
 
 
 @lru_cache(maxsize=None)
 def _a_coefficients_cached(lam, n):
-    routes = (_a_via_partial_fractions(lam, n),
-              _a_via_conjugate_content(lam, n),
-              _a_via_schur(lam, n))
-    if not (routes[0] == routes[1] == routes[2]):
-        raise RouteDisagreement("a-coefficient routes differ for %r: %r" % (lam, routes))
-    vals = routes[0]
+    _check_nontrivial(lam, n)
+    vals = _a_via_conjugate_content(lam, n)
     if any(v.denominator != 1 for v in vals):
         raise NonIntegerCoefficient("non-integer a-coefficient for %r: %r" % (lam, vals))
     return tuple(int(v) for v in vals)
 
 
+def check_routes(lam, n):
+    """Raise RouteDisagreement unless the partial-fraction, conjugate-content
+    and Schur/Kostka routes agree on a[lam, 1..n-1]; return a_coefficients,
+    which raises NonIntegerCoefficient on a non-integral value."""
+    routes = (_a_via_partial_fractions(lam, n),
+              _a_via_conjugate_content(lam, n),
+              _a_via_schur(lam, n))
+    if not (routes[0] == routes[1] == routes[2]):
+        raise RouteDisagreement("a-coefficient routes differ for %r: %r" % (lam, routes))
+    return a_coefficients(lam, n)
+
+
 def chi_H(lam, n):
     """Trace of the standard projective of lam over the full algebra:
     dim(lam) * F_lam(x) / (n! x^n), reduced."""
-    assert lam.weight == n
+    _check_weight(lam, n)
     den = math.factorial(n) * Poly.from_roots([0] * n)
     return RationalFunction(lam.dimension() * content_polynomial(lam), den)
 
 
 def chi_B(lam, n):
     """Spherical trace: dim(lam) * F_lam(x) / F_triv(x), reduced."""
-    assert lam.weight == n
+    _check_weight(lam, n)
     return RationalFunction(lam.dimension() * content_polynomial(lam), f_trivial(n))
 
 
 def morita_phi_factor(n):
     """Factor carrying the trace basis across the Morita equivalence:
     n! x^n / F_triv(x), reduced."""
-    assert n >= 2
+    if n < 2:
+        raise OutOfRange("need n >= 2, got %d" % n)
     return RationalFunction(math.factorial(n) * Poly.from_roots([0] * n),
                             f_trivial(n))
 
 
 def verify_sum_identity(n):
     """Check sum over lam of dim(lam)^2 * F_lam(x) = n! * x^n exactly."""
-    assert n >= 2
+    if n < 2:
+        raise OutOfRange("need n >= 2, got %d" % n)
     lhs = Poly()
     for lam in enumerate_partitions(n):
         lhs = lhs + lam.dimension() ** 2 * content_polynomial(lam)

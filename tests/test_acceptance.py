@@ -10,7 +10,7 @@ from morita import linalg
 from morita.classify import (KTheoryVector, Rejection, Relation,
                              derive_relation, hook_matrix,
                              invert_hook_matrix, iso_obstruction,
-                             search_relations)
+                             recombination_failures, search_relations)
 from morita.exact import Poly, RationalFunction, partial_fractions
 from morita.partitions import Partition, enumerate_partitions, gamma_star, kostka
 from morita.poisson import (MultiPoly, bracket, close_group, duality_check,
@@ -42,13 +42,14 @@ def test_criterion_1_divisibility():
 
 def test_criterion_2_three_routes():
     ok = True
-    for n in range(2, 10):
+    for n in range(2, 11):
         for lam in gamma_star(n):
             r1 = _a_via_partial_fractions(lam, n)
             r2 = _a_via_conjugate_content(lam, n)
             r3 = _a_via_schur(lam, n)
-            ok = ok and (r1 == r2 == r3)
-    _record("criterion 2 (three-route agreement, n <= 9)", ok)
+            ok = ok and (r1 == r2 == r3 == a_coefficients(lam, n))
+    _record("criterion 2 (three-route agreement with the production table, "
+            "n <= 10)", ok)
 
 
 def test_criterion_3_trace_identity():
@@ -64,10 +65,10 @@ def test_criterion_4_hook_triangularity():
             ok = ok and all(mat[m - 1][k - 1] == 0 for k in range(1, m))
             ok = ok and mat[m - 1][m - 1] != 0
         try:
-            invert_hook_matrix(n)  # invertibility + exact recombination
-        except (linalg.SingularMatrix, AssertionError):
+            ok = ok and recombination_failures(n, invert_hook_matrix(n)) == []
+        except linalg.SingularMatrix:
             ok = False
-    _record("criterion 4 (hook triangularity and inversion, n <= 10)", ok)
+    _record("criterion 4 (hook triangularity, inversion and recombination, n <= 10)", ok)
 
 
 def test_criterion_5_zero_vector_relations():

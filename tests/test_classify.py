@@ -4,10 +4,11 @@ import pytest
 
 from morita.classify import (KTheoryVector, Rejection, Relation, build_f,
                              derive_relation, hook_matrix, invert_hook_matrix,
-                             iso_obstruction, remark_identity_check,
-                             search_relations)
+                             iso_obstruction, recombination_failures,
+                             remark_identity_check, search_relations)
 from morita.exact import Poly
-from morita.partitions import Partition, gamma_star, hook_partition, kostka
+from morita.partitions import (OutOfRange, Partition, gamma_star,
+                               hook_partition, kostka)
 
 
 def vec(n, *values):
@@ -35,9 +36,11 @@ def test_invert_hook_matrix_examples():
 
 
 def test_invert_hook_matrix_recombines():
-    # recombination is asserted inside invert_hook_matrix
     for n in range(2, 9):
-        invert_hook_matrix(n)
+        assert recombination_failures(n, invert_hook_matrix(n)) == []
+    c = invert_hook_matrix(4)
+    c[1][2] += 1
+    assert recombination_failures(4, c) == [2]
 
 
 def test_build_f_zero_vector():
@@ -175,3 +178,12 @@ def test_ktheory_vector_validation():
         KTheoryVector(3, {Partition((3,)): 1})
     with pytest.raises(ValueError):
         KTheoryVector(3, {Partition((2, 2)): 1})
+
+
+def test_input_validation_raises_out_of_range():
+    zero = KTheoryVector(3)
+    for call in (lambda: Relation(2, 0), lambda: hook_matrix(1),
+                 lambda: build_f(1, zero), lambda: remark_identity_check(1, zero),
+                 lambda: iso_obstruction(1, 0, 1), lambda: iso_obstruction(3, 1, 0)):
+        with pytest.raises(OutOfRange):
+            call()

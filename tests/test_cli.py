@@ -1,7 +1,10 @@
 import json
+import types
+from fractions import Fraction
 
 import pytest
 
+from morita import classify, traces
 from morita.cli import (DimensionOdd, MalformedFile, parse_group_file, run)
 from morita.exact import Poly, rational_from_str
 from morita.partitions import Partition
@@ -24,6 +27,74 @@ def test_verify_all_checks_pass(capsys):
         code, report = run_json(capsys, ["verify", check, "--max-n", "5"])
         assert code == 0, check
         assert report["status"] == "pass"
+
+
+def test_verify_routes_reports_disagreement(monkeypatch, capsys):
+    monkeypatch.setattr(traces, "_a_via_schur", lambda lam, n: [0] * (n - 1))
+    code, report = run_json(capsys, ["verify", "routes", "--max-n", "3"])
+    assert code == 1
+    assert report["status"] == "fail"
+    assert len(report["payload"]["failures"]) == 3
+
+
+def test_verify_triangularity_reports_bad_inverse(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "invert_hook_matrix",
+                        lambda n: [[Fraction(0)] * (n - 1) for _ in range(n - 1)])
+    code, report = run_json(capsys, ["verify", "triangularity", "--max-n", "3"])
+    assert code == 1
+    assert [(f["n"], f["k"]) for f in report["payload"]["failures"]] == \
+        [(2, 1), (3, 1), (3, 2)]
+
+
+@pytest.fixture
+def fresh_a_cache():
+    traces._a_coefficients_cached.cache_clear()
+    yield
+    traces._a_coefficients_cached.cache_clear()
+
+
+def _raises(exc):
+    def call(*args):
+        raise exc("injected")
+    return call
+
+
+def _inject_route_disagreement(monkeypatch):
+    monkeypatch.setattr(traces, "trace_table", _raises(traces.RouteDisagreement))
+    return ["traces", "--n", "3"]
+
+
+def _inject_non_integer(monkeypatch):
+    monkeypatch.setattr(traces, "_a_via_conjugate_content",
+                        lambda lam, n: [Fraction(1, 2)] * (n - 1))
+    return ["traces", "--n", "3"]
+
+
+def _inject_non_integer_shift(monkeypatch):
+    monkeypatch.setattr(classify, "build_f",
+                        lambda n, v: (Poly.from_roots([-1, -2]), [1, 0]))
+    return ["classify", "--n", "3", "--nvec", "0,0"]
+
+
+def _inject_obstruction_mismatch(monkeypatch):
+    monkeypatch.setattr(classify, "math", types.SimpleNamespace(factorial=lambda n: 0))
+    return ["iso-obstruction", "--n", "3", "--l-min", "1", "--l-max", "1"]
+
+
+@pytest.mark.parametrize("inject, message", [
+    (_inject_route_disagreement, "injected"),
+    (_inject_non_integer, "non-integer a-coefficient"),
+    (_inject_non_integer_shift, "is not an integer"),
+    (_inject_obstruction_mismatch, "!= closed form"),
+])
+def test_internal_error_exit_one(inject, message, monkeypatch, capsys,
+                                 fresh_a_cache):
+    code = run(inject(monkeypatch))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert message in captured.err
 
 
 def test_classify_accept(capsys):

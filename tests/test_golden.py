@@ -1,0 +1,29 @@
+"""Golden CLI outputs: exit code and exact stdout of fixed commands.
+
+The files in tests/golden/ were recorded before the a-coefficient,
+Schur and hook-inverse cross-checks moved off the production path; a
+refactor that changes any byte of a report fails here.
+"""
+
+import json
+import os
+
+import pytest
+
+from morita.cli import run
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+with open(os.path.join(GOLDEN, "cases.json")) as _fh:
+    CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys):
+    case = CASES[name]
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a
+            for a in case["argv"]]
+    code = run(argv)
+    with open(os.path.join(GOLDEN, name + ".out"), newline="") as fh:
+        expected = fh.read()
+    assert (code, capsys.readouterr().out) == (case["exit"], expected)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from morita.partitions import (Partition, WeightMismatch, conjugate,
+from morita.partitions import (InvalidPartition, OutOfRange, Partition,
+                               WeightMismatch, _schur_kostka, conjugate,
                                content_multiset, dimension,
                                enumerate_partitions, gamma_star,
                                hook_partition, kostka, monomial_eval_ones,
@@ -147,8 +151,33 @@ def test_schur_eval_examples():
 
 
 def test_schur_two_routes_agree():
-    # agreement is asserted inside schur_eval_ones on every call
-    for n in range(1, 8):
+    # hook-content product against the Kostka expansion
+    for n in range(1, 11):
         for lam in enumerate_partitions(n):
             for k in range(0, n + 1):
-                schur_eval_ones(lam, k)
+                assert schur_eval_ones(lam, k) == _schur_kostka(lam, k), (lam, k)
+
+
+def test_input_validation():
+    for parts in ((1, 2), (2, 0), (-1,)):
+        with pytest.raises(InvalidPartition):
+            Partition(parts)
+    for call in (lambda: enumerate_partitions(0), lambda: hook_partition(3, 4),
+                 lambda: hook_partition(3, 0),
+                 lambda: schur_eval_ones(Partition((2, 1)), -1)):
+        with pytest.raises(OutOfRange):
+            call()
+
+
+def test_partition_validation_survives_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("from morita.partitions import InvalidPartition, Partition\n"
+            "try:\n    Partition((1, 2))\n"
+            "except InvalidPartition:\n    pass\n"
+            "else:\n    raise SystemExit('Partition((1, 2)) was accepted')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

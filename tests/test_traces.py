@@ -2,9 +2,13 @@ import math
 
 import pytest
 
+from morita import partitions, traces
+from morita.classify import KTheoryVector, build_f, hook_matrix
 from morita.exact import Poly, RationalFunction, partial_fractions
-from morita.partitions import Partition, enumerate_partitions, gamma_star
-from morita.traces import (TrivialPartition, a_coefficients, chi_B, chi_H,
+from morita.partitions import (OutOfRange, Partition, WeightMismatch,
+                               enumerate_partitions, gamma_star)
+from morita.traces import (RouteDisagreement, TrivialPartition,
+                           a_coefficients, check_routes, chi_B, chi_H,
                            content_polynomial, f_trivial, g_function,
                            morita_phi_factor, trace_table, verify_sum_identity)
 
@@ -130,3 +134,39 @@ def test_trace_table_shape():
     rows = trace_table(4)
     assert len(rows) == 4
     assert all(len(r["a"]) == 3 for r in rows)
+
+
+def test_production_path_is_single(monkeypatch):
+    def reference_route(*args):
+        raise AssertionError("reference route called on the production path")
+
+    monkeypatch.setattr(traces, "_a_via_partial_fractions", reference_route)
+    monkeypatch.setattr(traces, "_a_via_schur", reference_route)
+    monkeypatch.setattr(partitions, "_schur_kostka", reference_route)
+    traces._a_coefficients_cached.cache_clear()
+    assert len(trace_table(10)) == len(gamma_star(10))
+    assert len(hook_matrix(10)) == 9
+    f, _ = build_f(6, KTheoryVector.from_list(6, list(range(-5, 5))))
+    assert f.is_monic()
+
+
+def test_check_routes_flags_disagreement(monkeypatch):
+    lam = Partition((2, 1))
+    assert check_routes(lam, 3) == a_coefficients(lam, 3)
+    monkeypatch.setattr(traces, "_a_via_schur", lambda lam, n: [0] * (n - 1))
+    with pytest.raises(RouteDisagreement):
+        check_routes(lam, 3)
+
+
+def test_input_validation():
+    with pytest.raises(WeightMismatch):
+        chi_H(Partition((2, 1)), 4)
+    with pytest.raises(WeightMismatch):
+        chi_B(Partition((2, 1)), 4)
+    with pytest.raises(WeightMismatch):
+        a_coefficients(Partition((2, 1)), 4)
+    with pytest.raises(TrivialPartition):
+        a_coefficients(Partition((3,)), 3)
+    for call in (lambda: morita_phi_factor(1), lambda: verify_sum_identity(1)):
+        with pytest.raises(OutOfRange):
+            call()
