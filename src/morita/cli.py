@@ -219,7 +219,7 @@ def _cmd_hp0(args):
     payload = {"group_order": action.order, "graded": graded.to_json()}
     status = "pass"
     if args.dual_check:
-        dual = poisson.duality_check(action, args.max_degree)
+        dual = poisson.duality_check(action, graded)
         payload["dual_check"] = dual
         if not dual["pass"]:
             status = "fail"

@@ -1,13 +1,17 @@
 """Finite symplectic group actions and 0-th Poisson homology at desk scale.
 
 A group of exact rational symplectic matrices acts on polynomials; the
-invariant ring is cut out degree by degree with the Reynolds operator,
-bracket spans by exact rank, and the graded dimensions of the quotient
-of invariants by brackets are cross-checked against the dual picture: a
-polynomial P of degree n pairs with the quotient iff
+degree-d invariants are the common fixed space of the generators on the
+degree-d monomials (the nullspace of the stacked Sym^d(g) - I), bracket
+spans are measured by exact rank, and the graded dimensions of the
+quotient of invariants by brackets are cross-checked against the dual
+picture: a polynomial P of degree n pairs with the quotient iff
 sum over g of (u, g v) P(u + g v) vanishes identically in u, v.
+The Reynolds operator (the group average) is kept only as the
+reference the tests compare the invariant bases against.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +24,23 @@ class NotSymplectic(ValueError):
 
 class OrderCapExceeded(RuntimeError):
     pass
+
+
+class ShapeMismatch(ValueError):
+    pass
+
+
+class OutOfRange(ValueError):
+    pass
+
+
+class NegativeDimension(AssertionError):
+    """A graded dimension came out negative: an internal bug, not bad input."""
+
+
+def _check_degree(degree):
+    if degree < 0:
+        raise OutOfRange("degree must be nonnegative, got %d" % degree)
 
 
 def _freeze(m):
@@ -37,17 +58,17 @@ def standard_form(d):
 
 
 def _is_symplectic(g, j):
-    gt = linalg.transpose([list(r) for r in g])
-    return _freeze(linalg.mat_mul(linalg.mat_mul(gt, [list(r) for r in j]),
-                                  [list(r) for r in g])) == j
+    return _freeze(linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), j), g)) == j
 
 
 @dataclass
 class SymplecticAction:
-    """A finite group of symplectic matrices together with its form."""
+    """A finite group of symplectic matrices together with its form and
+    the generators it was closed from."""
     dim: int
     form: tuple
     elements: list
+    generators: list
 
     @property
     def order(self):
@@ -62,11 +83,12 @@ def close_group(generators, form, cap=10000):
     """
     form = _freeze(form)
     n = len(form)
-    assert all(len(row) == n for row in form)
+    if any(len(row) != n for row in form):
+        raise ShapeMismatch("form is not square")
     gens = [_freeze(g) for g in generators]
     for g in gens:
         if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("generator size does not match the form")
+            raise ShapeMismatch("generator size does not match the form")
         if not _is_symplectic(g, form):
             raise NotSymplectic("generator fails g^T J g = J: %r" % (g,))
     ident = _freeze([[1 if i == k else 0 for k in range(n)] for i in range(n)])
@@ -76,7 +98,7 @@ def close_group(generators, form, cap=10000):
         nxt = []
         for a in frontier:
             for g in gens:
-                b = _freeze(linalg.mat_mul([list(r) for r in a], [list(r) for r in g]))
+                b = _freeze(linalg.mat_mul(a, g))
                 if b not in seen:
                     if not _is_symplectic(b, form):
                         raise NotSymplectic("closure produced a non-symplectic element")
@@ -85,13 +107,14 @@ def close_group(generators, form, cap=10000):
                     if len(seen) > cap:
                         raise OrderCapExceeded("group order exceeds cap %d" % cap)
         frontier = nxt
-    return SymplecticAction(dim=n, form=form, elements=sorted(seen))
+    return SymplecticAction(dim=n, form=form, elements=sorted(seen), generators=gens)
 
 
 def symmetric_group_action(n):
     """S_n on reflection representation plus its dual, with the canonical
     pairing as the form.  All matrices are rational."""
-    assert n >= 2
+    if n < 2:
+        raise OutOfRange("S_n needs n >= 2, got %d" % n)
     d = n - 1
     # adjacent transposition s_i in the basis f_i = e_i - e_{i+1}
     gens = []
@@ -103,18 +126,16 @@ def symmetric_group_action(n):
         if i < d - 1:
             m[i + 1][i] = Fraction(1)
         gens.append(m)
-    form = standard_form(d)
-    big = []
-    for m in gens:
-        inv_t = linalg.transpose(linalg.invert(m))
-        g = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-        for a in range(d):
-            for b in range(d):
-                g[a][b] = m[a][b]
-                g[d + a][d + b] = inv_t[a][b]
-        big.append(g)
-    import math
-    return close_group(big, form, cap=math.factorial(n) + 1)
+    # diag(m, m^-T) on h + h*
+    big = [[row + [0] * d for row in m]
+           + [[0] * d + row for row in linalg.transpose(linalg.invert(m))]
+           for m in gens]
+    return close_group(big, standard_form(d), cap=math.factorial(n) + 1)
+
+
+def _unit(nvars, *indices):
+    """Exponent tuple of the product of the variables at `indices`."""
+    return tuple(indices.count(k) for k in range(nvars))
 
 
 class MultiPoly:
@@ -128,14 +149,13 @@ class MultiPoly:
         for e, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                assert len(e) == nvars
+                if len(e) != nvars:
+                    raise ShapeMismatch("exponent %r has not %d entries" % (e, nvars))
                 self.terms[tuple(e)] = c
 
     @classmethod
     def variable(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls(nvars, {_unit(nvars, i): 1})
 
     @classmethod
     def monomial(cls, nvars, exponents, coeff=1):
@@ -147,9 +167,6 @@ class MultiPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
@@ -190,20 +207,13 @@ class MultiPoly:
         return out
 
     def diff(self, i):
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                      for e, c in self.terms.items() if e[i]})
 
     def substitute(self, matrix):
         """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
-        forms = [MultiPoly(self.nvars,
-                           {tuple(1 if k == j else 0 for k in range(self.nvars)):
-                            matrix[i][j]
-                            for j in range(self.nvars) if matrix[i][j]})
+        forms = [MultiPoly(self.nvars, {_unit(self.nvars, j): matrix[i][j]
+                                        for j in range(self.nvars) if matrix[i][j]})
                  for i in range(self.nvars)]
         out = MultiPoly(self.nvars)
         cache = {}
@@ -241,7 +251,7 @@ def monomials(nvars, degree):
 def bracket(p, q, form):
     """Poisson bracket of the symplectic form: constant bivector -J^{-1},
     normalized so that {x_i, x_{d+i}} = 1 for the standard block form."""
-    return _bracket(p, q, linalg.invert([list(r) for r in form]))
+    return _bracket(p, q, linalg.invert(form))
 
 
 def _bracket(p, q, j_inv):
@@ -259,7 +269,10 @@ def _bracket(p, q, j_inv):
 
 
 def reynolds(action, p):
-    """Group average of p; a projector onto the invariant ring."""
+    """Group average of p; a projector onto the invariant ring.
+
+    Not on the production path: the tests use it as the independent
+    reference for `invariant_basis`."""
     total = MultiPoly(action.dim)
     for g in action.elements:
         total = total + p.substitute(g)
@@ -270,43 +283,45 @@ def _coeff_vector(p, monos):
     return [p.terms.get(e, Fraction(0)) for e in monos]
 
 
+def _invariance_rows(action, monos):
+    """Nonzero rows of Sym^d(g) - I stacked over the generators g, on the
+    coefficient vectors of the degree-d monomials `monos`.  A polynomial
+    fixed by every generator is fixed by the group they generate."""
+    rows = []
+    for g in action.generators:
+        images = [MultiPoly.monomial(action.dim, e).substitute(g) for e in monos]
+        for r, e in enumerate(monos):
+            row = [img.terms.get(e, Fraction(0)) for img in images]
+            row[r] -= 1
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def invariant_basis(action, degree):
-    """A basis of the degree-d invariants: Reynolds averages of the
-    monomials, reduced to an independent set by exact row reduction."""
-    assert degree >= 0
+    """A basis of the degree-d invariants: the common fixed space of the
+    generators on the degree-d monomials."""
+    _check_degree(degree)
     monos = monomials(action.dim, degree)
-    rows = []
-    for e in monos:
-        avg = reynolds(action, MultiPoly.monomial(action.dim, e))
-        if not avg.is_zero():
-            rows.append(_coeff_vector(avg, monos))
-    if not rows:
-        return []
-    red, pivots = linalg.rref(rows)
-    basis = []
-    for r in range(len(pivots)):
-        basis.append(MultiPoly(action.dim,
-                               {monos[c]: red[r][c] for c in range(len(monos))}))
-    return basis
+    null = linalg.nullspace(_invariance_rows(action, monos), len(monos))
+    return [MultiPoly(action.dim, dict(zip(monos, v))) for v in null]
 
 
-def bracket_span_dim(action, degree):
+def bracket_span_dim(action, degree, bases=None):
     """Dimension of the span of brackets of positive-degree invariants
-    landing in degree d (inputs of degrees i + j = d + 2)."""
-    assert degree >= 0
+    landing in degree d (inputs of degrees i + j = d + 2).
+
+    bases[k] is the degree-k invariant basis for k <= d + 1; it is
+    computed here when not given."""
+    _check_degree(degree)
+    if bases is None:
+        bases = [invariant_basis(action, k) for k in range(degree + 2)]
     monos = monomials(action.dim, degree)
-    j_inv = linalg.invert([list(r) for r in action.form])
-    bases = {}
+    j_inv = linalg.invert(action.form)
     rows = []
-    for i in range(1, degree + 2):
-        j = degree + 2 - i
-        if j < i or j < 1:
-            continue
-        for d_ in (i, j):
-            if d_ not in bases:
-                bases[d_] = invariant_basis(action, d_)
+    for i in range(1, degree // 2 + 2):
         for p in bases[i]:
-            for q in bases[j]:
+            for q in bases[degree + 2 - i]:
                 br = _bracket(p, q, j_inv)
                 if not br.is_zero():
                     rows.append(_coeff_vector(br, monos))
@@ -337,31 +352,24 @@ def hp0_dims(action, max_degree):
     The stabilization flag only records that the trailing quarter of the
     window is zero; it is a heuristic, not a finiteness proof.
     """
-    assert max_degree >= 0
+    _check_degree(max_degree)
+    bases = [invariant_basis(action, k) for k in range(max_degree + 2)]
     dims = {}
     for n in range(max_degree + 1):
-        dims[n] = len(invariant_basis(action, n)) - bracket_span_dim(action, n)
-        assert dims[n] >= 0
+        dims[n] = len(bases[n]) - bracket_span_dim(action, n, bases)
+        if dims[n] < 0:
+            raise NegativeDimension("degree %d: bracket span exceeds invariants" % n)
     tail = max(1, -(-max_degree // 4))
     stable = all(dims[n] == 0 for n in range(max_degree - tail + 1, max_degree + 1))
     return GradedDims(dims=dims, max_degree=max_degree, stabilized=stable)
 
 
 def _pairing_poly(action, g):
-    # (u, g v) as a polynomial in the 2*dim variables (u coords, v coords)
+    # (u, g v) = sum of (J g)[a][c] u_a v_c in the 2*dim variables (u, then v)
     d = action.dim
-    out = MultiPoly(2 * d)
-    for a in range(d):
-        for b in range(d):
-            if action.form[a][b]:
-                for c in range(d):
-                    if g[b][c]:
-                        e = [0] * (2 * d)
-                        e[a] += 1
-                        e[d + c] += 1
-                        out = out + MultiPoly.monomial(2 * d, e,
-                                                       action.form[a][b] * g[b][c])
-    return out
+    jg = linalg.mat_mul(action.form, g)
+    return MultiPoly(2 * d, {_unit(2 * d, a, d + c): jg[a][c]
+                             for a in range(d) for c in range(d)})
 
 
 def _functional_matrix(action, degree):
@@ -369,22 +377,21 @@ def _functional_matrix(action, degree):
     # homogeneous P of the given degree
     d = action.dim
     p_monos = monomials(d, degree)
+    per_element = []
+    for g in action.elements:
+        # (u + g v)_i as linear forms in the doubled variables
+        shifted = [MultiPoly(2 * d, {_unit(2 * d, i): 1}
+                             | {_unit(2 * d, d + c): g[i][c] for c in range(d)})
+                   for i in range(d)]
+        per_element.append((_pairing_poly(action, g), shifted))
     columns = []
     for e in p_monos:
         total = MultiPoly(2 * d)
-        for g in action.elements:
-            pair = _pairing_poly(action, g)
-            # (u + g v)_i as linear forms in the doubled variables
+        for pair, shifted in per_element:
             shift = MultiPoly.constant(2 * d, 1)
             for i, k in enumerate(e):
                 if k:
-                    form_i = MultiPoly.variable(2 * d, i)
-                    for c in range(d):
-                        if g[i][c]:
-                            ev = [0] * (2 * d)
-                            ev[d + c] = 1
-                            form_i = form_i + MultiPoly.monomial(2 * d, ev, g[i][c])
-                    shift = shift * form_i ** k
+                    shift = shift * shifted[i] ** k
             total = total + pair * shift
         columns.append(total)
     row_index = sorted(set().union(*(c.terms.keys() for c in columns)) if columns else [])
@@ -399,34 +406,23 @@ def functional_solutions_dim(action, degree, invariant_only=False):
     With invariant_only, additionally restrict to group-invariant P
     (for comparison; the unrestricted count is the dual dimension).
     """
-    assert degree >= 0
+    _check_degree(degree)
     matrix, p_monos = _functional_matrix(action, degree)
     if invariant_only:
-        d = action.dim
-        for g in action.elements:
-            for e in p_monos:
-                moved = MultiPoly.monomial(d, e).substitute(g)
-                row = []
-                for e2 in p_monos:
-                    c = moved.terms.get(e2, Fraction(0))
-                    if e2 == e:
-                        c -= 1
-                    row.append(c)
-                if any(row):
-                    matrix.append(row)
+        matrix += _invariance_rows(action, p_monos)
     ncols = len(p_monos)
     if not matrix:
         return ncols
     return ncols - linalg.rank(matrix)
 
 
-def duality_check(action, max_degree):
-    """Per-degree comparison of the bracket-quotient dimensions with the
-    dual functional-equation solution counts."""
-    graded = hp0_dims(action, max_degree)
+def duality_check(action, graded):
+    """Per-degree comparison of the bracket-quotient dimensions `graded`
+    (as returned by hp0_dims) with the dual functional-equation solution
+    counts."""
     rows = []
     ok = True
-    for n in range(max_degree + 1):
+    for n in range(graded.max_degree + 1):
         dual = functional_solutions_dim(action, n)
         match = (graded.dims[n] == dual)
         ok = ok and match

@@ -110,7 +110,7 @@ def test_criterion_7_iso_obstruction():
 def test_criterion_8_duality():
     ok = True
     for action in (PLUS_MINUS, ORDER_THREE, TRIVIAL_GROUP):
-        ok = ok and duality_check(action, 6)["pass"]
+        ok = ok and duality_check(action, hp0_dims(action, 6))["pass"]
     _record("criterion 8 (graded dims match dual solution counts, degree <= 6)", ok)
 
 

@@ -1,10 +1,11 @@
 import json
+import os
 import types
 from fractions import Fraction
 
 import pytest
 
-from morita import classify, traces
+from morita import classify, poisson, traces
 from morita.cli import (DimensionOdd, MalformedFile, parse_group_file, run)
 from morita.exact import Poly, rational_from_str
 from morita.partitions import Partition
@@ -81,11 +82,18 @@ def _inject_obstruction_mismatch(monkeypatch):
     return ["iso-obstruction", "--n", "3", "--l-min", "1", "--l-max", "1"]
 
 
+def _inject_negative_dimension(monkeypatch):
+    monkeypatch.setattr(poisson, "bracket_span_dim", lambda action, n, bases: n + 1)
+    group = os.path.join(os.path.dirname(__file__), "golden", "z3.json")
+    return ["hp0", "--group", group, "--max-degree", "2"]
+
+
 @pytest.mark.parametrize("inject, message", [
     (_inject_route_disagreement, "injected"),
     (_inject_non_integer, "non-integer a-coefficient"),
     (_inject_non_integer_shift, "is not an integer"),
     (_inject_obstruction_mismatch, "!= closed form"),
+    (_inject_negative_dimension, "bracket span exceeds invariants"),
 ])
 def test_internal_error_exit_one(inject, message, monkeypatch, capsys,
                                  fresh_a_cache):

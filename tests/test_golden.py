@@ -1,8 +1,10 @@
 """Golden CLI outputs: exit code and exact stdout of fixed commands.
 
 The files in tests/golden/ were recorded before the a-coefficient,
-Schur and hook-inverse cross-checks moved off the production path; a
-refactor that changes any byte of a report fails here.
+Schur and hook-inverse cross-checks moved off the production path, and
+the S_3 hp0 cases (two generators, tests/golden/s3.json) before the
+invariant bases moved from the Reynolds average to the generators'
+fixed space; a refactor that changes any byte of a report fails here.
 """
 
 import json

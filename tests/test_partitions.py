@@ -177,7 +177,11 @@ def test_partition_validation_survives_optimize():
     code = ("from morita.partitions import InvalidPartition, Partition\n"
             "try:\n    Partition((1, 2))\n"
             "except InvalidPartition:\n    pass\n"
-            "else:\n    raise SystemExit('Partition((1, 2)) was accepted')\n")
+            "else:\n    raise SystemExit('Partition((1, 2)) was accepted')\n"
+            "from morita.poisson import OutOfRange, symmetric_group_action\n"
+            "try:\n    symmetric_group_action(1)\n"
+            "except OutOfRange:\n    pass\n"
+            "else:\n    raise SystemExit('symmetric_group_action(1) was accepted')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

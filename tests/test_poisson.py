@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from morita import linalg, poisson
 from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
-                            bracket, bracket_span_dim, close_group,
-                            duality_check, functional_solutions_dim,
-                            hp0_dims, invariant_basis, monomials, reynolds,
+                            OutOfRange, ShapeMismatch, bracket,
+                            bracket_span_dim, close_group, duality_check,
+                            functional_solutions_dim, hp0_dims,
+                            invariant_basis, monomials, reynolds,
                             standard_form, symmetric_group_action)
 
 J2 = standard_form(1)
@@ -159,7 +161,7 @@ def test_functional_solutions_examples():
 
 def test_duality_all_actions():
     for action, cutoff in ((plus_minus(), 6), (trivial(), 4), (order_three(), 6)):
-        report = duality_check(action, cutoff)
+        report = duality_check(action, hp0_dims(action, cutoff))
         assert report["pass"], report
 
 
@@ -203,3 +205,115 @@ def test_reynolds_projector():
     for e in monomials(2, 3):
         avg = reynolds(action, MultiPoly.monomial(2, e))
         assert reynolds(action, avg) == avg
+
+
+def test_invariant_only_count_uses_invariance():
+    # the single degree-2 solution for Z/3 is x0^2 - x0 x1 + x1^2, which is
+    # invariant, so restricting to invariants keeps it
+    assert functional_solutions_dim(order_three(), 2) == 1
+    assert functional_solutions_dim(order_three(), 2, invariant_only=True) == 1
+
+
+def test_close_group_keeps_generators():
+    assert order_three().generators == [((0, -1), (1, -1))]
+    assert trivial().generators == []
+    assert len(symmetric_group_action(3).generators) == 2
+
+
+def test_poisson_input_validation():
+    with pytest.raises(ShapeMismatch):
+        close_group([], [[0, 1, 0], [-1, 0, 0]])
+    with pytest.raises(ShapeMismatch):
+        MultiPoly(2, {(1, 0, 0): 1})
+    with pytest.raises(OutOfRange):
+        symmetric_group_action(1)
+    action = plus_minus()
+    for call in (invariant_basis, bracket_span_dim, hp0_dims,
+                 functional_solutions_dim):
+        with pytest.raises(OutOfRange):
+            call(action, -1)
+
+
+def _matrix_power_traces(g, top):
+    """tr(g^k) for k = 1..top."""
+    power = g
+    out = []
+    for _ in range(top):
+        out.append(sum(power[i][i] for i in range(len(power))))
+        power = linalg.mat_mul(power, g)
+    return out
+
+
+def _molien_coefficients(action, top):
+    """(1/|G|) sum_g h_d(g) for d = 0..top, where h_d(g) is the trace of g
+    on degree-d polynomials, from the power sums tr(g^k) by Newton's
+    identity d h_d = sum_{k=1}^{d} tr(g^k) h_{d-k}."""
+    totals = [Fraction(0)] * (top + 1)
+    for g in action.elements:
+        p = _matrix_power_traces(g, top)
+        h = [Fraction(1)]
+        for d in range(1, top + 1):
+            h.append(sum(p[k - 1] * h[d - k] for k in range(1, d + 1)) / d)
+        totals = [t + x for t, x in zip(totals, h)]
+    return [t / action.order for t in totals]
+
+
+MOLIEN_ACTIONS = {
+    "plus_minus": (plus_minus, [1, 0, 3, 0, 5, 0, 7]),
+    "trivial": (trivial, [1, 2, 3, 4, 5, 6, 7]),
+    "order_three": (order_three, [1, 0, 1, 2, 1, 2, 3]),
+    "s3": (lambda: symmetric_group_action(3), [1, 0, 3, 4, 6, 10, 17]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOLIEN_ACTIONS))
+def test_invariant_dims_match_molien(name):
+    make, expected = MOLIEN_ACTIONS[name]
+    action = make()
+    molien = _molien_coefficients(action, 6)
+    assert molien == expected
+    assert [len(invariant_basis(action, d)) for d in range(7)] == expected
+
+
+@pytest.mark.parametrize("name", sorted(MOLIEN_ACTIONS))
+def test_invariant_basis_spans_reynolds_image(name):
+    action = MOLIEN_ACTIONS[name][0]()
+    for d in range(7):
+        monos = monomials(action.dim, d)
+        basis = [[p.terms.get(e, Fraction(0)) for e in monos]
+                 for p in invariant_basis(action, d)]
+        averages = [reynolds(action, MultiPoly.monomial(action.dim, e))
+                    for e in monos]
+        averaged = [[p.terms.get(e, Fraction(0)) for e in monos] for p in averages]
+        assert linalg.rank(basis) == len(basis) == linalg.rank(averaged)
+        assert linalg.rank(basis + averaged) == len(basis)
+
+
+def test_reynolds_off_the_production_path(monkeypatch):
+    def refuse(action, p):
+        raise AssertionError("reynolds called")
+    monkeypatch.setattr(poisson, "reynolds", refuse)
+    for action, cutoff in ((order_three(), 4), (symmetric_group_action(3), 2)):
+        graded = hp0_dims(action, cutoff)
+        duality_check(action, graded)
+
+
+def test_one_basis_per_degree(monkeypatch):
+    calls = []
+    original = poisson.invariant_basis
+
+    def counted(action, degree):
+        calls.append(degree)
+        return original(action, degree)
+
+    def refuse(action, max_degree):
+        raise AssertionError("hp0_dims called")
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    reports = []
+    for action, cutoff in ((order_three(), 6), (symmetric_group_action(3), 3)):
+        calls.clear()
+        reports.append((action, hp0_dims(action, cutoff)))
+        assert sorted(calls) == list(range(cutoff + 2))
+    monkeypatch.setattr(poisson, "hp0_dims", refuse)
+    for action, graded in reports:
+        assert len(duality_check(action, graded)["rows"]) == graded.max_degree + 1
