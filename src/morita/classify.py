@@ -11,9 +11,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
-from .exact import Poly, RationalFunction
+from .exact import Poly, RationalFunction, rational_roots
 from .partitions import OutOfRange, gamma_star, hook_partition, kostka
 from .traces import a_coefficients, g_function
 
@@ -121,6 +122,17 @@ def recombination_failures(n, c):
             != RationalFunction(Poly([1]), Poly([k, 1]))]
 
 
+@lru_cache(maxsize=32)
+def _f_basis(n):
+    """Integer coefficients (ascending) of prod_k (x+k) and of each
+    prod_{j!=k} (x+j), k and j in 1..n-1."""
+    def coeffs(roots):
+        return tuple(int(c) for c in Poly.from_roots(roots).coeffs)
+    base = coeffs([-k for k in range(1, n)])
+    terms = tuple(coeffs([-j for j in range(1, n) if j != k]) for k in range(1, n))
+    return base, terms
+
+
 def build_f(n, v):
     """The monic integer polynomial f(x) = prod(x+k) + sum a_k prod_{j!=k}(x+j)
     attached to the data vector; also returns the vector a_k."""
@@ -133,10 +145,12 @@ def build_f(n, v):
         row = a_coefficients(lam, n)
         for i in range(n - 1):
             a[i] += coeff * row[i]
-    f = Poly.from_roots([-k for k in range(1, n)])
-    for k in range(1, n):
-        f = f + a[k - 1] * Poly.from_roots([-j for j in range(1, n) if j != k])
-    return f, a
+    base, terms = _f_basis(n)
+    f = list(base)
+    for ak, term in zip(a, terms):
+        for i, c in enumerate(term):
+            f[i] += ak * c
+    return Poly(f), a
 
 
 def derive_relation(n, v):
@@ -147,8 +161,6 @@ def derive_relation(n, v):
     +1 or -1, emitting one relation per reading.  For n = 2 a single
     root determines no difference and both signs are emitted.
     """
-    from .exact import rational_roots
-
     f, a = build_f(n, v)
     roots, remainder = rational_roots(f)
     if remainder.degree > 0:

@@ -324,39 +324,59 @@ class PartialFraction:
                 for p, r in sorted(self.residues.items())}
 
 
+def _divisors(m):
+    """The positive divisors of m > 0 in ascending order, by trial
+    division up to sqrt(m)."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _divide_root(cs, r):
+    """Synthetic division of the integer polynomial cs (ascending
+    coefficients) by x - r: the quotient's coefficients and the
+    remainder cs(r)."""
+    acc, out = 0, []
+    for c in reversed(cs):
+        acc = acc * r + c
+        out.append(acc)
+    return out[-2::-1], out[-1]
+
+
 def rational_roots(p):
     """All integer roots (with multiplicity) of a monic integer polynomial.
 
-    Candidates are divisors of the constant term, verified by exact
-    evaluation and removed by synthetic division.  Returns the sorted
-    root list together with the integer-root-free remaining factor.
+    After the roots at zero, every integer root divides the constant
+    term c0, so the candidates are the divisors d of |c0| in ascending
+    order, +d before -d.  Each is tested and removed by one integer
+    synthetic division and retried while it divides again; a candidate
+    that fails is no root of any later quotient either.  Returns the
+    sorted root list together with the integer-root-free remaining
+    factor.
     """
     if not (p.is_monic() and p.has_integer_coeffs()):
         raise NotMonicInteger("need a monic polynomial with integer coefficients")
+    cs = [int(c) for c in p.coeffs]
     roots = []
-    cur = p
-    # peel off roots at zero first
-    while cur.degree >= 1 and cur.coeffs[0] == 0:
+    while len(cs) > 1 and cs[0] == 0:
         roots.append(0)
-        cur = cur // Poly.x()
-    while cur.degree >= 1:
-        c0 = abs(int(cur.coeffs[0]))
-        found = None
-        for d in range(1, c0 + 1):
-            if c0 % d:
-                continue
-            for r in (d, -d):
-                if cur(r) == 0:
-                    found = r
+        cs = cs[1:]
+    for d in _divisors(abs(cs[0])):
+        for r in (d, -d):
+            while len(cs) > 1 and cs[0] % d == 0:
+                quot, rem = _divide_root(cs, r)
+                if rem:
                     break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        cur = cur // Poly([-found, 1])
+                roots.append(r)
+                cs = quot
     roots.sort()
-    return roots, cur
+    return roots, Poly(cs)
 
 
 def partial_fractions(rf):

@@ -14,6 +14,7 @@ reference the tests compare the invariant bases against.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
@@ -73,6 +74,11 @@ class SymplecticAction:
     @property
     def order(self):
         return len(self.elements)
+
+    @cached_property
+    def form_inverse(self):
+        """J^-1, which every bracket uses; inverted once per action."""
+        return linalg.invert(self.form)
 
 
 def close_group(generators, form, cap=10000):
@@ -317,7 +323,7 @@ def bracket_span_dim(action, degree, bases=None):
     if bases is None:
         bases = [invariant_basis(action, k) for k in range(degree + 2)]
     monos = monomials(action.dim, degree)
-    j_inv = linalg.invert(action.form)
+    j_inv = action.form_inverse
     rows = []
     for i in range(1, degree // 2 + 2):
         for p in bases[i]:

@@ -1,12 +1,19 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morita import exact
+from morita.classify import KTheoryVector, build_f
 from morita.exact import (DegreeError, NonSimplePoles, NotMonicInteger,
                           PartialFraction, Poly, RationalFunction,
                           ZeroDenominator, partial_fractions, poly_eval,
                           rational_from_str, rational_roots, rational_to_str,
                           rf_normalize)
+from morita.partitions import gamma_star
 
 
 def test_poly_eval_square():
@@ -145,3 +152,146 @@ def test_rational_string_roundtrip():
 def test_partial_fraction_explicit_zero_residue():
     pf = PartialFraction({-1: Fraction(0)})
     assert pf.to_rational_function() == RationalFunction(Poly())
+
+
+def _scan_rational_roots(p):
+    """The linear scan that rational_roots replaced, kept as its oracle:
+    every d = 1..|c0| is tried, +d before -d, by Fraction evaluation,
+    and the candidates restart from d = 1 after each root."""
+    if not (p.is_monic() and p.has_integer_coeffs()):
+        raise NotMonicInteger("need a monic polynomial with integer coefficients")
+    roots = []
+    cur = p
+    while cur.degree >= 1 and cur.coeffs[0] == 0:
+        roots.append(0)
+        cur = cur // Poly.x()
+    while cur.degree >= 1:
+        c0 = abs(int(cur.coeffs[0]))
+        found = None
+        for d in range(1, c0 + 1):
+            if c0 % d:
+                continue
+            for r in (d, -d):
+                if cur(r) == 0:
+                    found = r
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots.append(found)
+        cur = cur // Poly([-found, 1])
+    roots.sort()
+    return roots, cur
+
+
+# The boxes the classify-search tests and the benchmark use.
+BOXES = ((3, 6), (4, 2), (5, 1))
+
+# Vectors whose f has no integer root and |f(0)| near 1e5.
+ROOT_FREE_1E5 = ((3, (16666, -3)), (4, (1, -2, -3, 8335)),
+                 (5, (2, 2, 1, 827, 1, 1)), (6, (3, 2, -2, -3, 1, 1, 2, -2, 204, -3)))
+
+
+def _box_vectors():
+    for n, bound in BOXES:
+        for point in itertools.product(range(-bound, bound + 1),
+                                       repeat=len(gamma_star(n))):
+            yield n, KTheoryVector.from_list(n, list(point))
+    for n, point in ROOT_FREE_1E5:
+        yield n, KTheoryVector.from_list(n, list(point))
+
+
+def _f_by_products(n, a):
+    f = Poly.from_roots([-k for k in range(1, n)])
+    for k in range(1, n):
+        f = f + a[k - 1] * Poly.from_roots([-j for j in range(1, n) if j != k])
+    return f
+
+
+def test_build_f_matches_direct_products():
+    for n, v in _box_vectors():
+        f, a = build_f(n, v)
+        assert f == _f_by_products(n, a)
+
+
+def test_rational_roots_matches_linear_scan():
+    checked = 0
+    for n, v in _box_vectors():
+        f, _ = build_f(n, v)
+        roots, rem = rational_roots(f)
+        want_roots, want_rem = _scan_rational_roots(f)
+        assert roots == want_roots
+        assert rem == want_rem
+        checked += 1
+    assert checked == 13 ** 2 + 5 ** 4 + 3 ** 6 + len(ROOT_FREE_1E5)
+
+
+def test_root_free_vectors_are_large_and_root_free():
+    for n, point in ROOT_FREE_1E5:
+        f, _ = build_f(n, KTheoryVector.from_list(n, list(point)))
+        assert 5 * 10 ** 4 <= abs(f.coeffs[0]) <= 2 * 10 ** 5
+        assert rational_roots(f) == ([], f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.integers(-60, 60), max_size=6),
+       zeros=st.integers(0, 2),
+       cofactor=st.lists(st.integers(-20, 20), max_size=4))
+def test_rational_roots_recovers_planted_roots(roots, zeros, cofactor):
+    planted = roots + [0] * zeros
+    cof = Poly(cofactor + [1])
+    p = Poly.from_roots(planted) * cof
+    found, rem = rational_roots(p)
+    # the cofactor may bring integer roots of its own; the oracle finds them
+    extra, cof_rem = _scan_rational_roots(cof)
+    assert found == sorted(planted + extra)
+    assert rem == cof_rem
+    assert Poly.from_roots(found) * rem == p
+
+
+def _divisor_count(m):
+    # from the prime factorisation, independently of exact._divisors
+    count, p = 1, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        count *= e + 1
+        p += 1
+    return count * (2 if m > 1 else 1)
+
+
+def _frontier_poly(kind):
+    if kind == "cubic":
+        # x^3 + c0 with c0 = 2^6 3^4 5^2 7^2 11 13 17 19 23, which is no
+        # cube (11 divides it once), so there is no integer root
+        c0 = 963761198400
+        r = round(c0 ** (1 / 3))
+        assert all(k ** 3 != c0 for k in (r - 1, r, r + 1))
+        return Poly([c0, 0, 0, 1])
+    # f for n = 3: a quadratic with no integer root iff its discriminant
+    # is no perfect square
+    f, _ = build_f(3, KTheoryVector.from_list(3, [166666666666, 1]))
+    c, b, _ = (int(x) for x in f.coeffs)
+    disc = b * b - 4 * c
+    assert disc < 0 or math.isqrt(disc) ** 2 != disc
+    return f
+
+
+@pytest.mark.parametrize("kind", ["cubic", "quadratic"])
+def test_rational_roots_frontier_candidate_count(kind, monkeypatch):
+    p = _frontier_poly(kind)
+    c0 = abs(int(p.coeffs[0]))
+    assert 10 ** 11 <= c0 <= 10 ** 13
+    calls = []
+    divide = exact._divide_root
+
+    def counted(cs, r):
+        calls.append(r)
+        return divide(cs, r)
+
+    monkeypatch.setattr(exact, "_divide_root", counted)
+    assert rational_roots(p) == ([], p)
+    assert 0 < len(calls) <= 2 * _divisor_count(c0)

@@ -317,3 +317,23 @@ def test_one_basis_per_degree(monkeypatch):
     monkeypatch.setattr(poisson, "hp0_dims", refuse)
     for action, graded in reports:
         assert len(duality_check(action, graded)["rows"]) == graded.max_degree + 1
+
+
+def test_form_inverted_once_per_action(monkeypatch):
+    calls = []
+    original = linalg.invert
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    actions = ((order_three(), 6), (symmetric_group_action(3), 3))
+    monkeypatch.setattr(linalg, "invert", counted)
+    for action, cutoff in actions:
+        calls.clear()
+        hp0_dims(action, cutoff)
+        assert calls == [action.form]
+    # a direct call on the same action reuses its inverse
+    calls.clear()
+    assert bracket_span_dim(actions[0][0], 3) == 2
+    assert calls == []
