@@ -10,21 +10,16 @@ q = +1 or -1 and an integer shift s.
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .exact import Poly, RationalFunction, rational_roots
+from .exact import Poly, RationalFunction, quotient, rational_roots
 from .partitions import OutOfRange, gamma_star, hook_partition, kostka
 from .traces import a_coefficients, g_function
 
 
 class InternalDivisibility(AssertionError):
     """The shift s failed to be an integer -- an implementation bug."""
-
-
-class ObstructionMismatch(AssertionError):
-    """The obstruction value is off its closed form -- an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -124,12 +119,10 @@ def recombination_failures(n, c):
 
 @lru_cache(maxsize=32)
 def _f_basis(n):
-    """Integer coefficients (ascending) of prod_k (x+k) and of each
-    prod_{j!=k} (x+j), k and j in 1..n-1."""
-    def coeffs(roots):
-        return tuple(int(c) for c in Poly.from_roots(roots).coeffs)
-    base = coeffs([-k for k in range(1, n)])
-    terms = tuple(coeffs([-j for j in range(1, n) if j != k]) for k in range(1, n))
+    """prod_k (x+k) and each prod_{j!=k} (x+j), k and j in 1..n-1."""
+    base = Poly.from_roots([-k for k in range(1, n)])
+    terms = tuple(Poly.from_roots([-j for j in range(1, n) if j != k])
+                  for k in range(1, n))
     return base, terms
 
 
@@ -146,11 +139,7 @@ def build_f(n, v):
         for i in range(n - 1):
             a[i] += coeff * row[i]
     base, terms = _f_basis(n)
-    f = list(base)
-    for ak, term in zip(a, terms):
-        for i, c in enumerate(term):
-            f[i] += ak * c
-    return Poly(f), a
+    return sum((ak * term for ak, term in zip(a, terms)), base), a
 
 
 def derive_relation(n, v):
@@ -166,10 +155,9 @@ def derive_relation(n, v):
     if remainder.degree > 0:
         return Rejection("NonIntegerRoots",
                          {"roots_found": roots, "remainder": remainder.to_json()})
-    s_frac = Fraction(sum(a), n * (n - 1))
-    if s_frac.denominator != 1:
-        raise InternalDivisibility("shift %s is not an integer for %r" % (s_frac, v))
-    s = int(s_frac)
+    s = quotient(sum(a), n * (n - 1))
+    if not isinstance(s, int):
+        raise InternalDivisibility("shift %s is not an integer for %r" % (s, v))
     if n == 2:
         return {Relation(1, s), Relation(-1, s)}
     diffs = sorted(set(roots[i + 1] - roots[i] for i in range(len(roots) - 1)))
@@ -219,13 +207,5 @@ def iso_obstruction(n, l, sign):
     if n < 2 or sign not in (1, -1):
         raise OutOfRange("need n >= 2 and sign 1 or -1, got n = %d, sign = %r"
                          % (n, sign))
-    p = Poly([1])
-    for k in range(1, n):
-        p = p * Poly([n * l + k, sign])
-    p = p * Poly.from_roots([0] * n)
-    value = p(-sign * n * l)
-    expected = Fraction(math.factorial(n - 1) * (-sign * n * l) ** n)
-    if value != expected:
-        raise ObstructionMismatch("n=%d, l=%d, sign=%d: %s != closed form %s"
-                                  % (n, l, sign, value, expected))
-    return value
+    x = -sign * n * l
+    return math.prod(sign * x + n * l + k for k in range(1, n)) * x ** n

@@ -2,7 +2,8 @@
 
 Exit codes are a contract: 0 when every asserted identity held, 1 on a
 verification failure, a rejected classification or an internal error
-(a failed internal consistency check), 2 on usage or input errors.
+(a failed internal consistency check, or a TypeError or ZeroDivisionError
+out of program code), 2 on usage or input errors.
 Reports go to stdout as JSON (CSV where tabular).
 """
 
@@ -10,10 +11,11 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
-from fractions import Fraction
 
 from . import classify, poisson, traces
+from .exact import rational
 from .partitions import gamma_star
 
 
@@ -172,25 +174,28 @@ def _cmd_iso_obstruction(args):
     return 0 if ok else 1
 
 
+_RATIONAL_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_group_file(path):
     """Read a symplectic group action description from JSON.
 
     Expected shape: {"dim": 2d, "form": [[..]], "generators": [[[..]]]}
-    with entries given as integers or exact "p/q" strings.
+    with entries given as integers or exact "p/q" strings (q nonzero).
     """
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError covers JSON and encoding errors
         raise MalformedFile("cannot read group file: %s" % e)
 
     def entry(x):
-        if isinstance(x, bool) or isinstance(x, float):
-            raise MalformedFile("non-rational entry: %r" % (x,))
-        try:
-            return Fraction(x)
-        except (ValueError, TypeError):
-            raise MalformedFile("non-rational entry: %r" % (x,))
+        if type(x) is int or isinstance(x, str) and _RATIONAL_STR.fullmatch(x):
+            try:
+                return rational(x)
+            except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+                pass
+        raise MalformedFile("non-rational entry: %r" % (x,))
 
     def matrix(m, dim):
         if not isinstance(m, list) or len(m) != dim \
@@ -206,8 +211,10 @@ def parse_group_file(path):
     if dim % 2:
         raise DimensionOdd("symplectic dimension must be even, got %d" % dim)
     form = matrix(data["form"], dim)
-    generators = [matrix(g, dim) for g in data.get("generators", [])]
-    return form, generators
+    generators = data.get("generators", [])
+    if not isinstance(generators, list):
+        raise MalformedFile("generators must be a list of matrices")
+    return form, [matrix(g, dim) for g in generators]
 
 
 def _cmd_hp0(args):
@@ -278,7 +285,7 @@ def run(argv):
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except AssertionError as e:  # a failed internal consistency check is a bug
+    except (AssertionError, TypeError, ZeroDivisionError) as e:  # bugs, not bad input
         print("internal error: %s" % e, file=sys.stderr)
         return 1
     except Exception as e:  # malformed input must not crash the process

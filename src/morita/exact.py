@@ -1,9 +1,12 @@
 """Exact scalar and univariate polynomial arithmetic.
 
-Scalars are ``fractions.Fraction`` throughout -- no floats anywhere.
-Polynomials are dense lists of Fractions indexed by degree.  On top of
-that we provide reduced rational functions, partial fraction expansions
-at simple integer poles, and integer-root extraction for monic integer
+One scalar rule holds across the package: an integral value is a Python
+``int`` and any other value a ``fractions.Fraction`` -- no floats
+anywhere.  ``rational`` brings a value under the rule and ``quotient``
+divides under it; no other code builds a Fraction.  Polynomials are dense
+tuples of such scalars indexed by degree.  On top of that we provide
+reduced rational functions, partial fraction expansions at simple
+integer poles, and integer-root extraction for monic integer
 polynomials.
 """
 
@@ -28,35 +31,48 @@ class NotMonicInteger(ValueError):
     pass
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def rational(x):
+    """x as an exact scalar: an int when x is integral, else a Fraction.
+
+    Accepts ints, Fractions, floats (converted exactly) and the strings
+    Fraction accepts."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def quotient(a, b):
+    """a / b exactly, under the rule of `rational`.  Raises
+    ZeroDivisionError for b = 0 and TypeError for a float operand."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return rational(Fraction(a, b))
 
 
 def rational_to_str(r):
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    r = _as_fraction(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return "%d/%d" % (r.numerator, r.denominator)
+    """Serialize a scalar as "p/q", or "p" when it is integral."""
+    return str(rational(r))
 
 
-def rational_from_str(s):
-    return Fraction(s)
+rational_from_str = rational
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with exact coefficients.
 
-    coeffs[i] is the coefficient of x**i; trailing zeros are stripped,
-    so the zero polynomial has an empty coefficient list.
+    coeffs[i] is the coefficient of x**i, an int when integral and a
+    Fraction otherwise; trailing zeros are stripped, so the zero
+    polynomial has an empty coefficient list.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -74,7 +90,7 @@ class Poly:
         """Monic product of (x - r) over the given roots."""
         p = cls([1])
         for r in roots:
-            p = p * cls([-_as_fraction(r), 1])
+            p = p * cls([-rational(r), 1])
         return p
 
     @property
@@ -87,14 +103,14 @@ class Poly:
 
     def leading(self):
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
     def monic(self):
         if self.is_zero():
             return self
         lc = self.leading()
-        return Poly([c / lc for c in self.coeffs])
+        return Poly([quotient(c, lc) for c in self.coeffs])
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -104,11 +120,11 @@ class Poly:
 
     def __call__(self, x):
         """Evaluate by Horner's rule with exact arithmetic."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
+        x = rational(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return rational(acc)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -145,11 +161,11 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = _as_fraction(other)
+            c = rational(other)
             return Poly([c * a for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -167,10 +183,10 @@ class Poly:
         dd, dv = self.degree, other.degree
         if dd < dv:
             return Poly(), self
-        quot = [Fraction(0)] * (dd - dv + 1)
+        quot = [0] * (dd - dv + 1)
         lc = other.leading()
         for i in range(dd - dv, -1, -1):
-            c = rem[i + dv] / lc
+            c = quotient(rem[i + dv], lc)
             quot[i] = c
             if c:
                 for j, b in enumerate(other.coeffs):
@@ -231,7 +247,7 @@ class RationalFunction:
         if not g.is_zero():
             num, den = num // g, den // g
         lc = den.leading()
-        self.num = num * (1 / lc)
+        self.num = num * quotient(1, lc)
         self.den = den.monic()
 
     def __eq__(self, other):
@@ -283,7 +299,7 @@ class RationalFunction:
         d = self.den(x)
         if d == 0:
             raise ZeroDenominator("evaluation at a pole")
-        return self.num(x) / d
+        return quotient(self.num(x), d)
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)
@@ -303,7 +319,7 @@ class PartialFraction:
     __slots__ = ("residues",)
 
     def __init__(self, residues):
-        self.residues = {int(p): _as_fraction(r) for p, r in residues.items()}
+        self.residues = {int(p): rational(r) for p, r in residues.items()}
 
     def to_rational_function(self):
         total = RationalFunction(Poly())
@@ -362,7 +378,7 @@ def rational_roots(p):
     """
     if not (p.is_monic() and p.has_integer_coeffs()):
         raise NotMonicInteger("need a monic polynomial with integer coefficients")
-    cs = [int(c) for c in p.coeffs]
+    cs = list(p.coeffs)
     roots = []
     while len(cs) > 1 and cs[0] == 0:
         roots.append(0)
@@ -393,9 +409,9 @@ def partial_fractions(rf):
         raise NonSimplePoles("denominator must have distinct integer roots")
     residues = {}
     for p in roots:
-        denom = Fraction(1)
+        denom = 1
         for q in roots:
             if q != p:
                 denom *= (p - q)
-        residues[p] = rf.num(p) / denom
+        residues[p] = quotient(rf.num(p), denom)
     return PartialFraction(residues)

@@ -1,11 +1,13 @@
 """Small exact linear algebra kit over the rationals.
 
-Matrices are lists of lists of Fractions.  Everything is Gaussian
+Matrices are lists of lists (or tuples of tuples) of exact scalars under
+the rule of ``exact.rational``: ints where integral, Fractions elsewhere,
+and every matrix returned here follows it.  Everything is Gaussian
 elimination without pivot scaling tricks -- exact arithmetic means the
 only thing that matters is avoiding zero pivots.
 """
 
-from fractions import Fraction
+from .exact import quotient, rational
 
 
 class SingularMatrix(ValueError):
@@ -13,7 +15,7 @@ class SingularMatrix(ValueError):
 
 
 def _copy(m):
-    return [[Fraction(x) for x in row] for row in m]
+    return [[rational(x) for x in row] for row in m]
 
 
 def rref(m):
@@ -33,11 +35,11 @@ def rref(m):
             continue
         a[r], a[pivot] = a[pivot], a[r]
         pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        a[r] = [quotient(x, pv) for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [rational(x - f * y) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -46,23 +48,20 @@ def rref(m):
 
 
 def rank(m):
-    if not m:
-        return 0
     return len(rref(m)[1])
 
 
 def nullspace(m, ncols=None):
     """Basis of the right nullspace (list of vectors)."""
     if not m:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-                for j in range(ncols or 0)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols or 0)]
     a, pivots = rref(m)
     cols = len(m[0])
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -a[r][fc]
         basis.append(v)
@@ -72,16 +71,15 @@ def nullspace(m, ncols=None):
 def invert(m):
     """Exact inverse of a square matrix; raises SingularMatrix."""
     n = len(m)
-    a = [_row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, _row in enumerate(_copy(m))]
-    red, pivots = rref(a)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(m)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular over Q")
     return [row[n:] for row in red[:n]]
 
 
 def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+    return [[rational(sum(a[i][k] * b[k][j] for k in range(len(b))))
              for j in range(len(b[0]))] for i in range(len(a))]
 
 

@@ -13,10 +13,10 @@ reference the tests compare the invariant bases against.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
+from .exact import quotient, rational
 
 
 class NotSymplectic(ValueError):
@@ -45,16 +45,16 @@ def _check_degree(degree):
 
 
 def _freeze(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(rational(x) for x in row) for row in m)
 
 
 def standard_form(d):
     """Block form [[0, I], [-I, 0]] on 2d coordinates."""
     n = 2 * d
-    j = [[Fraction(0)] * n for _ in range(n)]
+    j = [[0] * n for _ in range(n)]
     for i in range(d):
-        j[i][d + i] = Fraction(1)
-        j[d + i][i] = Fraction(-1)
+        j[i][d + i] = 1
+        j[d + i][i] = -1
     return _freeze(j)
 
 
@@ -125,12 +125,12 @@ def symmetric_group_action(n):
     # adjacent transposition s_i in the basis f_i = e_i - e_{i+1}
     gens = []
     for i in range(d):
-        m = [[Fraction(1) if a == b else Fraction(0) for b in range(d)] for a in range(d)]
-        m[i][i] = Fraction(-1)
+        m = [[int(a == b) for b in range(d)] for a in range(d)]
+        m[i][i] = -1
         if i > 0:
-            m[i - 1][i] = Fraction(1)
+            m[i - 1][i] = 1
         if i < d - 1:
-            m[i + 1][i] = Fraction(1)
+            m[i + 1][i] = 1
         gens.append(m)
     # diag(m, m^-T) on h + h*
     big = [[row + [0] * d for row in m]
@@ -145,7 +145,8 @@ def _unit(nvars, *indices):
 
 
 class MultiPoly:
-    """Polynomial in several variables: map exponent tuple -> Fraction."""
+    """Polynomial in several variables: map exponent tuple -> nonzero
+    coefficient, an int when integral and a Fraction otherwise."""
 
     __slots__ = ("nvars", "terms")
 
@@ -153,7 +154,7 @@ class MultiPoly:
         self.nvars = nvars
         self.terms = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 if len(e) != nvars:
                     raise ShapeMismatch("exponent %r has not %d entries" % (e, nvars))
@@ -184,7 +185,7 @@ class MultiPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
     def __neg__(self):
@@ -195,13 +196,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = Fraction(other)
+            c = rational(other)
             return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -282,11 +283,11 @@ def reynolds(action, p):
     total = MultiPoly(action.dim)
     for g in action.elements:
         total = total + p.substitute(g)
-    return Fraction(1, action.order) * total
+    return quotient(1, action.order) * total
 
 
 def _coeff_vector(p, monos):
-    return [p.terms.get(e, Fraction(0)) for e in monos]
+    return [p.terms.get(e, 0) for e in monos]
 
 
 def _invariance_rows(action, monos):
@@ -297,7 +298,7 @@ def _invariance_rows(action, monos):
     for g in action.generators:
         images = [MultiPoly.monomial(action.dim, e).substitute(g) for e in monos]
         for r, e in enumerate(monos):
-            row = [img.terms.get(e, Fraction(0)) for img in images]
+            row = [img.terms.get(e, 0) for img in images]
             row[r] -= 1
             if any(row):
                 rows.append(row)
@@ -401,7 +402,7 @@ def _functional_matrix(action, degree):
             total = total + pair * shift
         columns.append(total)
     row_index = sorted(set().union(*(c.terms.keys() for c in columns)) if columns else [])
-    matrix = [[col.terms.get(e, Fraction(0)) for col in columns] for e in row_index]
+    matrix = [[col.terms.get(e, 0) for col in columns] for e in row_index]
     return matrix, p_monos
 
 
@@ -416,10 +417,7 @@ def functional_solutions_dim(action, degree, invariant_only=False):
     matrix, p_monos = _functional_matrix(action, degree)
     if invariant_only:
         matrix += _invariance_rows(action, p_monos)
-    ncols = len(p_monos)
-    if not matrix:
-        return ncols
-    return ncols - linalg.rank(matrix)
+    return len(p_monos) - linalg.rank(matrix)
 
 
 def duality_check(action, graded):

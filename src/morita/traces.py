@@ -8,10 +8,9 @@ form; check_routes compares it with two independent routes.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Poly, RationalFunction, partial_fractions
+from .exact import Poly, RationalFunction, partial_fractions, quotient
 from .partitions import (OutOfRange, WeightMismatch, _schur_kostka,
                          enumerate_partitions, gamma_star)
 
@@ -60,15 +59,15 @@ def g_function(lam, n):
 
 def _a_via_partial_fractions(lam, n):
     pf = partial_fractions(g_function(lam, n))
-    return [pf.residues.get(-k, Fraction(0)) for k in range(1, n)]
+    return [pf.residues.get(-k, 0) for k in range(1, n)]
 
 
 def _a_via_conjugate_content(lam, n):
     # (-1)^(n-k-1) * dim(lam) / (k! (n-1-k)!) * F_{lam'}(k)
     f_conj = content_polynomial(lam.conjugate())
     d = lam.dimension()
-    return [Fraction((-1) ** (n - k - 1) * d,
-                     math.factorial(k) * math.factorial(n - 1 - k)) * f_conj(k)
+    return [quotient((-1) ** (n - k - 1) * d * f_conj(k),
+                     math.factorial(k) * math.factorial(n - 1 - k))
             for k in range(1, n)]
 
 
@@ -76,8 +75,7 @@ def _a_via_schur(lam, n):
     # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k), with s from the Kostka
     # expansion: the hook-content product is the conjugate-content form rewritten
     conj = lam.conjugate()
-    return [Fraction((-1) ** (n - k - 1) * n * math.comb(n - 1, k)
-                     * _schur_kostka(conj, k))
+    return [(-1) ** (n - k - 1) * n * math.comb(n - 1, k) * _schur_kostka(conj, k)
             for k in range(1, n)]
 
 
@@ -91,9 +89,9 @@ def a_coefficients(lam, n):
 def _a_coefficients_cached(lam, n):
     _check_nontrivial(lam, n)
     vals = _a_via_conjugate_content(lam, n)
-    if any(v.denominator != 1 for v in vals):
+    if not all(isinstance(v, int) for v in vals):
         raise NonIntegerCoefficient("non-integer a-coefficient for %r: %r" % (lam, vals))
-    return tuple(int(v) for v in vals)
+    return tuple(vals)
 
 
 def check_routes(lam, n):

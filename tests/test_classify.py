@@ -161,13 +161,24 @@ def test_iso_obstruction_examples():
             assert iso_obstruction(n, 0, sign) == 0
 
 
+def _obstruction_by_products(n, l, sign):
+    # the multiplied-out product prod_k (sign*x + n*l + k) * x^n, evaluated
+    # at x = -sign*n*l: the route iso_obstruction replaced, kept as its oracle
+    p = Poly.from_roots([0] * n)
+    for k in range(1, n):
+        p = p * Poly([n * l + k, sign])
+    return p(-sign * n * l)
+
+
 def test_iso_obstruction_nonzero_iff_shift():
     import math
-    for n in range(2, 7):
-        for l in range(-5, 6):
+    for n in range(2, 11):
+        for l in range(-10, 11):
             for sign in (1, -1):
                 value = iso_obstruction(n, l, sign)
+                assert type(value) is int
                 assert value == math.factorial(n - 1) * (-sign * n * l) ** n
+                assert value == _obstruction_by_products(n, l, sign)
                 assert (value != 0) == (l != 0)
 
 

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import os
-import types
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morita import classify, poisson, traces
 from morita.cli import (DimensionOdd, MalformedFile, parse_group_file, run)
 from morita.exact import Poly, rational_from_str
-from morita.partitions import Partition
+from morita.partitions import Partition, gamma_star
 
 
 def run_json(capsys, argv):
@@ -77,9 +81,14 @@ def _inject_non_integer_shift(monkeypatch):
     return ["classify", "--n", "3", "--nvec", "0,0"]
 
 
-def _inject_obstruction_mismatch(monkeypatch):
-    monkeypatch.setattr(classify, "math", types.SimpleNamespace(factorial=lambda n: 0))
-    return ["iso-obstruction", "--n", "3", "--l-min", "1", "--l-max", "1"]
+def _inject_type_error(monkeypatch):
+    monkeypatch.setattr(traces, "trace_table", _raises(TypeError))
+    return ["traces", "--n", "3"]
+
+
+def _inject_zero_division(monkeypatch):
+    monkeypatch.setattr(traces, "trace_table", _raises(ZeroDivisionError))
+    return ["traces", "--n", "3"]
 
 
 def _inject_negative_dimension(monkeypatch):
@@ -92,7 +101,8 @@ def _inject_negative_dimension(monkeypatch):
     (_inject_route_disagreement, "injected"),
     (_inject_non_integer, "non-integer a-coefficient"),
     (_inject_non_integer_shift, "is not an integer"),
-    (_inject_obstruction_mismatch, "!= closed form"),
+    (_inject_type_error, "injected"),
+    (_inject_zero_division, "injected"),
     (_inject_negative_dimension, "bracket span exceeds invariants"),
 ])
 def test_internal_error_exit_one(inject, message, monkeypatch, capsys,
@@ -215,6 +225,93 @@ def test_parse_group_file_malformed(tmp_path):
         parse_group_file(floats)
 
 
+@pytest.mark.parametrize("generators", [5, None, {"g": [[1, 0], [0, 1]]}, "[]"])
+def test_parse_group_file_generators_not_a_list(tmp_path, generators):
+    path = _write_group(tmp_path, {"dim": 2, "form": [[0, 1], [-1, 0]],
+                                   "generators": generators})
+    with pytest.raises(MalformedFile):
+        parse_group_file(path)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1e4000000", "0.5", "1.", "1e3", " 1",
+                                 "1/-2", "inf", "nan", "\u0663", "1" * 5000, True,
+                                 None, [1]])
+def test_parse_group_file_rejects_entry(tmp_path, bad):
+    # integers and "p/q" strings only; decimals and exponents are refused
+    # before any arithmetic, so a huge exponent cannot stall the parser
+    path = _write_group(tmp_path, {"dim": 2, "form": [[0, bad], [-1, 0]],
+                                   "generators": []})
+    with pytest.raises(MalformedFile):
+        parse_group_file(path)
+
+
+def _mostly(strategy, other, odds=4):
+    """strategy odds - 1 times in odds, other otherwise."""
+    return st.integers(1, odds).flatmap(lambda k: strategy if k > 1 else other)
+
+
+_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON = _LEAF | st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12)
+_ENTRY = _mostly(st.integers(-3, 3) | st.fractions(max_denominator=5).map(str)
+                 | st.sampled_from(["+1", "-0/7", "12/4"]),
+                 st.sampled_from(["1/0", "2e3", "0.5", " 1", "1" * 5000]) | _JSON,
+                 odds=16)
+
+
+def _matrix(dim):
+    return _mostly(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
+                            min_size=dim, max_size=dim), _JSON)
+
+
+_GROUP_FILE = _mostly(st.sampled_from([0, 2, 3, 4]).flatmap(
+    lambda dim: st.fixed_dictionaries(
+        {"dim": _mostly(st.just(dim), _JSON),
+         "form": _matrix(dim),
+         "generators": _mostly(st.lists(_matrix(dim), max_size=3), _JSON)})), _JSON)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_GROUP_FILE)
+def test_parse_group_file_fuzz(data):
+    # whatever JSON a group file holds, the parser returns matrices or
+    # raises one of its two input errors
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        try:
+            form, gens = parse_group_file(path)
+        except (MalformedFile, DimensionOdd):
+            return
+    dim = data["dim"]
+    for m in [form] + gens:
+        assert len(m) == dim and all(len(row) == dim for row in m)
+        assert all(type(x) in (int, Fraction) for row in m for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 5),
+       text=st.text(max_size=12)
+       | st.lists(st.integers(-30, 30), max_size=7).map(lambda v: ",".join(map(str, v)))
+       | st.lists(st.integers(-30, 30) | st.text(max_size=3), min_size=1, max_size=6)
+       .map(lambda v: ",".join(map(str, v))))
+def test_nvec_fuzz(n, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # `--nvec=` so that argparse does not read a leading "-" as an option
+        code = run(["classify", "--n", str(n), "--nvec=" + text])
+    if code == 2:
+        assert err.getvalue().startswith("error: bad --nvec")
+        assert out.getvalue() == ""
+        return
+    assert code in (0, 1)
+    report = json.loads(out.getvalue())
+    assert report["command"] == "classify"
+    assert len(report["payload"]["nvec"]) == len(gamma_star(n))
+
+
 def test_hp0_command(tmp_path, capsys):
     path = _write_group(tmp_path, {
         "dim": 2,
@@ -233,3 +330,13 @@ def test_hp0_command(tmp_path, capsys):
 def test_hp0_bad_file_exit_two(tmp_path):
     bad = tmp_path / "nope.json"
     assert run(["hp0", "--group", str(bad), "--max-degree", "2"]) == 2
+
+
+def test_hp0_infinite_group_exit_two(tmp_path, capsys):
+    # a shear is symplectic but of infinite order: closure stops at the cap
+    path = _write_group(tmp_path, {"dim": 2, "form": [[0, 1], [-1, 0]],
+                                   "generators": [[[1, 1], [0, 1]]]})
+    assert run(["hp0", "--group", path, "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: group order exceeds cap")

@@ -3,10 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from morita import exact
+from morita import exact, linalg
 from morita.classify import KTheoryVector, build_f
 from morita.exact import (DegreeError, NonSimplePoles, NotMonicInteger,
                           PartialFraction, Poly, RationalFunction,
@@ -14,6 +14,7 @@ from morita.exact import (DegreeError, NonSimplePoles, NotMonicInteger,
                           rational_from_str, rational_roots, rational_to_str,
                           rf_normalize)
 from morita.partitions import gamma_star
+from morita.poisson import MultiPoly
 
 
 def test_poly_eval_square():
@@ -295,3 +296,68 @@ def test_rational_roots_frontier_candidate_count(kind, monkeypatch):
     monkeypatch.setattr(exact, "_divide_root", counted)
     assert rational_roots(p) == ([], p)
     assert 0 < len(calls) <= 2 * _divisor_count(c0)
+
+
+# The scalar rule: every exact value is an int when it is integral and a
+# Fraction otherwise, never a float.
+
+def _check_scalars(values):
+    for v in values:
+        assert type(v) in (int, Fraction), repr(v)
+        assert type(v) is int or v.denominator != 1, repr(v)
+
+
+# st.fractions also draws integral Fractions such as Fraction(3, 1)
+_SCALAR = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=6)
+_POINT = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(_SCALAR, max_size=5), b=st.lists(_SCALAR, min_size=1, max_size=4),
+       lead=st.integers(2, 7) | st.fractions(1, 7, max_denominator=6),
+       poles=st.sets(st.integers(-6, 6), min_size=1, max_size=4), x=_POINT)
+def test_scalar_rule_poly(a, b, lead, poles, x):
+    p, q = Poly(a), Poly(b + [lead])  # q is not monic
+    quot, rem = divmod(p, q)
+    _check_scalars(p.coeffs + q.coeffs + (p * q).coeffs + quot.coeffs + rem.coeffs
+                   + q.monic().coeffs)
+    _check_scalars([p(x), p(int(x)), q(x)])
+    den = Poly.from_roots(sorted(poles)) * lead
+    num = Poly(a[:len(poles) - 1])
+    rf = RationalFunction(num, den)
+    _check_scalars(rf.num.coeffs + rf.den.coeffs)
+    if x not in poles:
+        _check_scalars([rf(x)])
+    _check_scalars(partial_fractions(rf).residues.values())
+
+
+# entries without units, so that every pivot is a non-unit at first
+_ENTRY = st.sampled_from([-6, -4, -3, -2, 0, 2, 3, 4, 6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 5), data=st.data())
+def test_scalar_rule_linalg(rows, cols, data):
+    m = data.draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    red, _ = linalg.rref(m)
+    _check_scalars(x for row in red for x in row)
+    _check_scalars(x for v in linalg.nullspace(m) for x in v)
+    square = [row[:rows] + [0] * (rows - len(row)) for row in m]
+    try:
+        inverse = linalg.invert(square)
+    except linalg.SingularMatrix:
+        assume(False)
+    _check_scalars(x for row in inverse for x in row)
+    _check_scalars(x for row in linalg.mat_mul(inverse, square) for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             _SCALAR, max_size=5),
+       matrix=st.lists(st.lists(_SCALAR, min_size=2, max_size=2), min_size=2,
+                       max_size=2))
+def test_scalar_rule_multipoly(terms, matrix):
+    p = MultiPoly(2, terms)
+    _check_scalars(p.terms.values())
+    _check_scalars(p.substitute(matrix).terms.values())
