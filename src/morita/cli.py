@@ -277,10 +277,25 @@ def build_parser():
     return p
 
 
+def _attach_nvec(argv):
+    """`--nvec VALUE` as `--nvec=VALUE`: --nvec always takes the next token
+    as its value, also when it starts with a minus (`--nvec -1,2`), which
+    argparse would otherwise read as an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--nvec":
+            value = next(tokens, None)
+            if value is not None:
+                token = "--nvec=" + value
+        out.append(token)
+    return out
+
+
 def run(argv):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_nvec(argv))
     except SystemExit as e:
         return 2 if e.code else 0
     try:

@@ -2,10 +2,20 @@
 
 Matrices are lists of lists (or tuples of tuples) of exact scalars under
 the rule of ``exact.rational``: ints where integral, Fractions elsewhere,
-and every matrix returned here follows it.  Everything is Gaussian
-elimination without pivot scaling tricks -- exact arithmetic means the
-only thing that matters is avoiding zero pivots.
+and every matrix returned here follows it.
+
+There is one elimination routine, `rref`, and it is fraction-free: every
+row is kept as a primitive integer row (denominators cleared, the gcd of
+its entries divided out), and each elimination step is an integer
+combination of two rows followed by the same normalisation -- where
+Bareiss (Math. Comp. 22, 1968) divides exactly by the previous pivot,
+this divides by the gcd of the new row.  `rank`, `nullspace` and
+`invert` read their answers off its result; the only division that can
+leave a denominator happens at the end of `invert`.
 """
+
+import math
+from itertools import compress, count
 
 from .exact import quotient, rational
 
@@ -14,37 +24,83 @@ class SingularMatrix(ValueError):
     pass
 
 
-def _copy(m):
-    return [[rational(x) for x in row] for row in m]
+def _primitive(row):
+    """The primitive integer row on the ray of the dense `row`, as a map
+    column -> nonzero entry: denominators cleared, then the gcd of the
+    entries divided out."""
+    row = {j: x if type(x) is int else rational(x)
+           for j, x in zip(compress(count(), row), compress(row, row))}
+    den = math.lcm(*(x.denominator for x in row.values() if type(x) is not int))
+    if den != 1:
+        row = {j: x * den if type(x) is int else x.numerator * (den // x.denominator)
+               for j, x in row.items()}
+    return _divide_content(row)
+
+
+def _divide_content(row):
+    g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _eliminate(row, prow, c):
+    """row <- (p/g) row - (f/g) prow, which clears column c (p = prow[c],
+    f = row[c], g = gcd(p, f)), then made primitive.  `row` may be
+    updated in place."""
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f)
+    s, t = p // g, f // g
+    if s != 1:
+        row = {j: s * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = row.get(j, 0) - t * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return _divide_content(row)
 
 
 def rref(m):
-    """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-    a = _copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    """Reduced row echelon form up to a positive scale per row; returns
+    (rows, pivot_columns).
+
+    rows has the shape of m.  Row r < rank is a primitive integer row
+    with a positive entry at pivot_columns[r] and zeros at every other
+    pivot column; the rows after the rank are zero.  Dividing each row by
+    its pivot gives the classical reduced row echelon form.
+
+    The rows are kept sparse while they are reduced, column by column:
+    each pivot clears its column from every other row, above and below.
+    """
+    cols = len(m[0]) if m else 0
+    # active rows not yet used as pivots, by leading column: every column
+    # left of c is already cleared from them
+    active = {}
+    for row in map(_primitive, m):
+        if row:
+            active.setdefault(min(row), []).append(row)
+    done = []
     pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [quotient(x, pv) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [rational(x - f * y) for x, y in zip(a[i], a[r])]
+    while active:
+        c = min(active)
+        hits = active.pop(c)
+        chosen = min(hits, key=len)  # the sparsest row: least fill-in
+        prow = chosen if chosen[c] > 0 else {j: -x for j, x in chosen.items()}
+        for row in hits:
+            if row is not chosen:
+                row = _eliminate(row, prow, c)
+                if row:
+                    active.setdefault(min(row), []).append(row)
+        for k, row in enumerate(done):
+            if c in row:
+                done[k] = _eliminate(row, prow, c)
+        done.append(prow)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    dense = [[0] * cols for _ in m]
+    for out, row in zip(dense, done):
+        for j, x in row.items():
+            out[j] = x
+    return dense, pivots
 
 
 def rank(m):
@@ -52,19 +108,26 @@ def rank(m):
 
 
 def nullspace(m, ncols=None):
-    """Basis of the right nullspace (list of vectors)."""
+    """Basis of the right nullspace: for each free column, the primitive
+    integer vector that is positive there and zero at the other free
+    columns."""
     if not m:
         return [[int(i == j) for i in range(ncols)] for j in range(ncols or 0)]
     a, pivots = rref(m)
-    cols = len(m[0])
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(a[0])
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        used = [(pc, row[pc], row[fc]) for row, pc in zip(a, pivots) if row[fc]]
+        scale = math.lcm(*(p for _, p, _ in used))
         v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
+        v[fc] = scale
+        for pc, p, x in used:
+            v[pc] = -x * (scale // p)
+        g = math.gcd(*v)
+        basis.append([x // g for x in v] if g > 1 else v)
     return basis
 
 
@@ -75,7 +138,7 @@ def invert(m):
                         for i, row in enumerate(m)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular over Q")
-    return [row[n:] for row in red[:n]]
+    return [[quotient(x, row[i]) for x in row[n:]] for i, row in enumerate(red[:n])]
 
 
 def mat_mul(a, b):

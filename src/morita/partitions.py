@@ -207,11 +207,16 @@ def monomial_eval_ones(sigma, k):
     return math.comb(k, l) * math.factorial(l) // denom
 
 
+@lru_cache(maxsize=32)
+def _partitions_of(n):
+    return tuple(enumerate_partitions(n))
+
+
 def _schur_kostka(lam, k):
     # sum over sigma of K[lam, sigma] * m_sigma(1^k): the reference route
     # for schur_eval_ones and for the Schur form of the a-coefficients
     total = 0
-    for sigma in enumerate_partitions(lam.weight):
+    for sigma in _partitions_of(lam.weight):
         if sigma.length > k:
             continue
         total += kostka(lam, sigma) * monomial_eval_ones(sigma, k)

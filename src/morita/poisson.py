@@ -14,6 +14,7 @@ reference the tests compare the invariant bases against.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 from . import linalg
 from .exact import quotient, rational
@@ -201,7 +202,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
@@ -219,19 +220,10 @@ class MultiPoly:
 
     def substitute(self, matrix):
         """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
-        forms = [MultiPoly(self.nvars, {_unit(self.nvars, j): matrix[i][j]
-                                        for j in range(self.nvars) if matrix[i][j]})
-                 for i in range(self.nvars)]
         out = MultiPoly(self.nvars)
-        cache = {}
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in cache:
-                        cache[(i, k)] = forms[i] ** k
-                    term = term * cache[(i, k)]
-            out = out + term
+        images = _monomial_images(matrix, self.nvars, self.terms)
+        for c, img in zip(self.terms.values(), images):
+            out = out + c * img
         return out
 
     def __repr__(self):
@@ -242,6 +234,27 @@ class MultiPoly:
             mono = "*".join("x%d^%d" % (i, k) for i, k in enumerate(e) if k)
             bits.append("%s%s%s" % (c, "*" if mono else "", mono))
         return "MultiPoly(%s)" % " + ".join(bits)
+
+
+def _monomial_images(matrix, nvars, exponents):
+    """The images of the monomials x^e, e in `exponents`, under x -> M x.
+
+    Variable i goes to the linear form sum_j M[i][j] x_j; the forms are
+    built once, and each power forms[i] ** k once, for all the monomials."""
+    forms = [MultiPoly(nvars, {_unit(nvars, j): matrix[i][j]
+                               for j in range(nvars) if matrix[i][j]})
+             for i in range(nvars)]
+    powers = {}
+    images = []
+    for e in exponents:
+        img = MultiPoly.constant(nvars, 1)
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    powers[(i, k)] = forms[i] ** k
+                img = img * powers[(i, k)]
+        images.append(img)
+    return images
 
 
 def monomials(nvars, degree):
@@ -294,11 +307,14 @@ def _invariance_rows(action, monos):
     """Nonzero rows of Sym^d(g) - I stacked over the generators g, on the
     coefficient vectors of the degree-d monomials `monos`.  A polynomial
     fixed by every generator is fixed by the group they generate."""
+    index = {e: r for r, e in enumerate(monos)}
     rows = []
     for g in action.generators:
-        images = [MultiPoly.monomial(action.dim, e).substitute(g) for e in monos]
-        for r, e in enumerate(monos):
-            row = [img.terms.get(e, 0) for img in images]
+        block = [[0] * len(monos) for _ in monos]
+        for c, img in enumerate(_monomial_images(g, action.dim, monos)):
+            for e, x in img.terms.items():
+                block[index[e]][c] = x
+        for r, row in enumerate(block):
             row[r] -= 1
             if any(row):
                 rows.append(row)

@@ -300,7 +300,7 @@ def test_parse_group_file_fuzz(data):
 def test_nvec_fuzz(n, text):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        # `--nvec=` so that argparse does not read a leading "-" as an option
+        # `--nvec TEXT` is the same (test_nvec_leading_minus_without_equals)
         code = run(["classify", "--n", str(n), "--nvec=" + text])
     if code == 2:
         assert err.getvalue().startswith("error: bad --nvec")
@@ -310,6 +310,30 @@ def test_nvec_fuzz(n, text):
     report = json.loads(out.getvalue())
     assert report["command"] == "classify"
     assert len(report["payload"]["nvec"]) == len(gamma_star(n))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("n, text", [(3, "-1,2"), (3, "-3,-2"), (3, "-1,0"),
+                                     (4, "-1,0,0,0"), (3, "3,-2")])
+def test_nvec_leading_minus_without_equals(n, text):
+    # `--nvec -1,2` reaches the --nvec parser exactly as `--nvec=-1,2` does
+    spaced = _run_captured(["classify", "--n", str(n), "--nvec", text])
+    joined = _run_captured(["classify", "--n", str(n), "--nvec=" + text])
+    assert spaced == joined
+    assert spaced[0] in (0, 1) and json.loads(spaced[1])["payload"]["nvec"]
+
+
+@pytest.mark.parametrize("text", ["-1,x", "-", "-1", "--1,2", "-1,,2", "-h"])
+def test_nvec_malformed_leading_minus(text):
+    code, out, err = _run_captured(["classify", "--n", "3", "--nvec", text])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad --nvec")
 
 
 def test_hp0_command(tmp_path, capsys):

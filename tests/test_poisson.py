@@ -337,3 +337,59 @@ def test_form_inverted_once_per_action(monkeypatch):
     calls.clear()
     assert bracket_span_dim(actions[0][0], 3) == 2
     assert calls == []
+
+
+def _substitute_per_call(p, matrix):
+    """The substitution `MultiPoly.substitute` did before the linear forms
+    and their powers were shared across monomials; kept as the oracle."""
+    n = p.nvars
+    forms = [MultiPoly(n, {tuple(int(k == j) for k in range(n)): matrix[i][j]
+                           for j in range(n) if matrix[i][j]})
+             for i in range(n)]
+    out = MultiPoly(n)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(n, c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * forms[i] ** k
+        out = out + term
+    return out
+
+
+def _invariance_rows_per_monomial(action, monos):
+    # the rows as built before: one substitution per monomial
+    rows = []
+    for g in action.generators:
+        images = [_substitute_per_call(MultiPoly.monomial(action.dim, e), g)
+                  for e in monos]
+        for r, e in enumerate(monos):
+            row = [img.terms.get(e, 0) for img in images]
+            row[r] -= 1
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("make, degrees", [
+    (plus_minus, range(7)),
+    (order_three, range(7)),
+    (lambda: symmetric_group_action(3), range(7)),
+    (lambda: symmetric_group_action(4), range(4)),
+], ids=["pm", "z3", "s3", "s4"])
+def test_invariance_rows_match_per_monomial_substitution(make, degrees):
+    action = make()
+    for d in degrees:
+        monos = monomials(action.dim, d)
+        assert poisson._invariance_rows(action, monos) \
+            == _invariance_rows_per_monomial(action, monos)
+
+
+def test_substitute_matches_per_call_substitution():
+    rng = random.Random(11)
+    matrices = list(symmetric_group_action(3).elements)
+    matrices += [[[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(4)]
+                  for _ in range(4)] for _ in range(5)]
+    for matrix in matrices:
+        for _ in range(4):
+            p = _random_poly(rng, 4, 2)
+            assert p.substitute(matrix) == _substitute_per_call(p, matrix)
