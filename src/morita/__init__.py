@@ -2,11 +2,10 @@
 classification from K-theory data, and 0-th Poisson homology of finite
 symplectic group invariants."""
 
-from .exact import (Poly, RationalFunction, PartialFraction, Rational,
-                    poly_eval, rf_normalize, partial_fractions, rational_roots)
+from .exact import (Poly, RationalFunction, PartialFraction,
+                    partial_fractions, rational_roots)
 from .partitions import (Partition, enumerate_partitions, gamma_star,
-                         hook_partition, conjugate, dimension,
-                         content_multiset, kostka, monomial_eval_ones,
+                         hook_partition, kostka, monomial_eval_ones,
                          schur_eval_ones)
 from .traces import (content_polynomial, f_trivial, g_function,
                      a_coefficients, chi_H, chi_B, morita_phi_factor,

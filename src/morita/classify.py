@@ -183,13 +183,92 @@ def remark_identity_check(n, v):
     return sum(a) == n * (n - 1) * total
 
 
+def _alpha(n, r):
+    """The a-vector of f_r(x) = prod_{i=0}^{n-2} (x - r - i): evaluating
+    f at x = -k leaves a_k = f(-k) / prod_{j!=k} (j - k), j, k in 1..n-1.
+    The division is exact: f_r(-k) is a product of n-1 consecutive
+    integers, so (n-1)! divides it."""
+    return [math.prod(-k - r - i for i in range(n - 1))
+            // math.prod(j - k for j in range(1, n) if j != k)
+            for k in range(1, n)]
+
+
+def _r_window(n, limit):
+    """The integers r with |alpha_1(r)| <= limit.  alpha_1 vanishes on
+    [-(n-1), -1], and outside it |f_r(-1)| grows strictly with the
+    distance, so each side stops at the first r past the limit."""
+    window = list(range(-(n - 1), 0))
+    for start, step in ((0, 1), (-n, -1)):
+        r = start
+        while abs(_alpha(n, r)[0]) <= limit:
+            window.append(r)
+            r += step
+    return window
+
+
+def _solve_box(n, bound):
+    """The points of the box |n_lam| <= bound whose f is some
+    f_r, in itertools.product order: for every assignment of the non-hook
+    coordinates and every r in the window, forward substitution through
+    the triangular hook rows fixes the hook coordinates."""
+    index = gamma_star(n)
+    rows = [a_coefficients(lam, n) for lam in index]
+    hooks = [index.index(hook_partition(n, m)) for m in range(1, n)]
+    free = [i for i in range(len(index)) if i not in hooks]
+    hook_rows = [rows[i] for i in hooks]
+    limit = bound * sum(abs(row[0]) for row in rows)
+    targets = [_alpha(n, r) for r in _r_window(n, limit)]
+    points = []
+    for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        partial = [0] * (n - 1)
+        for i, c in zip(free, values):
+            if c:
+                for k, a in enumerate(rows[i]):
+                    partial[k] += c * a
+        for target in targets:
+            solved = []
+            for k in range(n - 1):
+                rest = target[k] - partial[k] - sum(
+                    h * hook_rows[m][k] for m, h in enumerate(solved))
+                h, rem = divmod(rest, hook_rows[k][k])
+                if rem or abs(h) > bound:
+                    break
+                solved.append(h)
+            else:
+                point = [0] * len(index)
+                for i, c in zip(free, values):
+                    point[i] = c
+                for i, h in zip(hooks, solved):
+                    point[i] = h
+                points.append(tuple(point))
+    points.sort()
+    return points
+
+
 def search_relations(n, bound):
-    """Exhaustive box search |n_lam| <= bound; groups accepted outcomes
-    by relation, each with its list of witness vectors."""
+    """Every data vector in the box |n_lam| <= bound that derive_relation
+    accepts, grouped by relation, each with its witness vectors in
+    itertools.product order over the box.
+
+    The witnesses are solved for, not scanned.  derive_relation accepts exactly when f is some
+    f_r(x) = prod_{i=0}^{n-2} (x - r - i), and by interpolation at
+    x = -k that is the linear condition a = alpha(r) on the vector.  The
+    hook rows of the a-coefficient matrix are triangular with a nonzero
+    diagonal (hook_matrix), so for each assignment of the p(n) - n
+    non-hook coordinates and each r in a finite window, forward
+    substitution fixes the n - 1 hook coordinates; a candidate is kept
+    when they are integers within the bound.  The window is
+    |alpha_1(r)| <= bound * sum over lam of |a_1(lam)|.  This costs
+    (2b+1)^(p(n)-n) times the window instead of (2b+1)^(p(n)-1).  The
+    solver only picks candidates: each one still goes through
+    derive_relation.
+    """
+    if n < 2:
+        raise OutOfRange("need n >= 2, got %d" % n)
     index = gamma_star(n)
     found = {}
-    for point in itertools.product(range(-bound, bound + 1), repeat=len(index)):
-        v = KTheoryVector.from_list(n, list(point))
+    for point in _solve_box(n, bound):
+        v = KTheoryVector(n, dict(zip(index, point)))
         result = derive_relation(n, v)
         if isinstance(result, Rejection):
             continue

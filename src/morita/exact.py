@@ -12,8 +12,6 @@ polynomials.
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class ZeroDenominator(ZeroDivisionError):
     pass
@@ -56,9 +54,6 @@ def quotient(a, b):
 def rational_to_str(r):
     """Serialize a scalar as "p/q", or "p" when it is integral."""
     return str(rational(r))
-
-
-rational_from_str = rational
 
 
 class Poly:
@@ -227,10 +222,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-def poly_eval(p, x):
-    return p(x)
-
-
 class RationalFunction:
     """Reduced ratio num/den of Polys: gcd divided out, den monic."""
 
@@ -308,11 +299,6 @@ class RationalFunction:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
-def rf_normalize(num, den):
-    """Reduced rational function num/den; raises ZeroDenominator on den = 0."""
-    return RationalFunction(num, den)
-
-
 class PartialFraction:
     """Sum of residue/(x - pole) over distinct integer poles."""
 
@@ -340,20 +326,6 @@ class PartialFraction:
                 for p, r in sorted(self.residues.items())}
 
 
-def _divisors(m):
-    """The positive divisors of m > 0 in ascending order, by trial
-    division up to sqrt(m)."""
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d * d != m:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _divide_root(cs, r):
     """Synthetic division of the integer polynomial cs (ascending
     coefficients) by x - r: the quotient's coefficients and the
@@ -365,16 +337,35 @@ def _divide_root(cs, r):
     return out[-2::-1], out[-1]
 
 
+def _peel(cs, d, roots):
+    """Divide the roots d and -d out of cs, each as often as it divides,
+    appending them to roots; returns the quotient."""
+    for r in (d, -d):
+        while len(cs) > 1 and cs[0] % d == 0:
+            quot, rem = _divide_root(cs, r)
+            if rem:
+                break
+            roots.append(r)
+            cs = quot
+    return cs
+
+
 def rational_roots(p):
     """All integer roots (with multiplicity) of a monic integer polynomial.
 
-    After the roots at zero, every integer root divides the constant
-    term c0, so the candidates are the divisors d of |c0| in ascending
-    order, +d before -d.  Each is tested and removed by one integer
-    synthetic division and retried while it divides again; a candidate
-    that fails is no root of any later quotient either.  Returns the
-    sorted root list together with the integer-root-free remaining
-    factor.
+    After the roots at zero, every integer root of the current quotient
+    divides its constant term c0, which shrinks as roots are divided
+    out.  One pass of trial division runs d = 1, 2, ... while
+    d^2 <= |c0| and the quotient is not constant, and tries +d and -d
+    whenever d divides c0, each by integer synthetic division, retried
+    while it divides again.  A root left after that pass has
+    |r| >= d > sqrt|c0|, and the magnitudes of the remaining roots
+    divide c0, so at most one is left: c0/e up to sign, for a divisor
+    e < d of c0.  Each such e divided c0 when the pass met it, so the
+    cofactors of the divisors met are the last candidates.  Without an
+    integer root this is one pass up to sqrt|c0|; with roots it stops
+    as soon as the quotient is constant.  Returns the sorted root list
+    together with the integer-root-free remaining factor.
     """
     if not (p.is_monic() and p.has_integer_coeffs()):
         raise NotMonicInteger("need a monic polynomial with integer coefficients")
@@ -383,14 +374,15 @@ def rational_roots(p):
     while len(cs) > 1 and cs[0] == 0:
         roots.append(0)
         cs = cs[1:]
-    for d in _divisors(abs(cs[0])):
-        for r in (d, -d):
-            while len(cs) > 1 and cs[0] % d == 0:
-                quot, rem = _divide_root(cs, r)
-                if rem:
-                    break
-                roots.append(r)
-                cs = quot
+    met, d = [], 1
+    while len(cs) > 1 and d * d <= abs(cs[0]):
+        if cs[0] % d == 0:
+            met.append(d)
+            cs = _peel(cs, d, roots)
+        d += 1
+    for e in reversed(met):
+        if len(cs) > 1 and cs[0] % e == 0 and abs(cs[0]) // e >= d:
+            cs = _peel(cs, abs(cs[0]) // e, roots)
     roots.sort()
     return roots, Poly(cs)
 

@@ -112,18 +112,6 @@ class Partition:
         return list(self.parts)
 
 
-def conjugate(lam):
-    return lam.conjugate()
-
-
-def dimension(lam):
-    return lam.dimension()
-
-
-def content_multiset(lam):
-    return lam.content_multiset()
-
-
 def enumerate_partitions(n):
     """All partitions of n in descending lexicographic order."""
     if n < 1:
@@ -140,9 +128,14 @@ def enumerate_partitions(n):
     return [Partition(p) for p in gen(n, n)]
 
 
+@lru_cache(maxsize=32)
+def _partitions_of(n):
+    return tuple(enumerate_partitions(n))
+
+
 def gamma_star(n):
     """Nontrivial representations: canonical list minus its head (n)."""
-    return enumerate_partitions(n)[1:]
+    return list(_partitions_of(n)[1:])
 
 
 def hook_partition(n, m):
@@ -205,11 +198,6 @@ def monomial_eval_ones(sigma, k):
     for m in sigma.multiplicities.values():
         denom *= math.factorial(m)
     return math.comb(k, l) * math.factorial(l) // denom
-
-
-@lru_cache(maxsize=32)
-def _partitions_of(n):
-    return tuple(enumerate_partitions(n))
 
 
 def _schur_kostka(lam, k):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from morita.classify import (KTheoryVector, Rejection, Relation, build_f,
                              derive_relation, hook_matrix, invert_hook_matrix,
                              iso_obstruction, recombination_failures,
                              remark_identity_check, search_relations)
+from morita import partitions
 from morita.exact import Poly
 from morita.partitions import (OutOfRange, Partition, gamma_star,
                                hook_partition, kostka)
@@ -153,6 +155,68 @@ def test_search_witnesses_revalidate():
             assert rel.s == s
 
 
+def _scan_relations(n, bound):
+    """The exhaustive box scan that search_relations replaced, kept as
+    its oracle: derive_relation on every point of the box, in
+    itertools.product order."""
+    index = gamma_star(n)
+    found = {}
+    for point in itertools.product(range(-bound, bound + 1), repeat=len(index)):
+        v = KTheoryVector.from_list(n, list(point))
+        result = derive_relation(n, v)
+        if isinstance(result, Rejection):
+            continue
+        for rel in result:
+            found.setdefault(rel, []).append(v)
+    return found
+
+
+# Every box the tests and the benchmark search, plus small boxes for
+# n = 3..5 and the larger (4, 4) and (5, 2).
+ORACLE_BOXES = ((2, 0), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (3, 4),
+                (3, 5), (3, 6), (3, 7), (3, 8), (4, 0), (4, 1), (4, 2),
+                (4, 3), (4, 4), (5, 0), (5, 1), (5, 2))
+
+
+@pytest.mark.parametrize("n, bound", ORACLE_BOXES)
+def test_search_matches_scan(n, bound):
+    # relations, witness lists and witness order
+    found = search_relations(n, bound)
+    assert found == _scan_relations(n, bound)
+    assert found
+
+
+def test_search_calls_derive_relation_only_on_hits(monkeypatch):
+    from morita import classify
+    calls = []
+    derive = classify.derive_relation
+
+    def counted(n, v):
+        calls.append(v)
+        return derive(n, v)
+
+    monkeypatch.setattr(classify, "derive_relation", counted)
+    found = search_relations(5, 2)
+    # each accepted vector carries both signs of its shift
+    assert len(calls) == sum(map(len, found.values())) // 2 == 18
+
+
+def test_ktheory_vector_enumerates_partitions_once(monkeypatch):
+    calls = []
+    enumerate_partitions = partitions.enumerate_partitions
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_partitions(n)
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", counted)
+    partitions._partitions_of.cache_clear()
+    for _ in range(3):
+        KTheoryVector.from_list(7, [0] * 14)
+        KTheoryVector(7)
+    assert calls == [7]
+
+
 def test_iso_obstruction_examples():
     assert iso_obstruction(3, 1, 1) == -54
     assert iso_obstruction(2, -1, -1) == 4
@@ -195,6 +259,7 @@ def test_input_validation_raises_out_of_range():
     zero = KTheoryVector(3)
     for call in (lambda: Relation(2, 0), lambda: hook_matrix(1),
                  lambda: build_f(1, zero), lambda: remark_identity_check(1, zero),
-                 lambda: iso_obstruction(1, 0, 1), lambda: iso_obstruction(3, 1, 0)):
+                 lambda: iso_obstruction(1, 0, 1), lambda: iso_obstruction(3, 1, 0),
+                 lambda: search_relations(1, 2), lambda: search_relations(0, 0)):
         with pytest.raises(OutOfRange):
             call()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from morita import classify, poisson, traces
 from morita.cli import (DimensionOdd, MalformedFile, parse_group_file, run)
-from morita.exact import Poly, rational_from_str
+from morita.exact import Poly, rational
 from morita.partitions import Partition, gamma_star
 
 
@@ -144,7 +144,7 @@ def test_traces_json_roundtrip(capsys):
     for row in report["payload"]:
         lam = Partition(row["partition"])
         assert lam.weight == 4
-        coeffs = [rational_from_str(c) for c in row["content_poly"]]
+        coeffs = [rational(c) for c in row["content_poly"]]
         assert Poly(coeffs).is_monic()
 
 
@@ -161,6 +161,16 @@ def test_classify_search(capsys):
     rels = {(r["relation"]["q"], r["relation"]["s"])
             for r in report["payload"]["relations"]}
     assert (1, 0) in rels and (-1, 0) in rels
+
+
+def test_classify_n30_zero_vector(capsys):
+    # f = prod_{k=1}^{29} (x + k) has constant term 29!; the root finder
+    # must not trial-divide up to sqrt(29!) before trying a root
+    zeros = ",".join(["0"] * len(gamma_star(30)))
+    code, report = run_json(capsys, ["classify", "--n", "30", "--nvec", zeros])
+    assert code == 0
+    assert [r["relation"] for r in report["payload"]["relations"]] \
+        == ["c = c'", "c = -c' - 1"]
 
 
 def test_iso_obstruction_cmd(capsys):

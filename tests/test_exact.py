@@ -10,27 +10,26 @@ from morita import exact, linalg
 from morita.classify import KTheoryVector, build_f
 from morita.exact import (DegreeError, NonSimplePoles, NotMonicInteger,
                           PartialFraction, Poly, RationalFunction,
-                          ZeroDenominator, partial_fractions, poly_eval,
-                          rational_from_str, rational_roots, rational_to_str,
-                          rf_normalize)
+                          ZeroDenominator, partial_fractions, rational,
+                          rational_roots, rational_to_str)
 from morita.partitions import gamma_star
 from morita.poisson import MultiPoly
 
 
 def test_poly_eval_square():
     p = Poly([0, 0, 1])
-    assert poly_eval(p, -3) == 9
+    assert p(-3) == 9
 
 
 def test_poly_eval_expanded_product():
     # (x+4)(x+5) expanded
     p = Poly([20, 9, 1])
     assert p == Poly.from_roots([-4, -5])
-    assert poly_eval(p, -4) == 0
+    assert p(-4) == 0
 
 
 def test_poly_eval_zero_poly():
-    assert poly_eval(Poly(), Fraction(7, 3)) == 0
+    assert Poly()(Fraction(7, 3)) == 0
 
 
 def test_poly_divmod_roundtrip():
@@ -42,7 +41,7 @@ def test_poly_divmod_roundtrip():
 
 
 def test_rf_normalize_common_factor():
-    rf = rf_normalize(Poly([0, 2]), Poly([0, 0, 2]))
+    rf = RationalFunction(Poly([0, 2]), Poly([0, 0, 2]))
     assert rf.num == Poly([1])
     assert rf.den == Poly([0, 1])
 
@@ -50,12 +49,12 @@ def test_rf_normalize_common_factor():
 def test_rf_normalize_coprime_unchanged():
     num = Poly([0, 6])
     den = Poly.from_roots([-1, -2])
-    rf = rf_normalize(num, den)
+    rf = RationalFunction(num, den)
     assert rf.num == num and rf.den == den
 
 
 def test_rf_normalize_gcd_x():
-    rf = rf_normalize(Poly.from_roots([0, 1]), Poly.from_roots([0, -1]))
+    rf = RationalFunction(Poly.from_roots([0, 1]), Poly.from_roots([0, -1]))
     assert rf.num == Poly([-1, 1])
     assert rf.den == Poly([1, 1])
     # cross-multiplication check against the raw inputs
@@ -64,12 +63,12 @@ def test_rf_normalize_gcd_x():
 
 def test_rf_normalize_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        rf_normalize(Poly([1]), Poly())
+        RationalFunction(Poly([1]), Poly())
 
 
 def test_rf_normalize_idempotent():
-    rf = rf_normalize(Poly([0, 6]), Poly.from_roots([-1, -2]))
-    again = rf_normalize(rf.num, rf.den)
+    rf = RationalFunction(Poly([0, 6]), Poly.from_roots([-1, -2]))
+    again = RationalFunction(rf.num, rf.den)
     assert again == rf
 
 
@@ -147,7 +146,7 @@ def test_rational_roots_not_monic():
 
 def test_rational_string_roundtrip():
     for r in (Fraction(3), Fraction(-7, 2), Fraction(0)):
-        assert rational_from_str(rational_to_str(r)) == r
+        assert rational(rational_to_str(r)) == r
 
 
 def test_partial_fraction_explicit_zero_residue():
@@ -184,6 +183,79 @@ def _scan_rational_roots(p):
         cur = cur // Poly([-found, 1])
     roots.sort()
     return roots, cur
+
+
+def _divisors(m):
+    """The positive divisors of m > 0 in ascending order, by trial
+    division up to sqrt(m)."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _divisor_rational_roots(p):
+    """The divisor-candidate root finder that rational_roots replaced,
+    kept as its oracle: every divisor of the original |c0| is listed by
+    trial division up to sqrt|c0| before any is tried, +d before -d, by
+    integer synthetic division."""
+    if not (p.is_monic() and p.has_integer_coeffs()):
+        raise NotMonicInteger("need a monic polynomial with integer coefficients")
+    cs = list(p.coeffs)
+    roots = []
+    while len(cs) > 1 and cs[0] == 0:
+        roots.append(0)
+        cs = cs[1:]
+    for d in _divisors(abs(cs[0])):
+        for r in (d, -d):
+            while len(cs) > 1 and cs[0] % d == 0:
+                quot, rem = exact._divide_root(cs, r)
+                if rem:
+                    break
+                roots.append(r)
+                cs = quot
+    roots.sort()
+    return roots, Poly(cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(st.integers(-40, 40), max_size=5),
+       zeros=st.integers(0, 2),
+       cofactor=st.lists(st.integers(-50, 50), max_size=4))
+def test_rational_roots_matches_divisor_oracle(roots, zeros, cofactor):
+    p = Poly.from_roots(roots + [0] * zeros) * Poly(cofactor + [1])
+    assert rational_roots(p) == _divisor_rational_roots(p)
+
+
+@pytest.mark.parametrize("roots", [[-1], [5, 7], [-12, 1], [3, 3, -3],
+                                   [-997], [2, 1009], [-13, -13, 17]])
+def test_rational_roots_large_cofactor_root(roots):
+    # a root far above sqrt|c0| is found through the cofactor of a small
+    # divisor, also after other roots have shrunk c0
+    for tail in ([1], [2, 0, 1], [-7, 1, 1]):
+        p = Poly.from_roots(roots) * Poly(tail)
+        assert rational_roots(p) == _divisor_rational_roots(p)
+
+
+def test_rational_roots_factorial_constant_term(monkeypatch):
+    # prod_{k=1}^{29} (x + k): c0 = 29! ~ 8.8e30, so trial division up to
+    # sqrt|c0| never ends; bounded by the shrinking c0 it stops at d = 29
+    calls = []
+    divide = exact._divide_root
+
+    def counted(cs, r):
+        calls.append(r)
+        return divide(cs, r)
+
+    monkeypatch.setattr(exact, "_divide_root", counted)
+    p = Poly.from_roots(range(-29, 0))
+    assert rational_roots(p) == (list(range(-29, 0)), Poly([1]))
+    assert len(calls) <= 3 * 29
 
 
 # The boxes the classify-search tests and the benchmark use.
@@ -252,7 +324,7 @@ def test_rational_roots_recovers_planted_roots(roots, zeros, cofactor):
 
 
 def _divisor_count(m):
-    # from the prime factorisation, independently of exact._divisors
+    # from the prime factorisation, independently of trial division
     count, p = 1, 2
     while p * p <= m:
         e = 0

@@ -6,8 +6,7 @@ import sys
 import pytest
 
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
-                               WeightMismatch, _schur_kostka, conjugate,
-                               content_multiset, dimension,
+                               WeightMismatch, _schur_kostka,
                                enumerate_partitions, gamma_star,
                                hook_partition, kostka, monomial_eval_ones,
                                schur_eval_ones)
@@ -32,21 +31,21 @@ def test_enumerate_head_is_trivial():
 
 
 def test_conjugate_examples():
-    assert conjugate(Partition((2, 1))) == Partition((2, 1))
-    assert conjugate(Partition((3,))) == Partition((1, 1, 1))
+    assert Partition((2, 1)).conjugate() == Partition((2, 1))
+    assert Partition((3,)).conjugate() == Partition((1, 1, 1))
 
 
 def test_conjugate_hooks():
     # (m, 1^(n-m)) transposes to (n-m+1, 1^(m-1))
     for n in range(2, 9):
         for m in range(1, n + 1):
-            assert conjugate(hook_partition(n, m)) == hook_partition(n, n - m + 1)
+            assert hook_partition(n, m).conjugate() == hook_partition(n, n - m + 1)
 
 
 def test_conjugate_involution():
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
-            assert conjugate(conjugate(lam)) == lam
+            assert lam.conjugate().conjugate() == lam
 
 
 def _standard_tableaux_count(lam):
@@ -67,33 +66,33 @@ def _standard_tableaux_count(lam):
 
 def test_dimension_examples():
     for n in range(2, 8):
-        assert dimension(Partition((n,))) == 1
-        assert dimension(Partition((1,) * n)) == 1
-    assert dimension(Partition((2, 1))) == 2
+        assert Partition((n,)).dimension() == 1
+        assert Partition((1,) * n).dimension() == 1
+    assert Partition((2, 1)).dimension() == 2
 
 
 def test_dimension_matches_tableaux_enumeration():
     for n in range(1, 8):
         for lam in enumerate_partitions(n):
-            assert dimension(lam) == _standard_tableaux_count(lam)
+            assert lam.dimension() == _standard_tableaux_count(lam)
 
 
 def test_dimension_burnside():
     for n in range(2, 11):
-        assert sum(dimension(lam) ** 2 for lam in enumerate_partitions(n)) \
+        assert sum(lam.dimension() ** 2 for lam in enumerate_partitions(n)) \
             == math.factorial(n)
 
 
 def test_dimension_conjugation_invariant():
     for n in range(2, 11):
         for lam in enumerate_partitions(n):
-            assert dimension(lam) == dimension(conjugate(lam))
+            assert lam.dimension() == lam.conjugate().dimension()
 
 
 def test_content_multiset():
-    assert sorted(content_multiset(Partition((4,)))) == [0, 1, 2, 3]
-    assert sorted(content_multiset(Partition((1, 1)))) == [-1, 0]
-    assert sorted(content_multiset(Partition((2, 1)))) == [-1, 0, 1]
+    assert sorted(Partition((4,)).content_multiset()) == [0, 1, 2, 3]
+    assert sorted(Partition((1, 1)).content_multiset()) == [-1, 0]
+    assert sorted(Partition((2, 1)).content_multiset()) == [-1, 0, 1]
 
 
 def test_kostka_examples():
@@ -113,7 +112,7 @@ def test_kostka_dominance_and_sign_column():
     for n in range(1, 7):
         ones = Partition((1,) * n)
         for lam in enumerate_partitions(n):
-            assert kostka(lam, ones) == dimension(lam)
+            assert kostka(lam, ones) == lam.dimension()
             for sigma in enumerate_partitions(n):
                 if not lam.dominates(sigma):
                     assert kostka(lam, sigma) == 0
