@@ -212,11 +212,13 @@ def _solve_box(n, bound):
     coordinates and every r in the window, forward substitution through
     the triangular hook rows fixes the hook coordinates."""
     index = gamma_star(n)
-    rows = [a_coefficients(lam, n) for lam in index]
     hooks = [index.index(hook_partition(n, m)) for m in range(1, n)]
     free = [i for i in range(len(index)) if i not in hooks]
+    # at bound 0 every free coordinate is 0, so only the hook rows are read
+    rows = {i: a_coefficients(lam, n) for i, lam in enumerate(index)
+            if bound or i in hooks}
     hook_rows = [rows[i] for i in hooks]
-    limit = bound * sum(abs(row[0]) for row in rows)
+    limit = bound * sum(abs(row[0]) for row in rows.values())
     targets = [_alpha(n, r) for r in _r_window(n, limit)]
     points = []
     for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):

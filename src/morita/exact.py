@@ -51,11 +51,6 @@ def quotient(a, b):
     return rational(Fraction(a, b))
 
 
-def rational_to_str(r):
-    """Serialize a scalar as "p/q", or "p" when it is integral."""
-    return str(rational(r))
-
-
 class Poly:
     """Dense univariate polynomial with exact coefficients.
 
@@ -202,15 +197,15 @@ class Poly:
             if c == 0:
                 continue
             if i == 0:
-                terms.append(rational_to_str(c))
+                terms.append(str(c))
             elif i == 1:
-                terms.append("%s*x" % rational_to_str(c))
+                terms.append("%s*x" % c)
             else:
-                terms.append("%s*x^%d" % (rational_to_str(c), i))
+                terms.append("%s*x^%d" % (c, i))
         return "Poly(%s)" % " + ".join(terms)
 
     def to_json(self):
-        return [rational_to_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
 
 def poly_gcd(a, b):
@@ -274,10 +269,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, RationalFunction):
@@ -320,10 +311,6 @@ class PartialFraction:
 
     def __repr__(self):
         return "PartialFraction(%r)" % (self.residues,)
-
-    def to_json(self):
-        return {str(p): rational_to_str(r)
-                for p, r in sorted(self.residues.items())}
 
 
 def _divide_root(cs, r):

@@ -50,18 +50,6 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
 

@@ -239,11 +239,11 @@ class MultiPoly:
 def _monomial_images(matrix, nvars, exponents):
     """The images of the monomials x^e, e in `exponents`, under x -> M x.
 
-    Variable i goes to the linear form sum_j M[i][j] x_j; the forms are
+    M has one row per substituted variable: variable i goes to the
+    linear form sum_j M[i][j] x_j in `nvars` variables.  The forms are
     built once, and each power forms[i] ** k once, for all the monomials."""
-    forms = [MultiPoly(nvars, {_unit(nvars, j): matrix[i][j]
-                               for j in range(nvars) if matrix[i][j]})
-             for i in range(nvars)]
+    forms = [MultiPoly(nvars, {_unit(nvars, j): x for j, x in enumerate(row) if x})
+             for row in matrix]
     powers = {}
     images = []
     for e in exponents:
@@ -400,24 +400,14 @@ def _functional_matrix(action, degree):
     # homogeneous P of the given degree
     d = action.dim
     p_monos = monomials(d, degree)
-    per_element = []
+    columns = [MultiPoly(2 * d)] * len(p_monos)
     for g in action.elements:
-        # (u + g v)_i as linear forms in the doubled variables
-        shifted = [MultiPoly(2 * d, {_unit(2 * d, i): 1}
-                             | {_unit(2 * d, d + c): g[i][c] for c in range(d)})
-                   for i in range(d)]
-        per_element.append((_pairing_poly(action, g), shifted))
-    columns = []
-    for e in p_monos:
-        total = MultiPoly(2 * d)
-        for pair, shifted in per_element:
-            shift = MultiPoly.constant(2 * d, 1)
-            for i, k in enumerate(e):
-                if k:
-                    shift = shift * shifted[i] ** k
-            total = total + pair * shift
-        columns.append(total)
-    row_index = sorted(set().union(*(c.terms.keys() for c in columns)) if columns else [])
+        # u_i -> (u + g v)_i, the shift map [I | g] into the doubled variables
+        shift = [[int(i == j) for j in range(d)] + list(g[i]) for i in range(d)]
+        pair = _pairing_poly(action, g)
+        images = _monomial_images(shift, 2 * d, p_monos)
+        columns = [col + pair * img for col, img in zip(columns, images)]
+    row_index = sorted(set().union(*(c.terms for c in columns)))
     matrix = [[col.terms.get(e, 0) for col in columns] for e in row_index]
     return matrix, p_monos
 

@@ -201,6 +201,23 @@ def test_search_calls_derive_relation_only_on_hits(monkeypatch):
     assert len(calls) == sum(map(len, found.values())) // 2 == 18
 
 
+def test_bound_zero_reads_only_hook_rows(monkeypatch):
+    # every free coordinate is 0 at bound 0, so no free row is computed
+    from morita import classify
+    calls = []
+    a_coefficients = classify.a_coefficients
+
+    def counted(lam, n):
+        calls.append(lam)
+        return a_coefficients(lam, n)
+
+    monkeypatch.setattr(classify, "a_coefficients", counted)
+    n = 12
+    classify._solve_box(n, 0)
+    assert len(calls) == n - 1
+    assert set(calls) == {hook_partition(n, m) for m in range(1, n)}
+
+
 def test_ktheory_vector_enumerates_partitions_once(monkeypatch):
     calls = []
     enumerate_partitions = partitions.enumerate_partitions

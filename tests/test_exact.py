@@ -11,7 +11,7 @@ from morita.classify import KTheoryVector, build_f
 from morita.exact import (DegreeError, NonSimplePoles, NotMonicInteger,
                           PartialFraction, Poly, RationalFunction,
                           ZeroDenominator, partial_fractions, rational,
-                          rational_roots, rational_to_str)
+                          rational_roots)
 from morita.partitions import gamma_star
 from morita.poisson import MultiPoly
 
@@ -146,7 +146,7 @@ def test_rational_roots_not_monic():
 
 def test_rational_string_roundtrip():
     for r in (Fraction(3), Fraction(-7, 2), Fraction(0)):
-        assert rational(rational_to_str(r)) == r
+        assert rational(str(rational(r))) == r
 
 
 def test_partial_fraction_explicit_zero_residue():

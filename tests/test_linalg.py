@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from morita import linalg
 from morita.classify import hook_matrix
 from morita.cli import parse_group_file
-from morita.exact import quotient, rational, rational_to_str
+from morita.exact import quotient, rational
 from morita.poisson import (_functional_matrix, _invariance_rows, close_group,
                             hp0_dims, monomials, standard_form,
                             symmetric_group_action)
@@ -211,7 +211,7 @@ def _conjugated_s3_file(tmp_path):
     path = tmp_path / "s3_conjugated.json"
     path.write_text(json.dumps({
         "dim": 4, "form": s3["form"],
-        "generators": [[[rational_to_str(x) for x in row] for row in g] for g in gens]}))
+        "generators": [[[str(x) for x in row] for row in g] for g in gens]}))
     return str(path)
 
 

@@ -26,6 +26,34 @@ def order_three():
     return close_group([[[0, -1], [1, -1]]], J2)
 
 
+def order_four():
+    return close_group([[[0, -1], [1, 0]]], J2)
+
+
+def order_six():
+    return close_group([[[1, -1], [1, 0]]], J2)
+
+
+def s3():
+    return symmetric_group_action(3)
+
+
+def s4():
+    return symmetric_group_action(4)
+
+
+def permutation_s3():
+    """S_3 permuting the coordinates of C^3 + C^3: each adjacent
+    transposition P acts as diag(P, P), which keeps the standard form
+    because P^-T = P."""
+    gens = []
+    for i in range(2):
+        swap = {i: i + 1, i + 1: i}
+        p = [[int(b == swap.get(a, a)) for b in range(3)] for a in range(3)]
+        gens.append([row + [0] * 3 for row in p] + [[0] * 3 + row for row in p])
+    return close_group(gens, standard_form(3))
+
+
 def test_close_group_orders():
     assert plus_minus().order == 2
     assert trivial().order == 1
@@ -393,3 +421,130 @@ def test_substitute_matches_per_call_substitution():
         for _ in range(4):
             p = _random_poly(rng, 4, 2)
             assert p.substitute(matrix) == _substitute_per_call(p, matrix)
+
+
+def _functional_matrix_per_monomial(action, degree):
+    """The functional matrix as built before the shift powers were shared
+    across monomials: for every monomial of P and every element g, the
+    product of the shifted linear forms' powers.  Kept as the oracle."""
+    d = action.dim
+    p_monos = monomials(d, degree)
+    per_element = []
+    for g in action.elements:
+        shifted = [MultiPoly(2 * d, {poisson._unit(2 * d, i): 1}
+                             | {poisson._unit(2 * d, d + c): g[i][c] for c in range(d)})
+                   for i in range(d)]
+        per_element.append((poisson._pairing_poly(action, g), shifted))
+    columns = []
+    for e in p_monos:
+        total = MultiPoly(2 * d)
+        for pair, shifted in per_element:
+            shift = MultiPoly.constant(2 * d, 1)
+            for i, k in enumerate(e):
+                if k:
+                    shift = shift * shifted[i] ** k
+            total = total + pair * shift
+        columns.append(total)
+    row_index = sorted(set().union(*(c.terms.keys() for c in columns)))
+    matrix = [[col.terms.get(e, 0) for col in columns] for e in row_index]
+    return matrix, p_monos
+
+
+def _assert_functional_matrix_matches(action, degrees):
+    for d in degrees:
+        matrix, p_monos = poisson._functional_matrix(action, d)
+        assert (matrix, p_monos) == _functional_matrix_per_monomial(action, d)
+        assert all(type(x) is int or x.denominator != 1
+                   for row in matrix for x in row)
+
+
+@pytest.mark.parametrize("make, degrees", [
+    (plus_minus, range(7)),
+    (order_three, range(7)),
+    (order_four, range(7)),
+    (s3, range(4)),
+    (s4, range(3)),
+], ids=["pm", "z3", "z4", "s3", "s4"])
+def test_functional_matrix_matches_per_monomial(make, degrees):
+    _assert_functional_matrix_matches(make(), degrees)
+
+
+def test_functional_matrix_matches_per_monomial_with_fractions(tmp_path):
+    from morita.cli import parse_group_file
+    from test_linalg import _conjugated_s3_file
+    form, gens = parse_group_file(_conjugated_s3_file(tmp_path))
+    _assert_functional_matrix_matches(close_group(gens, form), range(3))
+
+
+def _afls_count(action):
+    """Conjugacy classes of elements g with det(g - I) != 0, i.e. no
+    eigenvalue 1: the Alev-Farinati-Lambre-Solotar lower bound on the
+    total dimension of HP_0 of the invariants."""
+    inverse = {h: poisson._freeze(linalg.invert(h)) for h in action.elements}
+    seen = set()
+    count = 0
+    for g in action.elements:
+        if g in seen:
+            continue
+        seen |= {poisson._freeze(linalg.mat_mul(linalg.mat_mul(h, g), inverse[h]))
+                 for h in action.elements}
+        minus_one = [[x - int(i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(g)]
+        count += linalg.rank(minus_one) == action.dim
+    return count
+
+
+# group, cutoff, AFLS count
+AFLS_CASES = {
+    "pm": (plus_minus, 6, 1),
+    "z3": (order_three, 8, 2),
+    "z4": (order_four, 8, 3),
+    "z6": (order_six, 10, 5),
+    "s3": (s3, 8, 1),
+    "s4": (s4, 5, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_hp0_meets_afls_bound(name):
+    make, cutoff, expected = AFLS_CASES[name]
+    action = make()
+    assert _afls_count(action) == expected
+    # the bound is total >= count; every case meets it with equality
+    assert hp0_dims(action, cutoff).total == expected
+
+
+def test_hp0_permutation_action_vanishes():
+    # C[V + V*]^{S_3} = C[h + h*]^{S_3} (x) C[x, y] with {x, y} = 1, and
+    # HP_0(C[x, y]) = 0 (every polynomial is a bracket), so by Kunneth
+    # every degree vanishes; no element lacks the fixed vector (1, 1, 1)
+    action = permutation_s3()
+    assert action.order == 6
+    assert _afls_count(action) == 0
+    assert hp0_dims(action, 5).dims == {d: 0 for d in range(6)}
+
+
+@pytest.mark.parametrize("make, cutoff", [
+    (plus_minus, 6), (order_three, 6), (s3, 4),
+], ids=["pm", "z3", "s3"])
+def test_dual_solutions_reynolds_rank(make, cutoff):
+    # the solution space is G-stable, so Reynolds projects it onto its
+    # invariant part, which is dual to HP_0 of the invariants
+    action = make()
+    graded = hp0_dims(action, cutoff)
+    for d in range(cutoff + 1):
+        matrix, p_monos = poisson._functional_matrix(action, d)
+        null = linalg.nullspace(matrix, len(p_monos))
+        images = [reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, v))))
+                  for v in null]
+        rank = linalg.rank([poisson._coeff_vector(p, p_monos) for p in images])
+        assert rank == functional_solutions_dim(action, d, invariant_only=True) \
+            == graded.dims[d]
+
+
+def test_s3_degree_two_solution_is_not_invariant():
+    action = s3()
+    matrix, p_monos = poisson._functional_matrix(action, 2)
+    null = linalg.nullspace(matrix, len(p_monos))
+    assert len(null) == functional_solutions_dim(action, 2) == 1
+    assert reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, null[0])))).is_zero()
