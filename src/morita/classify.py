@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import linalg
-from .exact import Poly, RationalFunction, quotient, rational_roots
+from .exact import Poly, quotient, rational_roots
 from .partitions import OutOfRange, gamma_star, hook_partition, kostka
-from .traces import a_coefficients, g_function
+from .traces import a_coefficients, content_polynomial, f_trivial
 
 
 class InternalDivisibility(AssertionError):
@@ -103,18 +103,29 @@ def hook_matrix(n):
 
 def invert_hook_matrix(n):
     """Matrix C with 1/(x+k) = sum over m of C[k-1][m-1] * G_{hook m};
-    recombination_failures checks it by rebuilding the rational functions."""
+    recombination_failures checks it against the content polynomials."""
     return linalg.invert(hook_matrix(n))
 
 
 def recombination_failures(n, c):
     """The k in 1..n-1 at which 1/(x+k) != sum over m of
-    C[k-1][m-1] * G_{hook m}, for a claimed inverse C of hook_matrix(n)."""
-    hooks = [g_function(hook_partition(n, m), n) for m in range(1, n)]
-    zero = RationalFunction(Poly())
+    C[k-1][m-1] * G_{hook m}, for a claimed inverse C of hook_matrix(n).
+
+    Both sides are multiplied by D = prod_{j=1}^{n-1} (x+j), so F_triv =
+    x * D: G_hook * D = dim * (F_triv - F_hook) / x, a polynomial because
+    F(0) = 0 for every partition, and 1/(x+k) * D = D/(x+k).  The check
+    compares Polys built from the content polynomials, not from the
+    a-coefficients it tests."""
+    f = f_trivial(n)
+    hooks = []
+    for m in range(1, n):
+        hook = hook_partition(n, m)
+        times_x = hook.dimension() * (f - content_polynomial(hook))
+        hooks.append(Poly(times_x.coeffs[1:]))
+    _, quotients = _f_basis(n)
     return [k for k in range(1, n)
-            if sum((coeff * g for coeff, g in zip(c[k - 1], hooks)), zero)
-            != RationalFunction(Poly([1]), Poly([k, 1]))]
+            if sum((coeff * h for coeff, h in zip(c[k - 1], hooks)), Poly())
+            != quotients[k - 1]]
 
 
 @lru_cache(maxsize=32)

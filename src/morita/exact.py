@@ -29,6 +29,10 @@ class NotMonicInteger(ValueError):
     pass
 
 
+class NonIntegerPole(ValueError):
+    pass
+
+
 def rational(x):
     """x as an exact scalar: an int when x is integral, else a Fraction.
 
@@ -78,10 +82,11 @@ class Poly:
     @classmethod
     def from_roots(cls, roots):
         """Monic product of (x - r) over the given roots."""
-        p = cls([1])
+        cs = [1]
         for r in roots:
-            p = p * cls([-rational(r), 1])
-        return p
+            r = rational(r)
+            cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
+        return cls(cs)
 
     @property
     def degree(self):
@@ -236,6 +241,15 @@ class RationalFunction:
         self.num = num * quotient(1, lc)
         self.den = den.monic()
 
+    @classmethod
+    def _raw(cls, num, den):
+        """num/den stored as given, with no gcd taken.  den must be monic;
+        the value is reduced (and comparable with ==) only when the caller
+        knows gcd(num, den) = 1."""
+        rf = object.__new__(cls)
+        rf.num, rf.den = num, den
+        return rf
+
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
@@ -296,13 +310,27 @@ class PartialFraction:
     __slots__ = ("residues",)
 
     def __init__(self, residues):
-        self.residues = {int(p): rational(r) for p, r in residues.items()}
+        self.residues = {}
+        for p, r in residues.items():
+            pole = rational(p)
+            if type(pole) is not int:
+                raise NonIntegerPole("pole %r is not an integer" % (p,))
+            self.residues[pole] = rational(r)
 
     def to_rational_function(self):
-        total = RationalFunction(Poly())
-        for p, r in self.residues.items():
-            total = total + RationalFunction(Poly.constant(r), Poly([-p, 1]))
-        return total
+        """The sum as a reduced RationalFunction, built in closed form:
+        den = prod (x - p) over the poles with nonzero residue and
+        num = sum r_p * den/(x - p), each quotient by one synthetic
+        division.  num(p) = r_p * prod_{q != p} (p - q) is nonzero at
+        every root p of den, so gcd(num, den) = 1 with no gcd taken."""
+        poles = [p for p, r in self.residues.items() if r]
+        den = Poly.from_roots(poles)
+        num = [0] * den.degree
+        for p in poles:
+            r = self.residues[p]
+            for i, c in enumerate(_divide_root(den.coeffs, p)[0]):
+                num[i] += r * c
+        return RationalFunction._raw(Poly(num), den)
 
     def __eq__(self, other):
         if isinstance(other, PartialFraction):

@@ -10,7 +10,8 @@ form; check_routes compares it with two independent routes.
 import math
 from functools import lru_cache
 
-from .exact import Poly, RationalFunction, partial_fractions, quotient
+from .exact import (PartialFraction, Poly, RationalFunction, partial_fractions,
+                    quotient)
 from .partitions import (OutOfRange, WeightMismatch, _schur_kostka,
                          enumerate_partitions, gamma_star)
 
@@ -50,16 +51,21 @@ def _check_nontrivial(lam, n):
 
 
 def g_function(lam, n):
-    """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)), reduced."""
-    _check_nontrivial(lam, n)
-    d = lam.dimension()
-    return RationalFunction(d * (f_trivial(n) - content_polynomial(lam)),
-                            f_trivial(n))
+    """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)), reduced, built from
+    its expansion sum a_k/(x+k) (a_coefficients) with no polynomial gcd."""
+    a = a_coefficients(lam, n)
+    return PartialFraction({-k: a[k - 1] for k in range(1, n)}).to_rational_function()
 
 
 def _a_via_partial_fractions(lam, n):
-    pf = partial_fractions(g_function(lam, n))
-    return [pf.residues.get(-k, 0) for k in range(1, n)]
+    # the definition dim * (F_triv - F_lam) / F_triv, left unreduced: F_triv
+    # has the distinct integer roots 0..-(n-1), and the pole at 0 has residue
+    # 0 because F(0) = 0 for every lam
+    _check_nontrivial(lam, n)
+    f = f_trivial(n)
+    pf = partial_fractions(RationalFunction._raw(
+        lam.dimension() * (f - content_polynomial(lam)), f))
+    return [pf.residues[-k] for k in range(1, n)]
 
 
 def _a_via_conjugate_content(lam, n):

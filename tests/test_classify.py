@@ -8,9 +8,10 @@ from morita.classify import (KTheoryVector, Rejection, Relation, build_f,
                              iso_obstruction, recombination_failures,
                              remark_identity_check, search_relations)
 from morita import partitions
-from morita.exact import Poly
+from morita.exact import Poly, RationalFunction
 from morita.partitions import (OutOfRange, Partition, gamma_star,
                                hook_partition, kostka)
+from morita.traces import content_polynomial, f_trivial
 
 
 def vec(n, *values):
@@ -43,6 +44,40 @@ def test_invert_hook_matrix_recombines():
     c = invert_hook_matrix(4)
     c[1][2] += 1
     assert recombination_failures(4, c) == [2]
+
+
+def _recombination_by_rational_functions(n, c):
+    """The RationalFunction-sum check that recombination_failures
+    replaced, kept as its oracle: each G_hook from its definition,
+    reduced by the gcd."""
+    f = f_trivial(n)
+    hooks = [RationalFunction(lam.dimension() * (f - content_polynomial(lam)), f)
+             for lam in (hook_partition(n, m) for m in range(1, n))]
+    zero = RationalFunction(Poly())
+    return [k for k in range(1, n)
+            if sum((coeff * g for coeff, g in zip(c[k - 1], hooks)), zero)
+            != RationalFunction(Poly([1]), Poly([k, 1]))]
+
+
+def _corrupted_inverses(n):
+    c = invert_hook_matrix(n)
+    yield c
+    for i, j, delta in ((0, 0, 1), (n - 2, 0, Fraction(1, 7)),
+                        (n // 2, n - 2, -2), ((n - 1) // 2, n // 2, Fraction(-3, 5))):
+        bad = [row[:] for row in c]
+        bad[i % (n - 1)][j % (n - 1)] += delta
+        yield bad
+    # every entry off by one, and the rows in reverse order
+    yield [[x + 1 for x in row] for row in c]
+    yield c[::-1]
+
+
+def test_recombination_matches_rational_function_oracle():
+    for n in range(2, 11):
+        for c in _corrupted_inverses(n):
+            assert recombination_failures(n, c) == \
+                _recombination_by_rational_functions(n, c)
+    assert recombination_failures(4, [[0] * 3] * 3) == [1, 2, 3]
 
 
 def test_build_f_zero_vector():

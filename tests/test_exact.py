@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from morita import exact, linalg
 from morita.classify import KTheoryVector, build_f
-from morita.exact import (DegreeError, NonSimplePoles, NotMonicInteger,
-                          PartialFraction, Poly, RationalFunction,
-                          ZeroDenominator, partial_fractions, rational,
-                          rational_roots)
+from morita.exact import (DegreeError, NonIntegerPole, NonSimplePoles,
+                          NotMonicInteger, PartialFraction, Poly,
+                          RationalFunction, ZeroDenominator, partial_fractions,
+                          poly_gcd, rational, rational_roots)
 from morita.partitions import gamma_star
 from morita.poisson import MultiPoly
 
@@ -152,6 +152,40 @@ def test_rational_string_roundtrip():
 def test_partial_fraction_explicit_zero_residue():
     pf = PartialFraction({-1: Fraction(0)})
     assert pf.to_rational_function() == RationalFunction(Poly())
+
+
+def test_partial_fraction_rejects_non_integer_pole():
+    # int(p) used to truncate these to the poles 0 and 2
+    for residues in ({Fraction(1, 2): 3, 2.7: 1}, {Fraction(1, 2): 3}, {2.7: 1}):
+        with pytest.raises(NonIntegerPole):
+            PartialFraction(residues)
+    assert issubclass(NonIntegerPole, ValueError)
+    pf = PartialFraction({Fraction(6, 3): 1, -1.0: Fraction(1, 2)})
+    assert pf.residues == {2: 1, -1: Fraction(1, 2)}
+    assert all(type(p) is int for p in pf.residues)
+
+
+def _per_term_sum(pf):
+    """The per-pole RationalFunction sum (one gcd per term) that
+    to_rational_function replaced, kept as its oracle."""
+    total = RationalFunction(Poly())
+    for p, r in pf.residues.items():
+        total = total + RationalFunction(Poly.constant(r), Poly([-p, 1]))
+    return total
+
+
+_RESIDUE = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=12) | st.just(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(residues=st.dictionaries(st.integers(-12, 12), _RESIDUE, max_size=8))
+def test_to_rational_function_matches_per_term_sum(residues):
+    rf = PartialFraction(residues).to_rational_function()
+    oracle = _per_term_sum(PartialFraction(residues))
+    assert (rf.num, rf.den) == (oracle.num, oracle.den)
+    assert rf.den.is_monic()
+    assert poly_gcd(rf.num, rf.den) == Poly([1])
+    _check_scalars(rf.num.coeffs + rf.den.coeffs)
 
 
 def _scan_rational_roots(p):

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from morita import partitions, traces
+from morita import cli, exact, partitions, traces
 from morita.classify import KTheoryVector, build_f, hook_matrix
-from morita.exact import Poly, RationalFunction, partial_fractions
+from morita.exact import Poly, RationalFunction, partial_fractions, poly_gcd
 from morita.partitions import (OutOfRange, Partition, WeightMismatch,
                                enumerate_partitions, gamma_star)
 from morita.traces import (RouteDisagreement, TrivialPartition,
@@ -28,6 +28,36 @@ def test_g_function_examples():
     assert g_function(Partition((2, 1)), 3) == RationalFunction(Poly([6]), Poly([2, 1]))
     assert g_function(Partition((1, 1, 1)), 3) == \
         RationalFunction(Poly([0, 6]), Poly.from_roots([-1, -2]))
+
+
+def _g_by_gcd(lam, n):
+    """The definition dim * (F_triv - F_lam) / F_triv reduced by the
+    Euclidean gcd, which g_function replaced; kept as its oracle."""
+    f = f_trivial(n)
+    return RationalFunction(lam.dimension() * (f - content_polynomial(lam)), f)
+
+
+def test_g_function_matches_gcd_reduced_definition():
+    for n in range(2, 13):
+        for lam in gamma_star(n):
+            g, oracle = g_function(lam, n), _g_by_gcd(lam, n)
+            assert (g.num, g.den) == (oracle.num, oracle.den)
+            assert poly_gcd(g.num, g.den) == Poly([1])
+
+
+def test_tables_path_takes_no_polynomial_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called on the tables path")
+
+    monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+    traces._a_coefficients_cached.cache_clear()
+    assert len(trace_table(10)) == len(gamma_star(10))
+    for n in range(2, 10):
+        for lam in gamma_star(n):
+            assert check_routes(lam, n) == a_coefficients(lam, n)
+    assert cli._verify_triangularity(10) == []
+    with pytest.raises(AssertionError):
+        RationalFunction(Poly([1]), Poly([1, 1]))
 
 
 def test_g_function_trivial_rejected():
