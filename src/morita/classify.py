@@ -10,16 +10,19 @@ q = +1 or -1 and an integer shift s.
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import linalg
-from .exact import Poly, quotient, rational_roots
+from .exact import PartialFraction, Poly, quotient, rational, rational_roots
 from .partitions import OutOfRange, gamma_star, hook_partition, kostka
 from .traces import a_coefficients, content_polynomial, f_trivial
 
 
 class InternalDivisibility(AssertionError):
     """The shift s failed to be an integer -- an implementation bug."""
+
+
+class NonIntegralCoordinate(ValueError):
+    """A K-theory coordinate that is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,10 @@ class KTheoryVector:
             if lam not in allowed:
                 raise ValueError("%r does not index a nontrivial representation of S_%d"
                                  % (lam, n))
-        self.coords = {lam: int(coords.get(lam, 0)) for lam in self.index}
+        self.coords = {lam: rational(coords.get(lam, 0)) for lam in self.index}
+        bad = {lam: coords[lam] for lam, c in self.coords.items() if type(c) is not int}
+        if bad:
+            raise NonIntegralCoordinate("coordinates are not integers: %r" % bad)
 
     @classmethod
     def from_list(cls, n, values):
@@ -122,35 +128,25 @@ def recombination_failures(n, c):
         hook = hook_partition(n, m)
         times_x = hook.dimension() * (f - content_polynomial(hook))
         hooks.append(Poly(times_x.coeffs[1:]))
-    _, quotients = _f_basis(n)
+    d = Poly(f.coeffs[1:])
     return [k for k in range(1, n)
             if sum((coeff * h for coeff, h in zip(c[k - 1], hooks)), Poly())
-            != quotients[k - 1]]
-
-
-@lru_cache(maxsize=32)
-def _f_basis(n):
-    """prod_k (x+k) and each prod_{j!=k} (x+j), k and j in 1..n-1."""
-    base = Poly.from_roots([-k for k in range(1, n)])
-    terms = tuple(Poly.from_roots([-j for j in range(1, n) if j != k])
-                  for k in range(1, n))
-    return base, terms
+            != PartialFraction({-k: 1}).numerator_over(d)]
 
 
 def build_f(n, v):
     """The monic integer polynomial f(x) = prod(x+k) + sum a_k prod_{j!=k}(x+j)
-    attached to the data vector; also returns the vector a_k."""
+    attached to the data vector, k and j in 1..n-1; also returns a_k."""
     if n < 2:
         raise OutOfRange("need n >= 2, got %d" % n)
     a = [0] * (n - 1)
     for lam, coeff in v.coords.items():
-        if coeff == 0:
-            continue
-        row = a_coefficients(lam, n)
-        for i in range(n - 1):
-            a[i] += coeff * row[i]
-    base, terms = _f_basis(n)
-    return sum((ak * term for ak, term in zip(a, terms)), base), a
+        if coeff:
+            for i, x in enumerate(a_coefficients(lam, n)):
+                a[i] += coeff * x
+    d = Poly.from_roots(range(-1, -n, -1))
+    f = d + PartialFraction({-k: ak for k, ak in enumerate(a, 1)}).numerator_over(d)
+    return f, a
 
 
 def derive_relation(n, v):

@@ -11,6 +11,7 @@ polynomials.
 """
 
 from fractions import Fraction
+from math import prod
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -31,6 +32,10 @@ class NotMonicInteger(ValueError):
 
 class NonIntegerPole(ValueError):
     pass
+
+
+class PoleNotRoot(ValueError):
+    """A common denominator that does not vanish at a pole it must carry."""
 
 
 def rational(x):
@@ -317,20 +322,26 @@ class PartialFraction:
                 raise NonIntegerPole("pole %r is not an integer" % (p,))
             self.residues[pole] = rational(r)
 
+    def numerator_over(self, den):
+        """sum r_p * den/(x - p) over the poles with nonzero residue, one
+        synthetic division each; PoleNotRoot unless den vanishes there."""
+        num = [0] * den.degree  # empty for den = 0 (degree -1)
+        for p, r in self.residues.items():
+            if r and den.coeffs:
+                quot, rem = _divide_root(den.coeffs, p)
+                if rem:
+                    raise PoleNotRoot("denominator does not vanish at the pole %d" % p)
+                for i, c in enumerate(quot):
+                    num[i] += r * c
+        return Poly(num)
+
     def to_rational_function(self):
-        """The sum as a reduced RationalFunction, built in closed form:
-        den = prod (x - p) over the poles with nonzero residue and
-        num = sum r_p * den/(x - p), each quotient by one synthetic
-        division.  num(p) = r_p * prod_{q != p} (p - q) is nonzero at
-        every root p of den, so gcd(num, den) = 1 with no gcd taken."""
-        poles = [p for p, r in self.residues.items() if r]
-        den = Poly.from_roots(poles)
-        num = [0] * den.degree
-        for p in poles:
-            r = self.residues[p]
-            for i, c in enumerate(_divide_root(den.coeffs, p)[0]):
-                num[i] += r * c
-        return RationalFunction._raw(Poly(num), den)
+        """The sum as a reduced RationalFunction: den = prod (x - p) over
+        the poles with nonzero residue, num = numerator_over(den).  num(p)
+        = r_p * prod_{q != p} (p - q) is nonzero at every root p of den, so
+        gcd(num, den) = 1 with no gcd taken."""
+        den = Poly.from_roots(p for p, r in self.residues.items() if r)
+        return RationalFunction._raw(self.numerator_over(den), den)
 
     def __eq__(self, other):
         if isinstance(other, PartialFraction):
@@ -414,11 +425,5 @@ def partial_fractions(rf):
     roots, rem = rational_roots(rf.den)
     if rem.degree > 0 or len(set(roots)) != len(roots):
         raise NonSimplePoles("denominator must have distinct integer roots")
-    residues = {}
-    for p in roots:
-        denom = 1
-        for q in roots:
-            if q != p:
-                denom *= (p - q)
-        residues[p] = quotient(rf.num(p), denom)
-    return PartialFraction(residues)
+    return PartialFraction({p: quotient(rf.num(p), prod(p - q for q in roots if q != p))
+                            for p in roots})

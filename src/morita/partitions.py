@@ -188,15 +188,13 @@ def monomial_eval_ones(sigma, k):
     return math.comb(k, l) * math.factorial(l) // denom
 
 
-def _schur_kostka(lam, k):
-    # sum over sigma of K[lam, sigma] * m_sigma(1^k): the reference route
-    # for schur_eval_ones and for the Schur form of the a-coefficients
-    total = 0
-    for sigma in _partitions_of(lam.weight):
-        if sigma.length > k:
-            continue
-        total += kostka(lam, sigma) * monomial_eval_ones(sigma, k)
-    return total
+def _schur_kostka(lam, ks):
+    # [sum over sigma of K[lam, sigma] * m_sigma(1^k) for k in ks]: the
+    # reference route for schur_eval_ones and for the Schur form of the
+    # a-coefficients; the nonzero K[lam, sigma] are read once, for all k
+    row = [(K, sigma) for sigma in _partitions_of(lam.weight)
+           if (K := kostka(lam, sigma))]
+    return [sum(K * monomial_eval_ones(sigma, k) for K, sigma in row) for k in ks]
 
 
 def schur_eval_ones(lam, k):

@@ -69,10 +69,11 @@ def _a_via_partial_fractions(lam, n):
 
 
 def _a_via_conjugate_content(lam, n):
-    # (-1)^(n-k-1) * dim(lam) / (k! (n-1-k)!) * F_{lam'}(k)
-    f_conj = content_polynomial(lam.conjugate())
+    # (-1)^(n-k-1) * dim(lam) / (k! (n-1-k)!) * F_{lam'}(k), where the
+    # contents of lam' are those of lam negated: F_{lam'}(k) = prod (k - c)
+    contents = lam.content_multiset()
     d = lam.dimension()
-    return [quotient((-1) ** (n - k - 1) * d * f_conj(k),
+    return [quotient((-1) ** (n - k - 1) * d * math.prod(k - c for c in contents),
                      math.factorial(k) * math.factorial(n - 1 - k))
             for k in range(1, n)]
 
@@ -80,9 +81,9 @@ def _a_via_conjugate_content(lam, n):
 def _a_via_schur(lam, n):
     # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k), with s from the Kostka
     # expansion: the hook-content product is the conjugate-content form rewritten
-    conj = lam.conjugate()
-    return [(-1) ** (n - k - 1) * n * math.comb(n - 1, k) * _schur_kostka(conj, k)
-            for k in range(1, n)]
+    ks = range(1, n)
+    return [(-1) ** (n - k - 1) * n * math.comb(n - 1, k) * s
+            for k, s in zip(ks, _schur_kostka(lam.conjugate(), ks))]
 
 
 def a_coefficients(lam, n):

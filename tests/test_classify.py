@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from morita.classify import (KTheoryVector, Rejection, Relation, build_f,
-                             derive_relation, hook_matrix, invert_hook_matrix,
-                             iso_obstruction, recombination_failures,
-                             remark_identity_check, search_relations)
+from morita.classify import (KTheoryVector, NonIntegralCoordinate, Rejection,
+                             Relation, build_f, derive_relation, hook_matrix,
+                             invert_hook_matrix, iso_obstruction,
+                             recombination_failures, remark_identity_check,
+                             search_relations)
 from morita import partitions
 from morita.exact import Poly, RationalFunction
 from morita.partitions import (OutOfRange, Partition, gamma_star,
@@ -305,6 +306,19 @@ def test_ktheory_vector_validation():
         KTheoryVector(3, {Partition((3,)): 1})
     with pytest.raises(ValueError):
         KTheoryVector(3, {Partition((2, 2)): 1})
+
+
+def test_ktheory_vector_rejects_non_integral_coordinates():
+    # int() used to truncate these to [2, -2] and [0, 1]
+    with pytest.raises(NonIntegralCoordinate):
+        KTheoryVector(3, {Partition((2, 1)): 2.7, Partition((1, 1, 1)): Fraction(-5, 2)})
+    for values in ([0.5, 1], [1, Fraction(1, 3)], [0, "3/2"]):
+        with pytest.raises(NonIntegralCoordinate):
+            KTheoryVector.from_list(3, values)
+    assert issubclass(NonIntegralCoordinate, ValueError)
+    v = KTheoryVector.from_list(3, [Fraction(6, 3), -1.0])
+    assert v.as_list() == [2, -1]
+    assert all(type(c) is int for c in v.as_list())
 
 
 def test_input_validation_raises_out_of_range():

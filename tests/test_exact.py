@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from morita import exact, linalg
 from morita.classify import KTheoryVector, build_f
 from morita.exact import (DegreeError, NonIntegerPole, NonSimplePoles,
-                          NotMonicInteger, PartialFraction, Poly,
+                          NotMonicInteger, PartialFraction, PoleNotRoot, Poly,
                           RationalFunction, ZeroDenominator, partial_fractions,
                           poly_gcd, rational, rational_roots)
 from morita.partitions import gamma_star
@@ -188,6 +188,31 @@ def test_to_rational_function_matches_per_term_sum(residues):
     _check_scalars(rf.num.coeffs + rf.den.coeffs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(residues=st.dictionaries(st.integers(-12, 12), _RESIDUE, max_size=8),
+       extra=st.lists(st.integers(-12, 12), max_size=3))
+def test_numerator_over_any_common_denominator(residues, extra):
+    # den may carry extra roots, also repeated poles
+    pf = PartialFraction(residues)
+    den = Poly.from_roots([p for p, r in pf.residues.items() if r] + extra)
+    num = pf.numerator_over(den)
+    assert num.degree < max(den.degree, 1)
+    assert RationalFunction(num, den) == _per_term_sum(pf)
+
+
+def test_numerator_over_requires_den_to_vanish_at_poles():
+    # _divide_root drops its remainder, so a pole off den must raise
+    den = Poly.from_roots([-1, -2])
+    for residues, d in (({-3: 1}, den), ({-1: 2, 5: Fraction(1, 3)}, den),
+                        ({0: 1}, Poly([4]))):
+        with pytest.raises(PoleNotRoot):
+            PartialFraction(residues).numerator_over(d)
+    assert issubclass(PoleNotRoot, ValueError)
+    # a zero residue needs no root, and den = 0 gives 0
+    assert PartialFraction({-1: 2, -3: 0}).numerator_over(den) == Poly([4, 2])
+    assert PartialFraction({-1: 2}).numerator_over(Poly()) == Poly()
+
+
 def _scan_rational_roots(p):
     """The linear scan that rational_roots replaced, kept as its oracle:
     every d = 1..|c0| is tried, +d before -d, by Fraction evaluation,
@@ -310,6 +335,9 @@ def _box_vectors():
 
 
 def _f_by_products(n, a):
+    """prod_k (x+k) + sum a_k prod_{j!=k} (x+j), each product expanded: the
+    _f_basis sum that build_f replaced with numerator_over, kept as its
+    oracle."""
     f = Poly.from_roots([-k for k in range(1, n)])
     for k in range(1, n):
         f = f + a[k - 1] * Poly.from_roots([-j for j in range(1, n) if j != k])
@@ -320,6 +348,17 @@ def test_build_f_matches_direct_products():
     for n, v in _box_vectors():
         f, a = build_f(n, v)
         assert f == _f_by_products(n, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7))
+def test_build_f_matches_f_basis_sum(data, n):
+    size = len(gamma_star(n))
+    values = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=size,
+                                max_size=size))
+    f, a = build_f(n, KTheoryVector.from_list(n, values))
+    assert f == _f_by_products(n, a)
+    _check_scalars(f.coeffs)
 
 
 def test_rational_roots_matches_linear_scan():

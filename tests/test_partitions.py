@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from morita import partitions
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
                                WeightMismatch, _schur_kostka,
                                enumerate_partitions, gamma_star,
@@ -154,7 +155,38 @@ def test_schur_two_routes_agree():
     for n in range(1, 11):
         for lam in enumerate_partitions(n):
             for k in range(0, n + 1):
-                assert schur_eval_ones(lam, k) == _schur_kostka(lam, k), (lam, k)
+                assert schur_eval_ones(lam, k) == _schur_kostka(lam, [k])[0], (lam, k)
+
+
+def _schur_kostka_per_k(lam, k):
+    """The one-k Kostka sum that _schur_kostka(lam, ks) replaced, kept as
+    its oracle: K[lam, sigma] is read again for every k."""
+    total = 0
+    for sigma in enumerate_partitions(lam.weight):
+        if sigma.length > k:
+            continue
+        total += kostka(lam, sigma) * monomial_eval_ones(sigma, k)
+    return total
+
+
+def test_schur_kostka_all_k_matches_per_k_sum():
+    for n in range(1, 11):
+        ks = list(range(0, n + 2))
+        for lam in enumerate_partitions(n):
+            assert _schur_kostka(lam, ks) == [_schur_kostka_per_k(lam, k) for k in ks]
+
+
+def test_schur_kostka_reads_each_kostka_number_once(monkeypatch):
+    calls = []
+
+    def counted(lam, sigma):
+        calls.append((lam, sigma))
+        return kostka(lam, sigma)
+
+    monkeypatch.setattr(partitions, "kostka", counted)
+    lam = Partition((3, 2, 1))
+    assert _schur_kostka(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]
+    assert calls == [(lam, sigma) for sigma in enumerate_partitions(6)]
 
 
 def test_input_validation():

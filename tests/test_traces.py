@@ -3,7 +3,7 @@ import math
 import pytest
 
 from morita import cli, exact, partitions, traces
-from morita.classify import KTheoryVector, build_f, hook_matrix
+from morita.classify import KTheoryVector, build_f, hook_matrix, search_relations
 from morita.exact import Poly, RationalFunction, partial_fractions, poly_gcd
 from morita.partitions import (OutOfRange, Partition, WeightMismatch,
                                enumerate_partitions, gamma_star)
@@ -86,6 +86,38 @@ def test_a_coefficients_recombine_to_g():
             for k in range(1, n):
                 total = total + RationalFunction(Poly([a[k - 1]]), Poly([k, 1]))
             assert total == g_function(lam, n)
+
+
+def _a_by_expanded_conjugate_content(lam, n):
+    """The conjugate-content form with F_{lam'} expanded into a Poly and
+    evaluated at k, which _a_via_conjugate_content replaced; kept as its
+    oracle."""
+    f_conj = content_polynomial(lam.conjugate())
+    return [exact.quotient((-1) ** (n - k - 1) * lam.dimension() * f_conj(k),
+                           math.factorial(k) * math.factorial(n - 1 - k))
+            for k in range(1, n)]
+
+
+def test_a_coefficients_match_expanded_conjugate_content():
+    for n in range(2, 15):
+        for lam in gamma_star(n):
+            assert traces._a_via_conjugate_content(lam, n) == \
+                _a_by_expanded_conjugate_content(lam, n)
+
+
+def test_a_coefficient_path_builds_no_poly(monkeypatch):
+    def no_poly(*args):
+        raise AssertionError("Poly built on the a-coefficient path")
+
+    monkeypatch.setattr(traces, "content_polynomial", no_poly)
+    traces._a_coefficients_cached.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "__init__", no_poly)
+        for n in range(2, 13):
+            for lam in gamma_star(n):
+                assert len(a_coefficients(lam, n)) == n - 1
+        assert len(hook_matrix(12)) == 11
+    assert search_relations(5, 1)
 
 
 def test_a_coefficients_divisibility():
