@@ -4,10 +4,16 @@ One scalar rule holds across the package: an integral value is a Python
 ``int`` and any other value a ``fractions.Fraction`` -- no floats
 anywhere.  ``rational`` brings a value under the rule and ``quotient``
 divides under it; no other code builds a Fraction.  Polynomials are dense
-tuples of such scalars indexed by degree.  On top of that we provide
-reduced rational functions, partial fraction expansions at simple
-integer poles, and integer-root extraction for monic integer
-polynomials.
+tuples of such scalars indexed by degree, with + - * and one division,
+divmod.  On top of that we provide rational functions, partial fraction
+expansions at simple integer poles, and integer-root extraction for
+monic integer polynomials.
+
+A RationalFunction is a value, not an arithmetic: its constructor stores
+num and a monic den as given and takes no gcd, and it has no + - *.
+Each one the package returns is a ratio of products of integer linear
+factors, built in lowest terms by cancelling the factors the two sides
+share, so no polynomial gcd runs anywhere in the package.
 """
 
 from fractions import Fraction
@@ -106,12 +112,6 @@ class Poly:
             return 0
         return self.coeffs[-1]
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.leading()
-        return Poly([quotient(c, lc) for c in self.coeffs])
-
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -193,12 +193,6 @@ class Poly:
                     rem[i + j] -= c * b
         return Poly(quot), Poly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -218,83 +212,28 @@ class Poly:
         return [str(c) for c in self.coeffs]
 
 
-def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm (monic 1 for coprime inputs)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
 class RationalFunction:
-    """Reduced ratio num/den of Polys: gcd divided out, den monic."""
+    """The ratio num/den of Polys, stored as given: no gcd is taken.
+
+    den must be monic.  The value is in lowest terms exactly when num
+    and den are coprime, which every function of the package that
+    returns one guarantees by building it from its linear factors.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=Poly([1])):
-        if not isinstance(num, Poly):
-            num = Poly.constant(num)
-        if not isinstance(den, Poly):
-            den = Poly.constant(den)
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero():
-            num, den = num // g, den // g
-        lc = den.leading()
-        self.num = num * quotient(1, lc)
-        self.den = den.monic()
-
-    @classmethod
-    def _raw(cls, num, den):
-        """num/den stored as given, with no gcd taken.  den must be monic;
-        the value is reduced (and comparable with ==) only when the caller
-        knows gcd(num, den) = 1."""
-        rf = object.__new__(cls)
-        rf.num, rf.den = num, den
-        return rf
+        if not den.is_monic():
+            raise ValueError("denominator must be monic, got %r" % (den,))
+        self.num, self.den = num, den
 
     def __eq__(self, other):
+        # by cross-multiplication, so that unreduced forms compare by value
         if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (Poly, int, Fraction)):
-            return self == RationalFunction(other if isinstance(other, Poly)
-                                            else Poly.constant(other))
+            return self.num * other.den == other.num * self.den
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        return RationalFunction(Poly.constant(other))
 
     def __call__(self, x):
         d = self.den(x)
@@ -336,12 +275,12 @@ class PartialFraction:
         return Poly(num)
 
     def to_rational_function(self):
-        """The sum as a reduced RationalFunction: den = prod (x - p) over
-        the poles with nonzero residue, num = numerator_over(den).  num(p)
-        = r_p * prod_{q != p} (p - q) is nonzero at every root p of den, so
-        gcd(num, den) = 1 with no gcd taken."""
+        """The sum as a RationalFunction in lowest terms: den = prod (x - p)
+        over the poles with nonzero residue, num = numerator_over(den).
+        num(p) = r_p * prod_{q != p} (p - q) is nonzero at every root p of
+        den, so gcd(num, den) = 1 with no gcd taken."""
         den = Poly.from_roots(p for p, r in self.residues.items() if r)
-        return RationalFunction._raw(self.numerator_over(den), den)
+        return RationalFunction(self.numerator_over(den), den)
 
     def __eq__(self, other):
         if isinstance(other, PartialFraction):

@@ -191,9 +191,10 @@ def monomial_eval_ones(sigma, k):
 def _schur_kostka(lam, ks):
     # [sum over sigma of K[lam, sigma] * m_sigma(1^k) for k in ks]: the
     # reference route for schur_eval_ones and for the Schur form of the
-    # a-coefficients; the nonzero K[lam, sigma] are read once, for all k
-    row = [(K, sigma) for sigma in _partitions_of(lam.weight)
-           if (K := kostka(lam, sigma))]
+    # a-coefficients.  K[lam, sigma] is nonzero exactly when lam dominates
+    # sigma, and only those are read, once each, for all k
+    row = [(kostka(lam, sigma), sigma) for sigma in _partitions_of(lam.weight)
+           if lam.dominates(sigma)]
     return [sum(K * monomial_eval_ones(sigma, k) for K, sigma in row) for k in ks]
 
 

@@ -63,7 +63,7 @@ def _a_via_partial_fractions(lam, n):
     # 0 because F(0) = 0 for every lam
     _check_nontrivial(lam, n)
     f = f_trivial(n)
-    pf = partial_fractions(RationalFunction._raw(
+    pf = partial_fractions(RationalFunction(
         lam.dimension() * (f - content_polynomial(lam)), f))
     return [pf.residues[-k] for k in range(1, n)]
 
@@ -115,25 +115,34 @@ def check_routes(lam, n):
 
 def chi_H(lam, n):
     """Trace of the standard projective of lam over the full algebra:
-    dim(lam) * F_lam(x) / (n! x^n), reduced."""
+    dim(lam) * F_lam(x) / (n! x^n), reduced by cancelling x^m0, where m0
+    is the number of cells of content 0: the other factors x + c of F_lam
+    have c != 0."""
     _check_weight(lam, n)
-    den = math.factorial(n) * Poly.from_roots([0] * n)
-    return RationalFunction(lam.dimension() * content_polynomial(lam), den)
+    contents = lam.content_multiset()
+    num = Poly.from_roots([-c for c in contents if c])
+    return RationalFunction(quotient(lam.dimension(), math.factorial(n)) * num,
+                            Poly.from_roots([0] * (n - contents.count(0))))
 
 
 def chi_B(lam, n):
-    """Spherical trace: dim(lam) * F_lam(x) / F_triv(x), reduced."""
+    """Spherical trace: dim(lam) * F_lam(x) / F_triv(x), reduced by
+    cancelling x + c for the contents c = 0..lam_1 - 1 of the first row.
+    The contents left on top, of the rows below it, are at most lam_1 - 2
+    and those left underneath are lam_1..n-1, so the two sides are coprime."""
     _check_weight(lam, n)
-    return RationalFunction(lam.dimension() * content_polynomial(lam), f_trivial(n))
+    below = [j - i for i, j in lam.cells() if i]
+    return RationalFunction(lam.dimension() * Poly.from_roots([-c for c in below]),
+                            Poly.from_roots([-k for k in range(n - len(below), n)]))
 
 
 def morita_phi_factor(n):
     """Factor carrying the trace basis across the Morita equivalence:
-    n! x^n / F_triv(x), reduced."""
+    n! x^n / F_triv(x), reduced by cancelling one x."""
     if n < 2:
         raise OutOfRange("need n >= 2, got %d" % n)
-    return RationalFunction(math.factorial(n) * Poly.from_roots([0] * n),
-                            f_trivial(n))
+    return RationalFunction(math.factorial(n) * Poly.from_roots([0] * (n - 1)),
+                            Poly.from_roots([-k for k in range(1, n)]))
 
 
 def verify_sum_identity(n):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from euclid_oracle import Reduced
 from morita.classify import (KTheoryVector, NonIntegralCoordinate, Rejection,
                              Relation, build_f, derive_relation, hook_matrix,
                              invert_hook_matrix, iso_obstruction,
                              recombination_failures, remark_identity_check,
                              search_relations)
 from morita import partitions
-from morita.exact import Poly, RationalFunction
+from morita.exact import Poly
 from morita.partitions import (OutOfRange, Partition, gamma_star,
                                hook_partition, kostka)
 from morita.traces import content_polynomial, f_trivial
@@ -52,12 +53,12 @@ def _recombination_by_rational_functions(n, c):
     replaced, kept as its oracle: each G_hook from its definition,
     reduced by the gcd."""
     f = f_trivial(n)
-    hooks = [RationalFunction(lam.dimension() * (f - content_polynomial(lam)), f)
+    hooks = [Reduced(lam.dimension() * (f - content_polynomial(lam)), f)
              for lam in (hook_partition(n, m) for m in range(1, n))]
-    zero = RationalFunction(Poly())
+    zero = Reduced(Poly())
     return [k for k in range(1, n)
             if sum((coeff * g for coeff, g in zip(c[k - 1], hooks)), zero)
-            != RationalFunction(Poly([1]), Poly([k, 1]))]
+            != Reduced(Poly([1]), Poly([k, 1]))]
 
 
 def _corrupted_inverses(n):

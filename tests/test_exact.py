@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from euclid_oracle import Reduced, monic, poly_gcd
 from morita import exact, linalg
 from morita.classify import KTheoryVector, build_f
 from morita.exact import (DegreeError, NonIntegerPole, NonSimplePoles,
                           NotMonicInteger, PartialFraction, PoleNotRoot, Poly,
                           RationalFunction, ZeroDenominator, partial_fractions,
-                          poly_gcd, rational, rational_roots)
+                          quotient, rational, rational_roots)
 from morita.partitions import gamma_star
 from morita.poisson import MultiPoly
 
@@ -41,9 +42,13 @@ def test_poly_divmod_roundtrip():
 
 
 def test_rf_normalize_common_factor():
-    rf = RationalFunction(Poly([0, 2]), Poly([0, 0, 2]))
-    assert rf.num == Poly([1])
-    assert rf.den == Poly([0, 1])
+    # no gcd is taken: 2x/x^2 is stored as given and equals its reduced form
+    with pytest.raises(ValueError):
+        RationalFunction(Poly([0, 2]), Poly([0, 0, 2]))
+    rf = RationalFunction(Poly([0, 2]), Poly([0, 0, 1]))
+    assert (rf.num, rf.den) == (Poly([0, 2]), Poly([0, 0, 1]))
+    assert rf == RationalFunction(Poly([2]), Poly([0, 1]))
+    assert rf != RationalFunction(Poly([1]), Poly([0, 1]))
 
 
 def test_rf_normalize_coprime_unchanged():
@@ -54,22 +59,27 @@ def test_rf_normalize_coprime_unchanged():
 
 
 def test_rf_normalize_gcd_x():
-    rf = RationalFunction(Poly.from_roots([0, 1]), Poly.from_roots([0, -1]))
-    assert rf.num == Poly([-1, 1])
-    assert rf.den == Poly([1, 1])
-    # cross-multiplication check against the raw inputs
-    assert rf.num * Poly.from_roots([0, -1]) == rf.den * Poly.from_roots([0, 1])
+    num, den = Poly.from_roots([0, 1]), Poly.from_roots([0, -1])
+    rf = RationalFunction(num, den)
+    assert rf.num is num and rf.den is den
+    # == cross-multiplies, so the unreduced form equals the reduced one
+    reduced = RationalFunction(Poly([-1, 1]), Poly([1, 1]))
+    assert rf == reduced and reduced == rf
+    assert rf != RationalFunction(Poly([1, 1]), Poly([1, 1]))
 
 
 def test_rf_normalize_zero_denominator():
     with pytest.raises(ZeroDenominator):
         RationalFunction(Poly([1]), Poly())
+    for den in (Poly([2]), Poly([1, 3]), Poly([0, Fraction(1, 2)])):
+        with pytest.raises(ValueError):
+            RationalFunction(Poly([1]), den)
 
 
 def test_rf_normalize_idempotent():
     rf = RationalFunction(Poly([0, 6]), Poly.from_roots([-1, -2]))
     again = RationalFunction(rf.num, rf.den)
-    assert again == rf
+    assert (again.num, again.den) == (rf.num, rf.den) and again == rf
 
 
 def test_partial_fractions_two_poles():
@@ -80,9 +90,8 @@ def test_partial_fractions_two_poles():
 
 def test_partial_fractions_zero_numerator():
     pf = partial_fractions(RationalFunction(Poly(), Poly([1, 1])))
-    # normalization reduces 0/(x+1) to 0/1, so no pole survives reduction;
-    # feed the unreduced shape through a fresh PartialFraction instead
-    assert pf.residues == {} or pf.residues == {-1: 0}
+    # 0/(x+1) is stored as given, so its pole is kept with residue 0
+    assert pf.residues == {-1: 0}
 
 
 def test_partial_fractions_single_pole():
@@ -168,9 +177,9 @@ def test_partial_fraction_rejects_non_integer_pole():
 def _per_term_sum(pf):
     """The per-pole RationalFunction sum (one gcd per term) that
     to_rational_function replaced, kept as its oracle."""
-    total = RationalFunction(Poly())
+    total = Reduced(Poly())
     for p, r in pf.residues.items():
-        total = total + RationalFunction(Poly.constant(r), Poly([-p, 1]))
+        total = total + Reduced(Poly.constant(r), Poly([-p, 1]))
     return total
 
 
@@ -223,7 +232,7 @@ def _scan_rational_roots(p):
     cur = p
     while cur.degree >= 1 and cur.coeffs[0] == 0:
         roots.append(0)
-        cur = cur // Poly.x()
+        cur = divmod(cur, Poly.x())[0]
     while cur.degree >= 1:
         c0 = abs(int(cur.coeffs[0]))
         found = None
@@ -239,7 +248,7 @@ def _scan_rational_roots(p):
         if found is None:
             break
         roots.append(found)
-        cur = cur // Poly([-found, 1])
+        cur = divmod(cur, Poly([-found, 1]))[0]
     roots.sort()
     return roots, cur
 
@@ -465,12 +474,13 @@ def test_scalar_rule_poly(a, b, lead, poles, x):
     p, q = Poly(a), Poly(b + [lead])  # q is not monic
     quot, rem = divmod(p, q)
     _check_scalars(p.coeffs + q.coeffs + (p * q).coeffs + quot.coeffs + rem.coeffs
-                   + q.monic().coeffs)
+                   + monic(q).coeffs)
     _check_scalars([p(x), p(int(x)), q(x)])
-    den = Poly.from_roots(sorted(poles)) * lead
+    den = Poly.from_roots(sorted(poles))
     num = Poly(a[:len(poles) - 1])
-    rf = RationalFunction(num, den)
-    _check_scalars(rf.num.coeffs + rf.den.coeffs)
+    oracle = Reduced(num, den * lead)
+    rf = RationalFunction(num * quotient(1, lead), den)
+    _check_scalars(rf.num.coeffs + rf.den.coeffs + oracle.num.coeffs + oracle.den.coeffs)
     if x not in poles:
         _check_scalars([rf(x)])
     _check_scalars(partial_fractions(rf).residues.values())

@@ -186,7 +186,20 @@ def test_schur_kostka_reads_each_kostka_number_once(monkeypatch):
     monkeypatch.setattr(partitions, "kostka", counted)
     lam = Partition((3, 2, 1))
     assert _schur_kostka(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]
-    assert calls == [(lam, sigma) for sigma in enumerate_partitions(6)]
+    assert calls == [(lam, sigma) for sigma in enumerate_partitions(6)
+                     if lam.dominates(sigma)]
+
+
+def test_kostka_nonzero_exactly_on_dominance():
+    # K[lam', sigma] != 0 <=> lam' dominates sigma, over the shapes lam' the
+    # Schur route of the a-coefficients reads, which is why _schur_kostka
+    # reads only the dominated sigma
+    for n in range(1, 12):
+        sigmas = enumerate_partitions(n)
+        for lam in sigmas:
+            conj = lam.conjugate()
+            for sigma in sigmas:
+                assert (kostka(conj, sigma) != 0) == conj.dominates(sigma), (conj, sigma)
 
 
 def test_input_validation():

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import pytest
 
+from euclid_oracle import Reduced, poly_gcd
 from morita import cli, exact, partitions, traces
 from morita.classify import KTheoryVector, build_f, hook_matrix, search_relations
-from morita.exact import Poly, RationalFunction, partial_fractions, poly_gcd
+from morita.exact import Poly, RationalFunction, partial_fractions
 from morita.partitions import (OutOfRange, Partition, WeightMismatch,
                                enumerate_partitions, gamma_star)
 from morita.traces import (RouteDisagreement, TrivialPartition,
@@ -34,7 +36,7 @@ def _g_by_gcd(lam, n):
     """The definition dim * (F_triv - F_lam) / F_triv reduced by the
     Euclidean gcd, which g_function replaced; kept as its oracle."""
     f = f_trivial(n)
-    return RationalFunction(lam.dimension() * (f - content_polynomial(lam)), f)
+    return Reduced(lam.dimension() * (f - content_polynomial(lam)), f)
 
 
 def test_g_function_matches_gcd_reduced_definition():
@@ -45,19 +47,23 @@ def test_g_function_matches_gcd_reduced_definition():
             assert poly_gcd(g.num, g.den) == Poly([1])
 
 
-def test_tables_path_takes_no_polynomial_gcd(monkeypatch):
-    def no_gcd(a, b):
-        raise AssertionError("poly_gcd called on the tables path")
-
-    monkeypatch.setattr(exact, "poly_gcd", no_gcd)
+def test_tables_path_takes_no_polynomial_gcd():
+    # the package has no polynomial Euclid left to call, and the tables
+    # and verify paths run without it
+    modules = [m for name, m in sys.modules.items()
+               if name == "morita" or name.startswith("morita.")]
+    assert exact in modules and traces in modules
+    assert not any(hasattr(m, "poly_gcd") for m in modules)
+    for name in ("monic", "__floordiv__", "__mod__"):
+        assert not hasattr(Poly, name), name
+    for name in ("_raw", "__add__", "__sub__", "__mul__", "__neg__"):
+        assert not hasattr(RationalFunction, name), name
     traces._a_coefficients_cached.cache_clear()
     assert len(trace_table(10)) == len(gamma_star(10))
     for n in range(2, 10):
         for lam in gamma_star(n):
             assert check_routes(lam, n) == a_coefficients(lam, n)
     assert cli._verify_triangularity(10) == []
-    with pytest.raises(AssertionError):
-        RationalFunction(Poly([1]), Poly([1, 1]))
 
 
 def test_g_function_trivial_rejected():
@@ -82,10 +88,11 @@ def test_a_coefficients_recombine_to_g():
     for n in range(2, 10):
         for lam in gamma_star(n):
             a = a_coefficients(lam, n)
-            total = RationalFunction(Poly())
+            total = Reduced(Poly())
             for k in range(1, n):
-                total = total + RationalFunction(Poly([a[k - 1]]), Poly([k, 1]))
-            assert total == g_function(lam, n)
+                total = total + Reduced(Poly([a[k - 1]]), Poly([k, 1]))
+            g = g_function(lam, n)
+            assert (total.num, total.den) == (g.num, g.den)
 
 
 def _a_by_expanded_conjugate_content(lam, n):
@@ -129,15 +136,33 @@ def test_a_coefficients_divisibility():
 def test_chi_H_examples():
     n = 4
     assert chi_H(Partition((n,)), n) == \
-        RationalFunction(f_trivial(n), math.factorial(n) * Poly.from_roots([0] * n))
-    assert chi_H(Partition((1, 1)), 2) == RationalFunction(Poly([-1, 1]), Poly([0, 2]))
+        Reduced(f_trivial(n), math.factorial(n) * Poly.from_roots([0] * n))
+    assert chi_H(Partition((1, 1)), 2) == Reduced(Poly([-1, 1]), Poly([0, 2]))
+
+
+def _chi_by_gcd(lam, n):
+    """chi_H, chi_B and the Morita factor from their definitions, reduced
+    by the Euclidean gcd as the package computed them before it built
+    them from cancelled linear factors; kept as their oracle."""
+    f, x_n = f_trivial(n), math.factorial(n) * Poly.from_roots([0] * n)
+    top = lam.dimension() * content_polynomial(lam)
+    return Reduced(top, x_n), Reduced(top, f), Reduced(x_n, f)
+
+
+def test_chi_match_gcd_reduced_definitions():
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            oracles = _chi_by_gcd(lam, n)
+            got = (chi_H(lam, n), chi_B(lam, n)) + ((morita_phi_factor(n),) if n > 1 else ())
+            for rf, oracle in zip(got, oracles):
+                assert (rf.num, rf.den) == (oracle.num, oracle.den), (lam, rf, oracle)
 
 
 def test_chi_H_sums_to_one():
     for n in range(2, 9):
-        total = RationalFunction(Poly())
+        total = Reduced(Poly())
         for lam in enumerate_partitions(n):
-            total = total + lam.dimension() * chi_H(lam, n)
+            total = total + Reduced(lam.dimension()) * chi_H(lam, n)
         assert total == RationalFunction(Poly([1]))
 
 
@@ -152,7 +177,7 @@ def test_chi_B_relates_to_g():
     for n in range(2, 9):
         for lam in gamma_star(n):
             d = lam.dimension()
-            assert d - chi_B(lam, n) == g_function(lam, n)
+            assert Reduced(d) - chi_B(lam, n) == g_function(lam, n)
 
 
 def test_morita_phi_factor():
@@ -164,6 +189,7 @@ def test_morita_phi_factor():
 def test_morita_factor_carries_chi():
     for n in range(2, 9):
         phi = morita_phi_factor(n)
+        phi = Reduced(phi.num, phi.den)
         for lam in enumerate_partitions(n):
             assert phi * chi_H(lam, n) == chi_B(lam, n)
 
