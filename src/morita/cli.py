@@ -1,9 +1,13 @@
 """Command line front end.
 
-Exit codes are a contract: 0 when every asserted identity held, 1 on a
+Each command is declared once, in _COMMANDS.  Exit codes are a contract,
+kept by run() alone: 0 when every asserted identity held, 1 on a
 verification failure, a rejected classification or an internal error
-(a failed internal consistency check, or a TypeError or ZeroDivisionError
-out of program code), 2 on usage or input errors.
+(any exception out of program code other than the input errors below,
+reported as `internal error: ...`), 2 on usage or input errors (argparse
+errors, any ValueError such as a value below its declared least, a bad
+--nvec or a malformed group file, and poisson.OrderCapExceeded, reported
+as `error: ...`).
 Reports go to stdout as JSON (CSV where tabular).
 """
 
@@ -47,14 +51,11 @@ def _emit_csv(rows, fieldnames):
 
 
 def _cmd_traces(args):
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
     rows = traces.trace_table(args.n)
     if args.format == "csv":
         _emit_csv(rows, ["partition", "dim", "content_poly", "g", "a"])
-    else:
-        _emit_json(_report("traces", "pass", rows))
-    return 0
+        return None
+    return _report("traces", "pass", rows)
 
 
 def _verify_divisibility(max_n):
@@ -108,13 +109,9 @@ _VERIFY_CHECKS = {
 
 
 def _cmd_verify(args):
-    if args.max_n < 2:
-        raise ValueError("--max-n must be at least 2")
     failures = _VERIFY_CHECKS[args.check](args.max_n)
-    status = "pass" if not failures else "fail"
-    _emit_json(_report("verify %s" % args.check, status,
-                       {"max_n": args.max_n, "failures": failures}))
-    return 0 if not failures else 1
+    return _report("verify %s" % args.check, "fail" if failures else "pass",
+                   {"max_n": args.max_n, "failures": failures})
 
 
 def _parse_nvec(s, n):
@@ -123,28 +120,22 @@ def _parse_nvec(s, n):
 
 
 def _cmd_classify(args):
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
     try:
         v = _parse_nvec(args.nvec, args.n)
     except ValueError as e:
         raise ValueError("bad --nvec: %s" % e)
     result = classify.derive_relation(args.n, v)
     if isinstance(result, classify.Rejection):
-        _emit_json(_report("classify", "rejection",
-                           {"n": args.n, "nvec": v.to_json(),
-                            "rejection": result.to_json()}))
-        return 1
-    rels = sorted(result, key=lambda r: (-r.q, r.s))
-    _emit_json(_report("classify", "pass",
+        return _report("classify", "rejection",
                        {"n": args.n, "nvec": v.to_json(),
-                        "relations": [r.to_json() for r in rels]}))
-    return 0
+                        "rejection": result.to_json()})
+    rels = sorted(result, key=lambda r: (-r.q, r.s))
+    return _report("classify", "pass",
+                   {"n": args.n, "nvec": v.to_json(),
+                    "relations": [r.to_json() for r in rels]})
 
 
 def _cmd_classify_search(args):
-    if args.n < 2 or args.bound < 0:
-        raise ValueError("need --n >= 2 and --bound >= 0")
     found = classify.search_relations(args.n, args.bound)
     payload = {"n": args.n, "bound": args.bound,
                "gamma_star_order": [lam.to_json() for lam in gamma_star(args.n)],
@@ -152,13 +143,12 @@ def _cmd_classify_search(args):
                               "witnesses": [v.to_json() for v in vs]}
                              for rel, vs in sorted(found.items(),
                                                    key=lambda kv: (-kv[0].q, kv[0].s))]}
-    _emit_json(_report("classify-search", "pass", payload))
-    return 0
+    return _report("classify-search", "pass", payload)
 
 
 def _cmd_iso_obstruction(args):
-    if args.n < 2 or args.l_min > args.l_max:
-        raise ValueError("need --n >= 2 and --l-min <= --l-max")
+    if args.l_min > args.l_max:
+        raise ValueError("need --l-min <= --l-max")
     rows = []
     ok = True
     for l in range(args.l_min, args.l_max + 1):
@@ -169,9 +159,8 @@ def _cmd_iso_obstruction(args):
                 ok = False
             rows.append({"l": l, "sign": sign, "value": str(value),
                          "nonzero": nonzero})
-    _emit_json(_report("iso-obstruction", "pass" if ok else "fail",
-                       {"n": args.n, "rows": rows}))
-    return 0 if ok else 1
+    return _report("iso-obstruction", "pass" if ok else "fail",
+                   {"n": args.n, "rows": rows})
 
 
 _RATIONAL_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -218,8 +207,6 @@ def parse_group_file(path):
 
 
 def _cmd_hp0(args):
-    if args.max_degree < 0:
-        raise ValueError("--max-degree must be nonnegative")
     form, generators = parse_group_file(args.group)  # input errors exit 2 in run()
     action = poisson.close_group(generators, form)
     graded = poisson.hp0_dims(action, args.max_degree)
@@ -230,51 +217,38 @@ def _cmd_hp0(args):
         payload["dual_check"] = dual
         if not dual["pass"]:
             status = "fail"
-    _emit_json(_report("hp0", status, payload))
-    return 0 if status == "pass" else 1
+    return _report("hp0", status, payload)
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="morita",
-                                description="Exact trace, classification and "
-                                            "Poisson homology computations")
-    sub = p.add_subparsers(dest="command", required=True)
+_REQUIRED_INT = {"type": int, "required": True}
 
-    t = sub.add_parser("traces", help="trace table for one n")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--format", choices=["json", "csv"], default="json")
-    t.set_defaults(func=_cmd_traces)
+# name -> (handler, help line, arguments); each argument is (name,
+# argparse keywords, least accepted value or None)
+_COMMANDS = {
+    "traces": (_cmd_traces, "trace table for one n", [
+        ("--n", _REQUIRED_INT, 2),
+        ("--format", {"choices": ["json", "csv"], "default": "json"}, None)]),
+    "verify": (_cmd_verify, "identity suites", [
+        ("check", {"choices": sorted(_VERIFY_CHECKS)}, None),
+        ("--max-n", {"type": int, "default": 8}, 2)]),
+    "classify": (_cmd_classify, "relations for one data vector", [
+        ("--n", _REQUIRED_INT, 2),
+        ("--nvec", {"required": True,
+                    "help": "comma-separated integers in canonical order "
+                            "(descending lexicographic, trivial omitted)"},
+         None)]),
+    "classify-search": (_cmd_classify_search, "exhaustive box search", [
+        ("--n", _REQUIRED_INT, 2), ("--bound", _REQUIRED_INT, 0)]),
+    "iso-obstruction": (_cmd_iso_obstruction, "shift obstruction values", [
+        ("--n", _REQUIRED_INT, 2), ("--l-min", _REQUIRED_INT, None), ("--l-max", _REQUIRED_INT, None)]),
+    "hp0": (_cmd_hp0, "graded bracket-quotient dimensions", [
+        ("--group", {"required": True}, None),
+        ("--max-degree", _REQUIRED_INT, 0),
+        ("--dual-check", {"action": "store_true"}, None)]),
+}
 
-    v = sub.add_parser("verify", help="identity suites")
-    v.add_argument("check", choices=sorted(_VERIFY_CHECKS))
-    v.add_argument("--max-n", type=int, default=8)
-    v.set_defaults(func=_cmd_verify)
-
-    c = sub.add_parser("classify", help="relations for one data vector")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--nvec", type=str, required=True,
-                   help="comma-separated integers in canonical order "
-                        "(descending lexicographic, trivial omitted)")
-    c.set_defaults(func=_cmd_classify)
-
-    s = sub.add_parser("classify-search", help="exhaustive box search")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--bound", type=int, required=True)
-    s.set_defaults(func=_cmd_classify_search)
-
-    o = sub.add_parser("iso-obstruction", help="shift obstruction values")
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--l-min", type=int, required=True)
-    o.add_argument("--l-max", type=int, required=True)
-    o.set_defaults(func=_cmd_iso_obstruction)
-
-    h = sub.add_parser("hp0", help="graded bracket-quotient dimensions")
-    h.add_argument("--group", type=str, required=True)
-    h.add_argument("--max-degree", type=int, required=True)
-    h.add_argument("--dual-check", action="store_true")
-    h.set_defaults(func=_cmd_hp0)
-
-    return p
+_USAGE = "usage: morita <command> [options]\n\ncommands:\n" + "".join(
+    "  %-17s %s\n" % (name, entry[1]) for name, entry in _COMMANDS.items())
 
 
 def _attach_nvec(argv):
@@ -293,19 +267,36 @@ def _attach_nvec(argv):
 
 
 def run(argv):
-    parser = build_parser()
+    if argv and argv[0] in ("-h", "--help"):
+        sys.stdout.write(_USAGE)
+        return 0
+    if not argv or argv[0] not in _COMMANDS:
+        sys.stderr.write(_USAGE)
+        return 2
+    handler, _, arguments = _COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog="morita " + argv[0])
+    for name, keywords, _ in arguments:
+        parser.add_argument(name, **keywords)
     try:
-        args = parser.parse_args(_attach_nvec(argv))
+        args = parser.parse_args(_attach_nvec(argv[1:]))
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.func(args)
-    except (AssertionError, TypeError, ZeroDivisionError) as e:  # bugs, not bad input
-        print("internal error: %s" % e, file=sys.stderr)
-        return 1
-    except Exception as e:  # malformed input must not crash the process
+        for name, _, least in arguments:
+            value = getattr(args, name.lstrip("-").replace("-", "_"))
+            if least is not None and value < least:
+                raise ValueError("%s must be at least %d" % (name, least))
+        report = handler(args)
+        if report is None:
+            return 0
+        _emit_json(report)
+        return 0 if report["status"] == "pass" else 1
+    except (ValueError, poisson.OrderCapExceeded) as e:  # bad input
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:  # anything else is a bug in the program
+        print("internal error: %s" % e, file=sys.stderr)
+        return 1
 
 
 def main():

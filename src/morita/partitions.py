@@ -26,10 +26,10 @@ class Partition:
     """A weakly decreasing tuple of positive integers.
 
     Immutable value type; weight, length and part multiplicities are
-    computed on construction.
+    computed on construction, the dimension on its first call.
     """
 
-    __slots__ = ("parts", "weight", "length", "multiplicities")
+    __slots__ = ("parts", "weight", "length", "multiplicities", "_dimension")
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
@@ -43,6 +43,7 @@ class Partition:
         for p in parts:
             mult[p] = mult.get(p, 0) + 1
         self.multiplicities = mult
+        self._dimension = None
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -75,10 +76,12 @@ class Partition:
 
     def dimension(self):
         """Irreducible dimension by the hook length formula."""
-        num = math.factorial(self.weight)
-        for h in self.hook_lengths():
-            num //= h
-        return num
+        if self._dimension is None:
+            num = math.factorial(self.weight)
+            for h in self.hook_lengths():
+                num //= h
+            self._dimension = num
+        return self._dimension
 
     def content_multiset(self):
         """Contents j - i over the cells of the diagram."""

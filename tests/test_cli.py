@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -91,6 +92,21 @@ def _inject_zero_division(monkeypatch):
     return ["traces", "--n", "3"]
 
 
+def _inject_key_error(monkeypatch):
+    monkeypatch.setattr(traces, "trace_table", _raises(KeyError))
+    return ["traces", "--n", "3"]
+
+
+def _inject_index_error(monkeypatch):
+    monkeypatch.setattr(classify, "search_relations", _raises(IndexError))
+    return ["classify-search", "--n", "3", "--bound", "1"]
+
+
+def _inject_attribute_error(monkeypatch):
+    monkeypatch.setattr(classify, "derive_relation", _raises(AttributeError))
+    return ["classify", "--n", "3", "--nvec", "3,-2"]
+
+
 def _inject_negative_dimension(monkeypatch):
     monkeypatch.setattr(poisson, "bracket_span_dim", lambda action, n, bases: n + 1)
     group = os.path.join(os.path.dirname(__file__), "golden", "z3.json")
@@ -103,6 +119,9 @@ def _inject_negative_dimension(monkeypatch):
     (_inject_non_integer_shift, "is not an integer"),
     (_inject_type_error, "injected"),
     (_inject_zero_division, "injected"),
+    (_inject_key_error, "injected"),
+    (_inject_index_error, "injected"),
+    (_inject_attribute_error, "injected"),
     (_inject_negative_dimension, "bracket span exceeds invariants"),
 ])
 def test_internal_error_exit_one(inject, message, monkeypatch, capsys,
@@ -182,8 +201,60 @@ def test_iso_obstruction_cmd(capsys):
 
 
 def test_unknown_command_exit_two(capsys):
-    assert run(["frobnicate"]) == 2
-    assert run([]) == 2
+    for argv in ([], ["frobnicate"], ["--bogus"], ["classify", "--n", "3"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: morita")
+
+
+def test_run_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["classify", "--n", "3", "--nvec", "3,-2"]) == 0
+    assert built == ["morita classify"]
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("argv, name, least", [
+    (["traces", "--n", "1"], "--n", 2),
+    (["verify", "routes", "--max-n", "1"], "--max-n", 2),
+    (["classify", "--n", "1", "--nvec="], "--n", 2),
+    (["classify-search", "--n", "3", "--bound", "-1"], "--bound", 0),
+    (["iso-obstruction", "--n", "1", "--l-min", "0", "--l-max", "0"], "--n", 2),
+    (["hp0", "--group", os.path.join(_GOLDEN, "z3.json"), "--max-degree", "-1"],
+     "--max-degree", 0),
+])
+def test_declared_bounds(argv, name, least):
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be at least %d\n" % (name, least)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help(flag):
+    code, out, err = _run_captured([flag])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: morita")
+    for command in ("traces", "verify", "classify", "classify-search",
+                    "iso-obstruction", "hp0"):
+        assert "\n  %s " % command in out
+
+
+@pytest.mark.parametrize("command", ["traces", "verify", "classify",
+                                     "classify-search", "iso-obstruction", "hp0"])
+def test_command_help(command):
+    code, out, _ = _run_captured([command, "--help"])
+    assert code == 0
+    assert out.startswith("usage: morita %s " % command)
 
 
 def _write_group(tmp_path, data):

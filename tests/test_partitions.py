@@ -90,6 +90,29 @@ def test_dimension_conjugation_invariant():
             assert lam.dimension() == lam.conjugate().dimension()
 
 
+def test_trace_table_reads_each_dimension_once(monkeypatch):
+    # the dimension is kept on the shared partition objects: the table's
+    # dim column and its a-coefficients compute the hooks once between them
+    from morita import traces
+    calls = {}
+    hook_lengths = Partition.hook_lengths
+
+    def counted(lam):
+        calls[lam.parts] = calls.get(lam.parts, 0) + 1
+        return hook_lengths(lam)
+
+    monkeypatch.setattr(Partition, "hook_lengths", counted)
+    partitions._partitions_of.cache_clear()
+    traces._a_coefficients_cached.cache_clear()
+    try:
+        rows = traces.trace_table(10)
+    finally:
+        partitions._partitions_of.cache_clear()
+        traces._a_coefficients_cached.cache_clear()
+    assert len(rows) == len(enumerate_partitions(10)) - 1
+    assert calls and max(calls.values()) == 1
+
+
 def test_content_multiset():
     assert sorted(Partition((4,)).content_multiset()) == [0, 1, 2, 3]
     assert sorted(Partition((1, 1)).content_multiset()) == [-1, 0]
