@@ -6,7 +6,7 @@ verification failure, a rejected classification or an internal error
 (any exception out of program code other than the input errors below,
 reported as `internal error: ...`), 2 on usage or input errors (argparse
 errors, any ValueError such as a value below its declared least, a bad
---nvec or a malformed group file, and poisson.OrderCapExceeded, reported
+--nvec, a malformed group file or a group past the order cap, reported
 as `error: ...`).
 Reports go to stdout as JSON (CSV where tabular).
 """
@@ -291,7 +291,7 @@ def run(argv):
             return 0
         _emit_json(report)
         return 0 if report["status"] == "pass" else 1
-    except (ValueError, poisson.OrderCapExceeded) as e:  # bad input
+    except ValueError as e:  # bad input
         print("error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:  # anything else is a bug in the program

@@ -6,8 +6,8 @@ anywhere.  ``rational`` brings a value under the rule and ``quotient``
 divides under it; no other code builds a Fraction.  Polynomials are dense
 tuples of such scalars indexed by degree, with + - * and one division,
 divmod.  On top of that we provide rational functions, partial fraction
-expansions at simple integer poles, and integer-root extraction for
-monic integer polynomials.
+expansions at given simple integer poles, and integer-root extraction
+for monic integer polynomials, which serves classify.
 
 A RationalFunction is a value, not an arithmetic: its constructor stores
 num and a monic den as given and takes no gcd, and it has no + - *.
@@ -42,6 +42,10 @@ class NonIntegerPole(ValueError):
 
 class PoleNotRoot(ValueError):
     """A common denominator that does not vanish at a pole it must carry."""
+
+
+class OutOfRange(ValueError):
+    """An integer argument outside the range the function is defined on."""
 
 
 def rational(x):
@@ -352,17 +356,18 @@ def rational_roots(p):
     return roots, Poly(cs)
 
 
-def partial_fractions(rf):
-    """Expand rf into elementary fractions at simple integer poles.
+def partial_fractions(num, poles):
+    """Expand num / prod (x - p) over the given distinct integer poles
+    into elementary fractions: the residue at p is
+    num(p) / prod_{q != p} (p - q).
 
-    Requires deg(num) < deg(den) and a denominator that splits into
-    distinct monic linear factors with integer roots.  Poles with zero
-    residue (zero numerator) are kept.
+    Requires deg(num) below the number of poles.  Poles with zero
+    residue are kept.
     """
-    if rf.num.degree >= rf.den.degree:
-        raise DegreeError("numerator degree must be below denominator degree")
-    roots, rem = rational_roots(rf.den)
-    if rem.degree > 0 or len(set(roots)) != len(roots):
-        raise NonSimplePoles("denominator must have distinct integer roots")
-    return PartialFraction({p: quotient(rf.num(p), prod(p - q for q in roots if q != p))
-                            for p in roots})
+    poles = list(poles)
+    if num.degree >= len(poles):
+        raise DegreeError("numerator degree must be below the number of poles")
+    if len(set(poles)) != len(poles):
+        raise NonSimplePoles("poles must be distinct")
+    return PartialFraction({p: quotient(num(p), prod(p - q for q in poles if q != p))
+                            for p in poles})

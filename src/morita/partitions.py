@@ -6,8 +6,11 @@ so the list for a given n starts with (n) (the trivial representation)
 and the nontrivial tail is what vectors over "Gamma star" are indexed by.
 """
 
+import itertools
 import math
 from functools import lru_cache
+
+from .exact import OutOfRange
 
 
 class WeightMismatch(ValueError):
@@ -16,10 +19,6 @@ class WeightMismatch(ValueError):
 
 class InvalidPartition(ValueError):
     """Parts that are not positive and weakly decreasing."""
-
-
-class OutOfRange(ValueError):
-    """An integer argument outside the range the function is defined on."""
 
 
 class Partition:
@@ -152,24 +151,11 @@ def _kostka(shape, content):
 def _horizontal_strips(shape, size):
     """Partitions inner <= shape with shape/inner a horizontal strip of
     the given size (rows interlace: shape[i+1] <= inner[i] <= shape[i])."""
-    rows = len(shape)
-
-    def rec(i, remaining):
-        if i == rows:
-            if remaining == 0:
-                yield ()
-            return
-        lo = shape[i + 1] if i + 1 < rows else 0
-        hi = shape[i]
-        for v in range(hi, lo - 1, -1):
-            removed = hi - v
-            if removed > remaining:
-                break
-            for tail in rec(i + 1, remaining - removed):
-                yield (v,) + tail
-
-    for inner in rec(0, size):
-        yield tuple(p for p in inner if p > 0)
+    weight = sum(shape) - size
+    ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
+    for inner in itertools.product(*ranges):
+        if sum(inner) == weight:
+            yield tuple(p for p in inner if p > 0)
 
 
 def kostka(lam, sigma):

@@ -17,22 +17,18 @@ from functools import cached_property
 from operator import add
 
 from . import linalg
-from .exact import quotient, rational
+from .exact import OutOfRange, quotient, rational
 
 
 class NotSymplectic(ValueError):
     pass
 
 
-class OrderCapExceeded(RuntimeError):
+class OrderCapExceeded(ValueError):
     pass
 
 
 class ShapeMismatch(ValueError):
-    pass
-
-
-class OutOfRange(ValueError):
     pass
 
 

@@ -58,13 +58,12 @@ def g_function(lam, n):
 
 
 def _a_via_partial_fractions(lam, n):
-    # the definition dim * (F_triv - F_lam) / F_triv, left unreduced: F_triv
-    # has the distinct integer roots 0..-(n-1), and the pole at 0 has residue
-    # 0 because F(0) = 0 for every lam
+    # the definition dim * (F_triv - F_lam) / F_triv, left unreduced and
+    # expanded at the poles 0..-(n-1) of F_triv, distinct by construction;
+    # the pole at 0 has residue 0 because F(0) = 0 for every lam
     _check_nontrivial(lam, n)
-    f = f_trivial(n)
-    pf = partial_fractions(RationalFunction(
-        lam.dimension() * (f - content_polynomial(lam)), f))
+    pf = partial_fractions(lam.dimension() * (f_trivial(n) - content_polynomial(lam)),
+                           range(0, -n, -1))
     return [pf.residues[-k] for k in range(1, n)]
 
 
@@ -104,13 +103,13 @@ def _a_coefficients_cached(lam, n):
 def check_routes(lam, n):
     """Raise RouteDisagreement unless the partial-fraction, conjugate-content
     and Schur/Kostka routes agree on a[lam, 1..n-1]; return a_coefficients,
-    which raises NonIntegerCoefficient on a non-integral value."""
-    routes = (_a_via_partial_fractions(lam, n),
-              _a_via_conjugate_content(lam, n),
-              _a_via_schur(lam, n))
+    the conjugate-content route, which raises NonIntegerCoefficient on a
+    non-integral value."""
+    a = a_coefficients(lam, n)
+    routes = (_a_via_partial_fractions(lam, n), a, _a_via_schur(lam, n))
     if not (routes[0] == routes[1] == routes[2]):
         raise RouteDisagreement("a-coefficient routes differ for %r: %r" % (lam, routes))
-    return a_coefficients(lam, n)
+    return a
 
 
 def chi_H(lam, n):

@@ -83,41 +83,40 @@ def test_rf_normalize_idempotent():
 
 
 def test_partial_fractions_two_poles():
-    rf = RationalFunction(Poly([0, 6]), Poly.from_roots([-1, -2]))
-    pf = partial_fractions(rf)
+    pf = partial_fractions(Poly([0, 6]), [-1, -2])
     assert pf.residues == {-1: -6, -2: 12}
 
 
 def test_partial_fractions_zero_numerator():
-    pf = partial_fractions(RationalFunction(Poly(), Poly([1, 1])))
-    # 0/(x+1) is stored as given, so its pole is kept with residue 0
+    pf = partial_fractions(Poly(), [-1])
+    # the pole of 0/(x+1) is kept with residue 0
     assert pf.residues == {-1: 0}
 
 
 def test_partial_fractions_single_pole():
-    pf = partial_fractions(RationalFunction(Poly([2]), Poly([1, 1])))
+    pf = partial_fractions(Poly([2]), [-1])
     assert pf.residues == {-1: 2}
 
 
 def test_partial_fractions_recombination():
     rf = RationalFunction(Poly([7, -3, 2]), Poly.from_roots([-1, -2, -5]))
-    pf = partial_fractions(rf)
+    pf = partial_fractions(rf.num, [-1, -2, -5])
     assert pf.to_rational_function() == rf
 
 
 def test_partial_fractions_degree_error():
     with pytest.raises(DegreeError):
-        partial_fractions(RationalFunction(Poly([0, 0, 1]), Poly([1, 1])))
+        partial_fractions(Poly([0, 0, 1]), [-1])
 
 
 def test_partial_fractions_repeated_pole():
     with pytest.raises(NonSimplePoles):
-        partial_fractions(RationalFunction(Poly([1]), Poly.from_roots([-1, -1])))
+        partial_fractions(Poly([1]), [-1, -1])
 
 
-def test_partial_fractions_irrational_pole():
-    with pytest.raises(NonSimplePoles):
-        partial_fractions(RationalFunction(Poly([1]), Poly([1, 1, 1])))
+def test_partial_fractions_non_integer_pole():
+    with pytest.raises(NonIntegerPole):
+        partial_fractions(Poly([1]), [Fraction(1, 2), -1])
 
 
 def test_rational_roots_splits():
@@ -483,7 +482,7 @@ def test_scalar_rule_poly(a, b, lead, poles, x):
     _check_scalars(rf.num.coeffs + rf.den.coeffs + oracle.num.coeffs + oracle.den.coeffs)
     if x not in poles:
         _check_scalars([rf(x)])
-    _check_scalars(partial_fractions(rf).residues.values())
+    _check_scalars(partial_fractions(rf.num, rational_roots(rf.den)[0]).residues.values())
 
 
 # entries without units, so that every pivot is a non-unit at first

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from morita import partitions
+from morita import partitions, poisson
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
                                WeightMismatch, _schur_kostka,
                                enumerate_partitions, gamma_star,
@@ -132,6 +132,39 @@ def test_kostka_weight_mismatch():
         kostka(Partition((2,)), Partition((2, 1)))
 
 
+def _recursive_strips(shape, size):
+    """The recursive generator that _horizontal_strips replaced, kept as its
+    oracle: choose each row of inner in [shape[i+1], shape[i]], pruning
+    once more than size cells are removed."""
+    rows = len(shape)
+
+    def rec(i, remaining):
+        if i == rows:
+            if remaining == 0:
+                yield ()
+            return
+        lo = shape[i + 1] if i + 1 < rows else 0
+        hi = shape[i]
+        for v in range(hi, lo - 1, -1):
+            removed = hi - v
+            if removed > remaining:
+                break
+            for tail in rec(i + 1, remaining - removed):
+                yield (v,) + tail
+
+    for inner in rec(0, size):
+        yield tuple(p for p in inner if p > 0)
+
+
+def test_horizontal_strips_match_recursive_oracle():
+    for n in range(1, 12):
+        for lam in enumerate_partitions(n):
+            for size in range(n + 1):
+                got = list(partitions._horizontal_strips(lam.parts, size))
+                want = list(_recursive_strips(lam.parts, size))
+                assert len(got) == len(set(got)) and set(got) == set(want), (lam, size)
+
+
 def test_kostka_dominance_and_sign_column():
     for n in range(1, 7):
         ones = Partition((1,) * n)
@@ -234,6 +267,13 @@ def test_input_validation():
                  lambda: schur_eval_ones(Partition((2, 1)), -1)):
         with pytest.raises(OutOfRange):
             call()
+
+
+def test_one_out_of_range():
+    # one class, so an except clause on either import path catches both
+    assert poisson.OutOfRange is partitions.OutOfRange
+    with pytest.raises(partitions.OutOfRange):
+        poisson.symmetric_group_action(1)
 
 
 def test_partition_validation_survives_optimize():

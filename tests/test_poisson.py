@@ -70,6 +70,8 @@ def test_close_group_cap():
     # a legitimate infinite symplectic subgroup (a shear)
     with pytest.raises(OrderCapExceeded):
         close_group([[[1, 1], [0, 1]]], J2, cap=50)
+    # an input error, so the CLI reports it with exit code 2
+    assert issubclass(OrderCapExceeded, ValueError)
 
 
 def test_every_element_symplectic():

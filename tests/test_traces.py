@@ -6,7 +6,7 @@ import pytest
 from euclid_oracle import Reduced, poly_gcd
 from morita import cli, exact, partitions, traces
 from morita.classify import KTheoryVector, build_f, hook_matrix, search_relations
-from morita.exact import Poly, RationalFunction, partial_fractions
+from morita.exact import Poly, RationalFunction, partial_fractions, rational_roots
 from morita.partitions import (OutOfRange, Partition, WeightMismatch,
                                enumerate_partitions, gamma_star)
 from morita.traces import (RouteDisagreement, TrivialPartition,
@@ -212,7 +212,8 @@ def test_sum_identity():
 def test_partial_fraction_of_g_matches_table():
     # Eq of the table against direct residue extraction
     for lam, n in ((Partition((2, 1)), 3), (Partition((3, 1)), 4)):
-        pf = partial_fractions(g_function(lam, n))
+        g = g_function(lam, n)
+        pf = partial_fractions(g.num, rational_roots(g.den)[0])
         a = a_coefficients(lam, n)
         for k in range(1, n):
             assert pf.residues.get(-k, 0) == a[k - 1]
@@ -236,6 +237,34 @@ def test_production_path_is_single(monkeypatch):
     assert len(hook_matrix(10)) == 9
     f, _ = build_f(6, KTheoryVector.from_list(6, list(range(-5, 5))))
     assert f.is_monic()
+
+
+def test_check_routes_makes_no_root_search(monkeypatch):
+    # the partial-fraction route is handed the poles 0..-(n-1) of F_triv
+    def no_root_search(p):
+        raise AssertionError("check_routes searched for roots")
+
+    monkeypatch.setattr(exact, "rational_roots", no_root_search)
+    for n in range(2, 10):
+        for lam in gamma_star(n):
+            check_routes(lam, n)
+
+
+def test_check_routes_computes_closed_form_once(monkeypatch):
+    calls = []
+    closed_form = traces._a_via_conjugate_content
+
+    def counted(lam, n):
+        calls.append((lam, n))
+        return closed_form(lam, n)
+
+    monkeypatch.setattr(traces, "_a_via_conjugate_content", counted)
+    traces._a_coefficients_cached.cache_clear()
+    checked = [(lam, n) for n in range(2, 10) for lam in gamma_star(n)]
+    for lam, n in checked:
+        check_routes(lam, n)
+    traces._a_coefficients_cached.cache_clear()
+    assert calls == checked
 
 
 def test_check_routes_flags_disagreement(monkeypatch):
