@@ -4,19 +4,19 @@ Each command is declared once, in _COMMANDS.  Exit codes are a contract,
 kept by run() alone: 0 when every asserted identity held, 1 on a
 verification failure, a rejected classification or an internal error
 (any exception out of program code other than the input errors below,
-reported as `internal error: ...`), 2 on usage or input errors (argparse
-errors, any ValueError such as a value below its declared least, a bad
---nvec, a malformed group file or a group past the order cap, reported
-as `error: ...`).
+reported as `internal error: ...`), 2 on usage or input errors (a
+malformed command line, reported after a usage line, or any ValueError
+such as a value below its declared least, a bad --nvec, a malformed
+group file or a group past the order cap, reported as `error: ...`).
 Reports go to stdout as JSON (CSV where tabular).
 """
 
-import argparse
 import csv
 import io
 import json
 import re
 import sys
+import types
 
 from . import classify, poisson, traces
 from .exact import rational
@@ -223,7 +223,10 @@ def _cmd_hp0(args):
 _REQUIRED_INT = {"type": int, "required": True}
 
 # name -> (handler, help line, arguments); each argument is (name,
-# argparse keywords, least accepted value or None)
+# keywords, least accepted value or None).  The keywords are those of
+# argparse's add_argument that _parse_args and _help read (type, choices,
+# default, required, action="store_true", help); the tests build an
+# argparse parser from them as the reference for _parse_args.
 _COMMANDS = {
     "traces": (_cmd_traces, "trace table for one n", [
         ("--n", _REQUIRED_INT, 2),
@@ -244,26 +247,146 @@ _COMMANDS = {
     "hp0": (_cmd_hp0, "graded bracket-quotient dimensions", [
         ("--group", {"required": True}, None),
         ("--max-degree", _REQUIRED_INT, 0),
-        ("--dual-check", {"action": "store_true"}, None)]),
+        ("--dual-check", {"action": "store_true",
+                          "help": "compare each degree with the dual "
+                                  "functional-equation count"}, None)]),
 }
 
 _USAGE = "usage: morita <command> [options]\n\ncommands:\n" + "".join(
     "  %-17s %s\n" % (name, entry[1]) for name, entry in _COMMANDS.items())
 
 
-def _attach_nvec(argv):
-    """`--nvec VALUE` as `--nvec=VALUE`: --nvec always takes the next token
-    as its value, also when it starts with a minus (`--nvec -1,2`), which
-    argparse would otherwise read as an option."""
-    out = []
-    tokens = iter(argv)
+class _UsageError(Exception):
+    pass
+
+
+def _dest(name):
+    return name.lstrip("-").replace("-", "_")
+
+
+def _flag(keywords):
+    return keywords.get("action") == "store_true"
+
+
+def _required(name, keywords):
+    return keywords.get("required", not name.startswith("-"))
+
+
+def _convert(name, keywords, text):
+    value = text
+    if "type" in keywords:
+        try:
+            value = keywords["type"](text)
+        except ValueError:
+            raise _UsageError("argument %s: invalid %s value: %r"
+                              % (name, keywords["type"].__name__, text))
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise _UsageError("argument %s: invalid choice: %r (choose from %s)"
+                          % (name, value, ", ".join(map(repr, keywords["choices"]))))
+    return value
+
+
+def _parse_args(arguments, tokens):
+    """One command's declared arguments read from its tokens, left to
+    right, as argparse reads them: `--name value` or `--name=value`, a
+    unique prefix of a long option name, the last of a repeated option,
+    positionals in order and none after `--` taken as an option.  An
+    option's value is always the next token, also when it starts with a
+    minus.  Returns the values as attributes named as argparse names
+    them, or None when it reads -h/--help.  A malformed command line
+    raises _UsageError: at a bad or missing value or an ambiguous
+    prefix, at the end for an unknown token or a missing argument."""
+    options = {"-h": None, "--help": None}
+    positionals = []
+    values = {}
+    for name, keywords, _ in arguments:
+        values[_dest(name)] = keywords.get("default", False if _flag(keywords) else None)
+        if name.startswith("-"):
+            options[name] = keywords
+        else:
+            positionals.append((name, keywords))
+    extras = []
+    options_end = False
+    tokens = iter(tokens)
     for token in tokens:
-        if token == "--nvec":
-            value = next(tokens, None)
-            if value is not None:
-                token = "--nvec=" + value
-        out.append(token)
-    return out
+        if options_end or not token.startswith("-"):
+            if positionals:
+                name, keywords = positionals.pop(0)
+                values[name] = _convert(name, keywords, token)
+            else:
+                extras.append(token)
+            continue
+        if token == "--":
+            options_end = True
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            matches = ([option for option in options if option.startswith(name)]
+                       if name.startswith("--") else [])
+            if len(matches) > 1:
+                raise _UsageError("ambiguous option: %s could match %s"
+                                  % (name, ", ".join(matches)))
+            if not matches:
+                extras.append(token)
+                continue
+            name = matches[0]
+        keywords = options[name]
+        if keywords is None or _flag(keywords):
+            if eq:
+                raise _UsageError("argument %s: ignored explicit argument %r"
+                                  % (name, value))
+            if keywords is None:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _UsageError("argument %s: expected one argument" % name)
+            value = _convert(name, keywords, value)
+        values[_dest(name)] = value
+    missing = [name for name, keywords, _ in arguments  # a given value is never None
+               if _required(name, keywords) and values[_dest(name)] is None]
+    if missing:
+        raise _UsageError("the following arguments are required: %s"
+                          % ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: %s" % " ".join(extras))
+    return types.SimpleNamespace(**values)
+
+
+def _synopsis(name, keywords):
+    """An argument as usage and help show it: `--n N`, `--dual-check`, `check`."""
+    if not name.startswith("-") or _flag(keywords):
+        return name
+    return "%s %s" % (name, _dest(name).upper())
+
+
+def _usage(command):
+    parts = ["[-h]"]
+    for name, keywords, _ in _COMMANDS[command][2]:
+        part = _synopsis(name, keywords)
+        parts.append(part if _required(name, keywords) else "[%s]" % part)
+    return "usage: morita %s %s\n" % (command, " ".join(parts))
+
+
+def _help(command):
+    _, line, arguments = _COMMANDS[command]
+    rows = [("-h, --help", "show this help and exit")]
+    for name, keywords, least in arguments:
+        notes = ["required"] if _required(name, keywords) else []
+        if "choices" in keywords:
+            notes.append("one of %s" % ", ".join(keywords["choices"]))
+        if "default" in keywords:
+            notes.append("default %s" % keywords["default"])
+        if least is not None:
+            notes.append("at least %d" % least)
+        if "help" in keywords:
+            notes.append(keywords["help"])
+        rows.append((_synopsis(name, keywords), "; ".join(notes)))
+    width = max(len(left) for left, _ in rows)
+    return "%s\n%s\n\narguments:\n%s" % (_usage(command), line, "".join(
+        "  %-*s  %s\n" % (width, left, right) for left, right in rows))
 
 
 def run(argv):
@@ -274,16 +397,17 @@ def run(argv):
         sys.stderr.write(_USAGE)
         return 2
     handler, _, arguments = _COMMANDS[argv[0]]
-    parser = argparse.ArgumentParser(prog="morita " + argv[0])
-    for name, keywords, _ in arguments:
-        parser.add_argument(name, **keywords)
     try:
-        args = parser.parse_args(_attach_nvec(argv[1:]))
-    except SystemExit as e:
-        return 2 if e.code else 0
+        args = _parse_args(arguments, argv[1:])
+    except _UsageError as e:
+        sys.stderr.write("%smorita %s: error: %s\n" % (_usage(argv[0]), argv[0], e))
+        return 2
+    if args is None:
+        sys.stdout.write(_help(argv[0]))
+        return 0
     try:
         for name, _, least in arguments:
-            value = getattr(args, name.lstrip("-").replace("-", "_"))
+            value = getattr(args, _dest(name))
             if least is not None and value < least:
                 raise ValueError("%s must be at least %d" % (name, least))
         report = handler(args)

@@ -1,8 +1,11 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morita import classify, poisson, traces
+from morita import classify, cli, poisson, traces
 from morita.cli import (DimensionOdd, MalformedFile, parse_group_file, run)
 from morita.exact import Poly, rational
 from morita.partitions import Partition, gamma_star
@@ -201,24 +204,28 @@ def test_iso_obstruction_cmd(capsys):
 
 
 def test_unknown_command_exit_two(capsys):
-    for argv in ([], ["frobnicate"], ["--bogus"], ["classify", "--n", "3"]):
+    for argv in ([], ["frobnicate"], ["--bogus"], ["classify", "--n", "3"],
+                 ["traces", "--n", "x"], ["traces", "--n", "3", "--format", "xml"],
+                 ["classify", "--n"], ["iso-obstruction", "--n", "3", "--l", "1"],
+                 ["verify", "routes", "extra"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: morita")
+        command = argv[0] if argv and argv[0] in cli._COMMANDS else "<command>"
+        assert captured.err.startswith("usage: morita %s " % command), argv
 
 
-def test_run_builds_one_parser(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run(["classify", "--n", "3", "--nvec", "3,-2"]) == 0
-    assert built == ["morita classify"]
+def test_run_builds_one_parser():
+    # a fresh interpreter, as a `morita` process: running a command never
+    # imports argparse (whose first parser cost more than the command)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, %r); from morita import cli; "
+            "code = cli.run(['classify', '--n', '3', '--nvec', '3,-2']); "
+            "print(code, 'argparse' in sys.modules)" % src)
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -249,12 +256,89 @@ def test_top_level_help(flag):
         assert "\n  %s " % command in out
 
 
-@pytest.mark.parametrize("command", ["traces", "verify", "classify",
-                                     "classify-search", "iso-obstruction", "hp0"])
-def test_command_help(command):
-    code, out, _ = _run_captured([command, "--help"])
-    assert code == 0
-    assert out.startswith("usage: morita %s " % command)
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([command, "--help"], id=command) for command in cli._COMMANDS),
+    pytest.param(["hp0", "--max-degree", "2", "-h"], id="hp0-after-options"),
+])
+def test_command_help(argv):
+    code, out, err = _run_captured(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: morita %s " % argv[0])
+    for name, keywords, _ in cli._COMMANDS[argv[0]][2]:
+        assert "\n  %s " % name in out, name
+        assert keywords.get("help", "") in out, name
+
+
+def _oracle_values(argv):
+    """The attributes the argparse parser built from the same _COMMANDS
+    (the CLI's parser before it read _COMMANDS itself) gives argv, or
+    None when that parser rejects it."""
+    parser = argparse.ArgumentParser(prog="morita " + argv[0])
+    for name, keywords, _ in cli._COMMANDS[argv[0]][2]:
+        parser.add_argument(name, **keywords)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv[1:]))
+        except SystemExit:
+            return None
+
+
+def _catalogue_argvs(workload):
+    # loaded by path, so that bench/ does not go on sys.path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_catalogue", os.path.join(root, "bench", "catalogue.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [["group.json" if a is None else a for a in request["argv"]]
+            for request in module.full_catalogue(workload)]
+
+
+_EDGE_ARGVS = [
+    ["traces", "--n=3"],
+    ["hp0", "--group", "group.json", "--max", "4"],
+    ["traces", "--n", "3", "--format", "csv", "--format", "json"],
+    ["iso-obstruction", "--n", "3", "--l-min", "-3", "--l-max", "3"],
+    ["classify", "--nv=3,-2", "--n=3"],
+    ["classify", "--n", "3", "--nvec", "-1,2"],
+    ["classify-search", "--b", "1", "--n", "3", "--n", "4"],
+    ["verify", "--max", "3", "--", "routes"],
+    ["hp0", "--group=", "--max-degree=2", "--dual-check", "--dual-c"],
+    ["traces", "--n", " 3 "], ["traces", "--n", "+3"], ["traces", "--n", "1_0"],
+    ["traces"], ["traces", "--n", "x"], ["traces", "--n", "3", "--format", "xml"],
+    ["classify", "--n"], ["iso-obstruction", "--n", "3", "--l-max", "1", "--l", "0"],
+    ["verify", "routes", "extra"], ["verify"], ["verify", "nope"],
+    ["traces", "--n", "3", "-3"], ["traces", "--bogus", "--n", "3"],
+    ["traces", "--n", "3", "--help=x"], ["classify-search", "--n", "3", "--bound=1", "-"],
+    ["hp0", "--group", "g.json", "--max-degree", "2", "--dual-check=yes"],
+]
+
+# the one intended widening: an option's value is the next token even
+# when it starts with a minus, which argparse reads only after `=`
+_ORACLE_FORM = {("classify", "--n", "3", "--nvec", "-1,2"):
+                ["classify", "--n", "3", "--nvec=-1,2"]}
+
+
+@pytest.mark.parametrize("source", ["golden", "tables", "classify", "hp0", "edge"])
+def test_parser_matches_argparse_oracle(source):
+    if source == "golden":
+        with open(os.path.join(_GOLDEN, "cases.json")) as fh:
+            argvs = [case["argv"] for case in json.load(fh).values()]
+    elif source == "edge":
+        argvs = _EDGE_ARGVS
+    else:
+        argvs = _catalogue_argvs(source)
+    assert argvs
+    for argv in argvs:
+        expected = _oracle_values(_ORACLE_FORM.get(tuple(argv), argv))
+        if expected is None:
+            code, out, err = _run_captured(argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage: morita %s " % argv[0]), argv
+        else:
+            args = cli._parse_args(cli._COMMANDS[argv[0]][2], argv[1:])
+            assert vars(args) == expected, argv
 
 
 def _write_group(tmp_path, data):
