@@ -9,7 +9,6 @@ q = +1 or -1 and an integer shift s.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from . import linalg
 from .exact import PartialFraction, Poly, quotient, rational, rational_roots
@@ -25,15 +24,29 @@ class NonIntegralCoordinate(ValueError):
     """A K-theory coordinate that is not an integer."""
 
 
-@dataclass(frozen=True)
 class Relation:
-    """q*(c + 1/2) = (c' + 1/2) + s, with q in {+1, -1} and s an integer."""
-    q: int
-    s: int
+    """q*(c + 1/2) = (c' + 1/2) + s, with q in {+1, -1} and s an integer.
 
-    def __post_init__(self):
-        if self.q not in (1, -1):
-            raise OutOfRange("q must be 1 or -1, got %r" % (self.q,))
+    A value: compared and hashed by (q, s)."""
+
+    __slots__ = ("q", "s")
+
+    def __init__(self, q, s):
+        if q not in (1, -1):
+            raise OutOfRange("q must be 1 or -1, got %r" % (q,))
+        self.q = q
+        self.s = s
+
+    def __eq__(self, other):
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (self.q, self.s) == (other.q, other.s)
+
+    def __hash__(self):
+        return hash((self.q, self.s))
+
+    def __repr__(self):
+        return "Relation(q=%r, s=%r)" % (self.q, self.s)
 
     def describe(self):
         if self.q == 1:
@@ -49,12 +62,13 @@ class Relation:
         return {"q": self.q, "s": self.s, "relation": self.describe()}
 
 
-@dataclass
 class Rejection:
     """Why no relation exists for the given data, with enough witness
     data to reproduce the failure."""
-    reason: str  # NonIntegerRoots | CommonDifferenceNotUnit | NotArithmeticProgression
-    witness: dict = field(default_factory=dict)
+
+    def __init__(self, reason, witness=None):
+        self.reason = reason  # NonIntegerRoots | CommonDifferenceNotUnit | NotArithmeticProgression
+        self.witness = {} if witness is None else witness
 
     def to_json(self):
         return {"reason": self.reason, "witness": self.witness}

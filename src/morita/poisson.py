@@ -9,10 +9,18 @@ picture: a polynomial P of degree n pairs with the quotient iff
 sum over g of (u, g v) P(u + g v) vanishes identically in u, v.
 The Reynolds operator (the group average) is kept only as the
 reference the tests compare the invariant bases against.
+
+Every substitution x -> M x goes through one kernel, `_Substitution`:
+the image of x^e is the image of x^(e - e_i), taken from the degree
+below, times the linear form of row i of M.  An action keeps one per
+matrix it substitutes -- each generator for the invariance rows, each
+element's shift [I | g] for the dual -- holding one degree of images at
+a time, so a command that climbs the degrees builds each monomial image
+once per matrix.  A bracket span takes each invariant's gradient once
+and sums -J^-1[a][b] d_a p d_b q straight into one term map.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
@@ -59,14 +67,33 @@ def _is_symplectic(g, j):
     return _freeze(linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), j), g)) == j
 
 
-@dataclass
 class SymplecticAction:
     """A finite group of symplectic matrices together with its form and
-    the generators it was closed from."""
-    dim: int
-    form: tuple
-    elements: list
-    generators: list
+    the generators it was closed from.
+
+    It also keeps, per matrix it has substituted, a `_Substitution` with
+    the monomial images of the degree last asked for, from which the
+    next degree is built."""
+
+    def __init__(self, dim, form, elements, generators):
+        self.dim = dim
+        self.form = form
+        self.elements = elements
+        self.generators = generators
+        self._substitutions = {}
+
+    def substitution(self, matrix, nvars):
+        """The kept `_Substitution` of the hashable `matrix`, into `nvars`
+        variables."""
+        sub = self._substitutions.get(matrix)
+        if sub is None:
+            sub = self._substitutions[matrix] = _Substitution(matrix, nvars)
+        return sub
+
+    def forget_images(self):
+        """Drop every kept monomial image, for a caller that needs none
+        of them again."""
+        self._substitutions.clear()
 
     @property
     def order(self):
@@ -158,6 +185,16 @@ class MultiPoly:
                 self.terms[tuple(e)] = c
 
     @classmethod
+    def _raw(cls, nvars, terms):
+        """Trusted construction: `terms` already maps exponent tuples of
+        length nvars to nonzero scalars under the rule of `rational`, and
+        is kept as given."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def variable(cls, nvars, i):
         return cls(nvars, {_unit(nvars, i): 1})
 
@@ -183,10 +220,10 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -194,13 +231,11 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = rational(other)
-            return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return MultiPoly._raw(self.nvars, _exact_nonzero(
+                {e: c * v for e, v in self.terms.items()}))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        _add_product(out, self.terms, other.terms)
+        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
 
     __rmul__ = __mul__
 
@@ -211,16 +246,18 @@ class MultiPoly:
         return out
 
     def diff(self, i):
-        return MultiPoly(self.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                                      for e, c in self.terms.items() if e[i]})
+        return MultiPoly._raw(self.nvars, _exact_nonzero(
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+             for e, c in self.terms.items() if e[i]}))
 
     def substitute(self, matrix):
         """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
-        out = MultiPoly(self.nvars)
-        images = _monomial_images(matrix, self.nvars, self.terms)
+        out = {}
+        images = _Substitution(matrix, self.nvars).images(list(self.terms))
         for c, img in zip(self.terms.values(), images):
-            out = out + c * img
-        return out
+            for e, x in img.items():
+                out[e] = out.get(e, 0) + c * x
+        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
 
     def __repr__(self):
         if not self.terms:
@@ -232,25 +269,76 @@ class MultiPoly:
         return "MultiPoly(%s)" % " + ".join(bits)
 
 
-def _monomial_images(matrix, nvars, exponents):
-    """The images of the monomials x^e, e in `exponents`, under x -> M x.
+def _exact_nonzero(terms):
+    """`terms` without its zero coefficients and with the others under
+    the rule of `rational` (a product of Fractions stays a Fraction even
+    when it is integral)."""
+    return {e: c if type(c) is int else rational(c) for e, c in terms.items() if c}
 
-    M has one row per substituted variable: variable i goes to the
-    linear form sum_j M[i][j] x_j in `nvars` variables.  The forms are
-    built once, and each power forms[i] ** k once, for all the monomials."""
-    forms = [MultiPoly(nvars, {_unit(nvars, j): x for j, x in enumerate(row) if x})
-             for row in matrix]
-    powers = {}
-    images = []
-    for e in exponents:
-        img = MultiPoly.constant(nvars, 1)
-        for i, k in enumerate(e):
-            if k:
-                if (i, k) not in powers:
-                    powers[(i, k)] = forms[i] ** k
-                img = img * powers[(i, k)]
-        images.append(img)
-    return images
+
+def _add_product(out, p, q, scale=1):
+    """out += scale * p * q, on term maps; `out` is left unnormalised."""
+    get = out.get
+    for e1, c1 in p.items():
+        c1 *= scale
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+
+
+class _Substitution:
+    """The monomial images x^e -> (M x)^e of one matrix M, built
+    incrementally: the image of x^e is the image of x^(e - e_i), for the
+    first variable i of e, times the linear form sum_j M[i][j] x_j of row
+    i, and every image built is kept until `images` drops it.
+
+    M has one row per substituted variable; the forms live in `nvars`
+    variables (2d for the dual's shift map [I | g]).  The images share
+    their exponent tuples: `raised` maps an exponent f to the tuples
+    f + e_j, each built once, which keeps the kept images small."""
+
+    __slots__ = ("forms", "one", "memo", "raised", "shared")
+
+    def __init__(self, matrix, nvars):
+        self.forms = [[(j, rational(x)) for j, x in enumerate(row) if x] for row in matrix]
+        self.one = ((0,) * len(matrix), {(0,) * nvars: 1})
+        self.memo = dict([self.one])
+        self.raised = {}
+        self.shared = {}
+
+    def image(self, e):
+        """The terms of the image of x^e."""
+        img = self.memo.get(e)
+        if img is None:
+            i = next(k for k, v in enumerate(e) if v)
+            lower = self.image(e[:i] + (e[i] - 1,) + e[i + 1:])
+            form = self.forms[i]
+            raised = self.raised
+            out = {}
+            get = out.get
+            for f, c in lower.items():
+                up = raised.get(f)
+                if up is None:
+                    up = raised[f] = [
+                        self.shared.setdefault(g, g)
+                        for g in (f[:j] + (f[j] + 1,) + f[j + 1:] for j in range(len(f)))]
+                for j, x in form:
+                    g = up[j]
+                    out[g] = get(g, 0) + c * x
+            img = self.memo[e] = _exact_nonzero(out)
+        return img
+
+    def images(self, exponents):
+        """The images of x^e for e in `exponents`.  Afterwards only these
+        are kept (and that of 1), so asking for one degree after another
+        holds the images of one degree: the next degree is built from
+        them, and an earlier one again from 1."""
+        out = [self.image(e) for e in exponents]
+        self.memo = dict(zip(exponents, out))
+        self.memo.setdefault(*self.one)
+        self.raised = {}
+        self.shared = {}
+        return out
 
 
 def monomials(nvars, degree):
@@ -267,20 +355,24 @@ def monomials(nvars, degree):
 def bracket(p, q, form):
     """Poisson bracket of the symplectic form: constant bivector -J^{-1},
     normalized so that {x_i, x_{d+i}} = 1 for the standard block form."""
-    return _bracket(p, q, linalg.invert(form))
+    terms = _bracket_terms(_gradient(p), _gradient(q), linalg.invert(form))
+    return MultiPoly._raw(p.nvars, _exact_nonzero(terms))
 
 
-def _bracket(p, q, j_inv):
-    n = p.nvars
-    out = MultiPoly(n)
-    dp = [p.diff(a) for a in range(n)]
-    dq = [q.diff(b) for b in range(n)]
-    for a in range(n):
-        if dp[a].is_zero():
-            continue
-        for b in range(n):
-            if j_inv[a][b] and not dq[b].is_zero():
-                out = out + (-j_inv[a][b]) * (dp[a] * dq[b])
+def _gradient(p):
+    """The term maps of the partial derivatives of p."""
+    return [p.diff(a).terms for a in range(p.nvars)]
+
+
+def _bracket_terms(dp, dq, j_inv):
+    """The terms (unnormalised) of sum over a, b of -J^-1[a][b] d_a p d_b q,
+    from the gradients of p and q."""
+    out = {}
+    for a, da in enumerate(dp):
+        if da:
+            for b, db in enumerate(dq):
+                if j_inv[a][b] and db:
+                    _add_product(out, da, db, -j_inv[a][b])
     return out
 
 
@@ -295,10 +387,6 @@ def reynolds(action, p):
     return quotient(1, action.order) * total
 
 
-def _coeff_vector(p, monos):
-    return [p.terms.get(e, 0) for e in monos]
-
-
 def _invariance_rows(action, monos):
     """Nonzero rows of Sym^d(g) - I stacked over the generators g, on the
     coefficient vectors of the degree-d monomials `monos`.  A polynomial
@@ -307,8 +395,8 @@ def _invariance_rows(action, monos):
     rows = []
     for g in action.generators:
         block = [[0] * len(monos) for _ in monos]
-        for c, img in enumerate(_monomial_images(g, action.dim, monos)):
-            for e, x in img.terms.items():
+        for c, img in enumerate(action.substitution(g, action.dim).images(monos)):
+            for e, x in img.items():
                 block[index[e]][c] = x
         for r, row in enumerate(block):
             row[r] -= 1
@@ -323,7 +411,8 @@ def invariant_basis(action, degree):
     _check_degree(degree)
     monos = monomials(action.dim, degree)
     null = linalg.nullspace(_invariance_rows(action, monos), len(monos))
-    return [MultiPoly(action.dim, dict(zip(monos, v))) for v in null]
+    return [MultiPoly._raw(action.dim, {e: x for e, x in zip(monos, v) if x})
+            for v in null]
 
 
 def bracket_span_dim(action, degree, bases=None):
@@ -331,28 +420,38 @@ def bracket_span_dim(action, degree, bases=None):
     landing in degree d (inputs of degrees i + j = d + 2).
 
     bases[k] is the degree-k invariant basis for k <= d + 1; it is
-    computed here when not given."""
+    computed here when not given.  bases[d + 1] is read only when
+    bases[1] is not empty."""
     _check_degree(degree)
     if bases is None:
         bases = [invariant_basis(action, k) for k in range(degree + 2)]
-    monos = monomials(action.dim, degree)
+    column = {e: c for c, e in enumerate(monomials(action.dim, degree))}
     j_inv = action.form_inverse
     rows = []
+    # each degree k is paired in one pass of this loop only
     for i in range(1, degree // 2 + 2):
-        for p in bases[i]:
-            for q in bases[degree + 2 - i]:
-                br = _bracket(p, q, j_inv)
-                if not br.is_zero():
-                    rows.append(_coeff_vector(br, monos))
+        j = degree + 2 - i
+        if not bases[i] or not bases[j]:
+            continue
+        left = [_gradient(p) for p in bases[i]]
+        right = left if i == j else [_gradient(q) for q in bases[j]]
+        for dp in left:
+            for dq in right:
+                row = [0] * len(column)
+                for e, x in _bracket_terms(dp, dq, j_inv).items():
+                    row[column[e]] = x
+                if any(row):
+                    rows.append(row)
     return linalg.rank(rows)
 
 
-@dataclass
 class GradedDims:
     """Per-degree dimensions of the bracket quotient up to a cutoff."""
-    dims: dict
-    max_degree: int
-    stabilized: bool = field(default=False)
+
+    def __init__(self, dims, max_degree, stabilized=False):
+        self.dims = dims
+        self.max_degree = max_degree
+        self.stabilized = stabilized
 
     @property
     def total(self):
@@ -368,11 +467,20 @@ class GradedDims:
 def hp0_dims(action, max_degree):
     """dim(invariants_n) - dim(bracket span in degree n) for n <= cutoff.
 
+    The bracket span in degree n pairs degrees i + j = n + 2 with i, j >= 1,
+    so the degree cutoff + 1 basis is built only when something pairs
+    with it: at cutoff 0, or when there are degree-1 invariants.
+
     The stabilization flag only records that the trailing quarter of the
     window is zero; it is a heuristic, not a finiteness proof.
     """
     _check_degree(max_degree)
-    bases = [invariant_basis(action, k) for k in range(max_degree + 2)]
+    bases = [invariant_basis(action, k) for k in range(max_degree + 1)]
+    if max_degree == 0 or bases[1]:
+        bases.append(invariant_basis(action, max_degree + 1))
+    # no invariance rows are built after the bases, so their images go
+    # before the brackets, whose rank is the peak of memory
+    action.forget_images()
     dims = {}
     for n in range(max_degree + 1):
         dims[n] = len(bases[n]) - bracket_span_dim(action, n, bases)
@@ -396,15 +504,17 @@ def _functional_matrix(action, degree):
     # homogeneous P of the given degree
     d = action.dim
     p_monos = monomials(d, degree)
-    columns = [MultiPoly(2 * d)] * len(p_monos)
+    columns = [{} for _ in p_monos]
     for g in action.elements:
         # u_i -> (u + g v)_i, the shift map [I | g] into the doubled variables
-        shift = [[int(i == j) for j in range(d)] + list(g[i]) for i in range(d)]
-        pair = _pairing_poly(action, g)
-        images = _monomial_images(shift, 2 * d, p_monos)
-        columns = [col + pair * img for col, img in zip(columns, images)]
-    row_index = sorted(set().union(*(c.terms for c in columns)))
-    matrix = [[col.terms.get(e, 0) for col in columns] for e in row_index]
+        shift = tuple(tuple(int(i == j) for j in range(d)) + g[i] for i in range(d))
+        pair = _pairing_poly(action, g).terms
+        images = action.substitution(shift, 2 * d).images(p_monos)
+        for col, img in zip(columns, images):
+            _add_product(col, pair, img)
+    columns = [_exact_nonzero(col) for col in columns]
+    row_index = sorted(set().union(*columns))
+    matrix = [[col.get(e, 0) for col in columns] for e in row_index]
     return matrix, p_monos
 
 

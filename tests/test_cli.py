@@ -231,6 +231,24 @@ def test_run_builds_one_parser():
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def test_classify_does_not_import_dataclasses():
+    # a fresh interpreter, as a `morita` process: the golden classify
+    # requests import no dataclasses (with its inspect chain, a cost of
+    # every process beyond what cli itself imports)
+    src = os.path.join(os.path.dirname(_GOLDEN), os.pardir, "src")
+    with open(os.path.join(_GOLDEN, "cases.json")) as fh:
+        cases = [c for c in json.load(fh).values() if c["argv"][0] == "classify"]
+    assert cases
+    code = ("import io, sys; sys.path.insert(0, %r); from morita import cli; "
+            "sys.stdout = io.StringIO(); codes = [cli.run(a) for a in %r]; "
+            "sys.stdout = sys.__stdout__; print(codes, 'dataclasses' in sys.modules)"
+            % (os.path.abspath(src), [c["argv"] for c in cases]))
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "%s False" % [c["exit"] for c in cases]
+
+
 @pytest.mark.parametrize("argv, name, least", [
     (["traces", "--n", "1"], "--n", 2),
     (["verify", "routes", "--max-n", "1"], "--max-n", 2),

@@ -1,4 +1,7 @@
+import os
+import pathlib
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -340,10 +343,14 @@ def test_one_basis_per_degree(monkeypatch):
         raise AssertionError("hp0_dims called")
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     reports = []
-    for action, cutoff in ((order_three(), 6), (symmetric_group_action(3), 3)):
+    # degrees 0..cutoff, and cutoff + 1 only when something pairs with it:
+    # at cutoff 0, or with degree-1 invariants (only the trivial group's)
+    for action, cutoff, top in ((order_three(), 6, False), (s3(), 3, False),
+                                (trivial(), 3, True), (trivial(), 0, True),
+                                (order_three(), 0, True)):
         calls.clear()
         reports.append((action, hp0_dims(action, cutoff)))
-        assert sorted(calls) == list(range(cutoff + 2))
+        assert sorted(calls) == list(range(cutoff + 1 + top))
     monkeypatch.setattr(poisson, "hp0_dims", refuse)
     for action, graded in reports:
         assert len(duality_check(action, graded)["rows"]) == graded.max_degree + 1
@@ -478,6 +485,75 @@ def test_functional_matrix_matches_per_monomial_with_fractions(tmp_path):
     _assert_functional_matrix_matches(close_group(gens, form), range(3))
 
 
+def _conjugated_s3():
+    from morita.cli import parse_group_file
+    from test_linalg import _conjugated_s3_file
+    with tempfile.TemporaryDirectory() as tmp:
+        form, gens = parse_group_file(_conjugated_s3_file(pathlib.Path(tmp)))
+    return close_group(gens, form)
+
+
+@pytest.mark.parametrize("make", [
+    _conjugated_s3,
+    # Z/3 conjugated by diag(2, 1/2): -4 * 1/4 makes integral Fractions
+    lambda: close_group([[[0, -4], [Fraction(1, 4), -1]]], J2),
+], ids=["s3", "z3"])
+def test_invariance_rows_with_fractions_match_per_monomial(make):
+    # Fraction * Fraction stays a Fraction even when it is integral, so
+    # the images must be brought back under the rule of `rational`
+    action = make()
+    fractions = 0
+    for d in range(5):
+        monos = monomials(action.dim, d)
+        rows = poisson._invariance_rows(action, monos)
+        assert rows == _invariance_rows_per_monomial(action, monos)
+        assert all(type(x) is int or x.denominator != 1 for row in rows for x in row)
+        fractions += sum(type(x) is Fraction for row in rows for x in row)
+    assert fractions
+
+
+def test_images_in_any_degree_order():
+    # one action asked for degrees down and then up again: each answer is
+    # that of a fresh action, whatever images the action keeps
+    for make, top in ((s3, 5), (_conjugated_s3, 4)):
+        action = make()
+        for d in list(range(top, -1, -1)) + list(range(top + 1)):
+            monos = monomials(action.dim, d)
+            assert poisson._invariance_rows(action, monos) \
+                == poisson._invariance_rows(make(), monos)
+        for d in (3, 1, 2, 0, 3):
+            assert poisson._functional_matrix(action, d) \
+                == poisson._functional_matrix(make(), d)
+
+
+def test_dual_check_builds_each_image_once(monkeypatch, capsys):
+    # one `hp0 --dual-check`: every monomial image is built once per
+    # matrix, each generator (invariance rows) and each element's shift
+    # [I | g] (the dual), for every degree the command reads
+    from morita.cli import run
+    built = []
+    original = poisson._Substitution.image
+
+    def counted(sub, e):
+        if e not in sub.memo:
+            built.append((sub, e))
+        return original(sub, e)
+
+    monkeypatch.setattr(poisson._Substitution, "image", counted)
+    group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
+    cutoff = 3
+    assert run(["hp0", "--group", group, "--max-degree", str(cutoff),
+                "--dual-check"]) == 1  # the known S_3 dual mismatch
+    capsys.readouterr()
+    assert len(set(built)) == len(built)
+    action = s3()
+    matrices = {sub for sub, _ in built}
+    assert len(matrices) == len(action.generators) + action.order
+    # no degree-1 invariants, so degree cutoff + 1 is never built
+    per_matrix = sum(len(monomials(action.dim, d)) for d in range(1, cutoff + 1))
+    assert len(built) == len(matrices) * per_matrix
+
+
 def _afls_count(action):
     """Conjugacy classes of elements g with det(g - I) != 0, i.e. no
     eigenvalue 1: the Alev-Farinati-Lambre-Solotar lower bound on the
@@ -516,6 +592,19 @@ def test_hp0_meets_afls_bound(name):
     assert hp0_dims(action, cutoff).total == expected
 
 
+@pytest.mark.parametrize("name", sorted(AFLS_CASES) + ["trivial"])
+def test_dims_do_not_depend_on_the_cutoff(name):
+    # the degree cutoff + 1 basis is skipped without degree-1 invariants;
+    # the trivial group has them, and at cutoff 0 its answer is {0: 0}
+    make, top = (trivial, 4) if name == "trivial" else AFLS_CASES[name][:2]
+    action = make()
+    dims = hp0_dims(action, top).dims
+    for m in range(top + 1):
+        assert hp0_dims(action, m).dims == {n: dims[n] for n in range(m + 1)}
+    if name == "trivial":
+        assert hp0_dims(action, 0).dims == {0: 0}
+
+
 def test_hp0_permutation_action_vanishes():
     # C[V + V*]^{S_3} = C[h + h*]^{S_3} (x) C[x, y] with {x, y} = 1, and
     # HP_0(C[x, y]) = 0 (every polynomial is a bracket), so by Kunneth
@@ -539,7 +628,7 @@ def test_dual_solutions_reynolds_rank(make, cutoff):
         null = linalg.nullspace(matrix, len(p_monos))
         images = [reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, v))))
                   for v in null]
-        rank = linalg.rank([poisson._coeff_vector(p, p_monos) for p in images])
+        rank = linalg.rank([[p.terms.get(e, 0) for e in p_monos] for p in images])
         assert rank == functional_solutions_dim(action, d, invariant_only=True) \
             == graded.dims[d]
 
