@@ -5,8 +5,7 @@ symplectic group invariants."""
 from .exact import (Poly, RationalFunction, PartialFraction,
                     partial_fractions, rational_roots)
 from .partitions import (Partition, enumerate_partitions, gamma_star,
-                         hook_partition, kostka, monomial_eval_ones,
-                         schur_eval_ones)
+                         hook_partition, kostka, schur_eval_ones)
 from .traces import (content_polynomial, f_trivial, g_function,
                      a_coefficients, chi_H, chi_B, morita_phi_factor,
                      verify_sum_identity, trace_table)

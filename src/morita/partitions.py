@@ -24,11 +24,11 @@ class InvalidPartition(ValueError):
 class Partition:
     """A weakly decreasing tuple of positive integers.
 
-    Immutable value type; weight, length and part multiplicities are
-    computed on construction, the dimension on its first call.
+    Immutable value type; weight and length are computed on
+    construction, the dimension on its first call.
     """
 
-    __slots__ = ("parts", "weight", "length", "multiplicities", "_dimension")
+    __slots__ = ("parts", "weight", "length", "_dimension")
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
@@ -38,10 +38,6 @@ class Partition:
         self.parts = parts
         self.weight = sum(parts)
         self.length = len(parts)
-        mult = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
-        self.multiplicities = mult
         self._dimension = None
 
     def __eq__(self, other):
@@ -86,18 +82,6 @@ class Partition:
         """Contents j - i over the cells of the diagram."""
         return [j - i for (i, j) in self.cells()]
 
-    def dominates(self, other):
-        """Dominance order: partial sums of self bound those of other."""
-        if self.weight != other.weight:
-            return False
-        a = b = 0
-        for i in range(max(self.length, other.length)):
-            a += self.parts[i] if i < self.length else 0
-            b += other.parts[i] if i < other.length else 0
-            if a < b:
-                return False
-        return True
-
     def to_json(self):
         return list(self.parts)
 
@@ -141,21 +125,29 @@ def _kostka(shape, content):
     # times, counted by peeling horizontal strips from the top letter down
     if not content:
         return 1 if not shape else 0
-    size = content[-1]
-    total = 0
-    for inner in _horizontal_strips(shape, size):
-        total += _kostka(inner, content[:-1])
-    return total
+    weight = sum(shape) - content[-1]
+    return sum(_kostka(inner, content[:-1]) for inner in _strips(shape)
+               if sum(inner) == weight)
 
 
-def _horizontal_strips(shape, size):
-    """Partitions inner <= shape with shape/inner a horizontal strip of
-    the given size (rows interlace: shape[i+1] <= inner[i] <= shape[i])."""
-    weight = sum(shape) - size
+@lru_cache(maxsize=None)
+def _ssyt_count(shape, k):
+    # number of SSYT of the given shape with entries <= k, that is
+    # s_shape(1^k), counted by peeling the horizontal strip of k's
+    # (the branching rule, Macdonald I.5)
+    if not shape:
+        return 1
+    if len(shape) > k:
+        return 0
+    return sum(_ssyt_count(inner, k - 1) for inner in _strips(shape))
+
+
+def _strips(shape):
+    """Every partition inner <= shape with shape/inner a horizontal strip
+    (rows interlace: shape[i+1] <= inner[i] <= shape[i])."""
     ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
     for inner in itertools.product(*ranges):
-        if sum(inner) == weight:
-            yield tuple(p for p in inner if p > 0)
+        yield tuple(p for p in inner if p > 0)
 
 
 def kostka(lam, sigma):
@@ -165,26 +157,10 @@ def kostka(lam, sigma):
     return _kostka(lam.parts, sigma.parts)
 
 
-def monomial_eval_ones(sigma, k):
-    """m_sigma at k ones: the number of distinct monomials of exponent
-    type sigma in k variables; 0 when k < length(sigma)."""
-    l = sigma.length
-    if k < l:
-        return 0
-    denom = 1
-    for m in sigma.multiplicities.values():
-        denom *= math.factorial(m)
-    return math.comb(k, l) * math.factorial(l) // denom
-
-
-def _schur_kostka(lam, ks):
-    # [sum over sigma of K[lam, sigma] * m_sigma(1^k) for k in ks]: the
-    # reference route for schur_eval_ones and for the Schur form of the
-    # a-coefficients.  K[lam, sigma] is nonzero exactly when lam dominates
-    # sigma, and only those are read, once each, for all k
-    row = [(kostka(lam, sigma), sigma) for sigma in _partitions_of(lam.weight)
-           if lam.dominates(sigma)]
-    return [sum(K * monomial_eval_ones(sigma, k) for K, sigma in row) for k in ks]
+def _schur_strips(lam, ks):
+    # [s_lam(1^k) for k in ks] as tableau counts: the reference route for
+    # schur_eval_ones and for the Schur form of the a-coefficients
+    return [_ssyt_count(lam.parts, k) for k in ks]
 
 
 def schur_eval_ones(lam, k):
@@ -192,7 +168,7 @@ def schur_eval_ones(lam, k):
     prod over the cells of (k + content)/hook (Macdonald, Symmetric
     Functions and Hall Polynomials, I.3 Ex. 4).  The product vanishes
     when lam has more than k rows.  The tests compare it with the
-    independent Kostka expansion in _schur_kostka.
+    independent tableau count in _schur_strips.
     """
     if k < 0:
         raise OutOfRange("need k >= 0, got %d" % k)

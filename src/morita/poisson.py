@@ -108,8 +108,8 @@ class SymplecticAction:
 def close_group(generators, form, cap=10000):
     """Breadth-first closure of the generators under multiplication.
 
-    Every element is verified symplectic exactly; closure past cap
-    signals an infinite or mis-entered group.
+    The generators are verified symplectic exactly, so every product of
+    them is; closure past cap signals an infinite or mis-entered group.
     """
     form = _freeze(form)
     n = len(form)
@@ -130,8 +130,6 @@ def close_group(generators, form, cap=10000):
             for g in gens:
                 b = _freeze(linalg.mat_mul(a, g))
                 if b not in seen:
-                    if not _is_symplectic(b, form):
-                        raise NotSymplectic("closure produced a non-symplectic element")
                     seen.add(b)
                     nxt.append(b)
                     if len(seen) > cap:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .exact import (PartialFraction, Poly, RationalFunction, partial_fractions,
                     quotient)
-from .partitions import (OutOfRange, WeightMismatch, _schur_kostka,
+from .partitions import (OutOfRange, WeightMismatch, _schur_strips,
                          enumerate_partitions, gamma_star)
 
 
@@ -78,11 +78,11 @@ def _a_via_conjugate_content(lam, n):
 
 
 def _a_via_schur(lam, n):
-    # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k), with s from the Kostka
-    # expansion: the hook-content product is the conjugate-content form rewritten
+    # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k), with s counted as
+    # tableaux: the hook-content product is the conjugate-content form rewritten
     ks = range(1, n)
     return [(-1) ** (n - k - 1) * n * math.comb(n - 1, k) * s
-            for k, s in zip(ks, _schur_kostka(lam.conjugate(), ks))]
+            for k, s in zip(ks, _schur_strips(lam.conjugate(), ks))]
 
 
 def a_coefficients(lam, n):
@@ -102,7 +102,7 @@ def _a_coefficients_cached(lam, n):
 
 def check_routes(lam, n):
     """Raise RouteDisagreement unless the partial-fraction, conjugate-content
-    and Schur/Kostka routes agree on a[lam, 1..n-1]; return a_coefficients,
+    and Schur routes agree on a[lam, 1..n-1]; return a_coefficients,
     the conjugate-content route, which raises NonIntegerCoefficient on a
     non-integral value."""
     a = a_coefficients(lam, n)

@@ -7,10 +7,9 @@ import pytest
 
 from morita import partitions, poisson
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
-                               WeightMismatch, _schur_kostka,
+                               WeightMismatch, _schur_strips,
                                enumerate_partitions, gamma_star,
-                               hook_partition, kostka, monomial_eval_ones,
-                               schur_eval_ones)
+                               hook_partition, kostka, schur_eval_ones)
 
 
 def test_enumerate_small():
@@ -133,8 +132,8 @@ def test_kostka_weight_mismatch():
 
 
 def _recursive_strips(shape, size):
-    """The recursive generator that _horizontal_strips replaced, kept as its
-    oracle: choose each row of inner in [shape[i+1], shape[i]], pruning
+    """The recursive generator that the strip enumerator replaced, kept as
+    its oracle: choose each row of inner in [shape[i+1], shape[i]], pruning
     once more than size cells are removed."""
     rows = len(shape)
 
@@ -160,9 +159,44 @@ def test_horizontal_strips_match_recursive_oracle():
     for n in range(1, 12):
         for lam in enumerate_partitions(n):
             for size in range(n + 1):
-                got = list(partitions._horizontal_strips(lam.parts, size))
+                got = [inner for inner in partitions._strips(lam.parts)
+                       if sum(inner) == n - size]
                 want = list(_recursive_strips(lam.parts, size))
                 assert len(got) == len(set(got)) and set(got) == set(want), (lam, size)
+
+
+def _dominates(lam, sigma):
+    """Dominance order: partial sums of lam bound those of sigma."""
+    if lam.weight != sigma.weight:
+        return False
+    a = b = 0
+    for i in range(max(lam.length, sigma.length)):
+        a += lam.parts[i] if i < lam.length else 0
+        b += sigma.parts[i] if i < sigma.length else 0
+        if a < b:
+            return False
+    return True
+
+
+def _monomial_eval_ones(sigma, k):
+    """m_sigma at k ones: the number of distinct monomials of exponent
+    type sigma in k variables; 0 when k < length(sigma)."""
+    l = sigma.length
+    if k < l:
+        return 0
+    denom = 1
+    for p in set(sigma.parts):
+        denom *= math.factorial(sigma.parts.count(p))
+    return math.comb(k, l) * math.factorial(l) // denom
+
+
+def _schur_kostka(lam, ks):
+    """The Kostka expansion that _schur_strips replaced, kept as its
+    oracle: [sum over sigma of K[lam, sigma] * m_sigma(1^k) for k in ks],
+    reading K[lam, sigma] only for the sigma that lam dominates."""
+    row = [(kostka(lam, sigma), sigma) for sigma in enumerate_partitions(lam.weight)
+           if _dominates(lam, sigma)]
+    return [sum(K * _monomial_eval_ones(sigma, k) for K, sigma in row) for k in ks]
 
 
 def test_kostka_dominance_and_sign_column():
@@ -171,14 +205,14 @@ def test_kostka_dominance_and_sign_column():
         for lam in enumerate_partitions(n):
             assert kostka(lam, ones) == lam.dimension()
             for sigma in enumerate_partitions(n):
-                if not lam.dominates(sigma):
+                if not _dominates(lam, sigma):
                     assert kostka(lam, sigma) == 0
 
 
 def test_monomial_eval_ones():
-    assert monomial_eval_ones(Partition((3,)), 2) == 2
-    assert monomial_eval_ones(Partition((2, 1)), 2) == 2
-    assert monomial_eval_ones(Partition((1, 1, 1)), 2) == 0
+    assert _monomial_eval_ones(Partition((3,)), 2) == 2
+    assert _monomial_eval_ones(Partition((2, 1)), 2) == 2
+    assert _monomial_eval_ones(Partition((1, 1, 1)), 2) == 0
 
 
 def _monomial_count_brute(sigma, k):
@@ -195,9 +229,9 @@ def test_monomial_eval_matches_enumeration():
         for sigma in enumerate_partitions(n):
             for k in range(0, 5):
                 if k < sigma.length:
-                    assert monomial_eval_ones(sigma, k) == 0
+                    assert _monomial_eval_ones(sigma, k) == 0
                 else:
-                    assert monomial_eval_ones(sigma, k) == _monomial_count_brute(sigma, k)
+                    assert _monomial_eval_ones(sigma, k) == _monomial_count_brute(sigma, k)
 
 
 def test_schur_eval_examples():
@@ -207,21 +241,24 @@ def test_schur_eval_examples():
 
 
 def test_schur_two_routes_agree():
-    # hook-content product against the Kostka expansion
-    for n in range(1, 11):
+    # the tableau count against the hook-content product and the Kostka
+    # expansion
+    for n in range(1, 13):
+        ks = list(range(0, n + 2))
         for lam in enumerate_partitions(n):
-            for k in range(0, n + 1):
-                assert schur_eval_ones(lam, k) == _schur_kostka(lam, [k])[0], (lam, k)
+            got = _schur_strips(lam, ks)
+            assert got == [schur_eval_ones(lam, k) for k in ks], lam
+            assert got == _schur_kostka(lam, ks), lam
 
 
 def _schur_kostka_per_k(lam, k):
-    """The one-k Kostka sum that _schur_kostka(lam, ks) replaced, kept as
-    its oracle: K[lam, sigma] is read again for every k."""
+    """The one-k Kostka sum with no dominance skip, reading K[lam, sigma]
+    again for every k: the oracle of the all-k expansion."""
     total = 0
     for sigma in enumerate_partitions(lam.weight):
         if sigma.length > k:
             continue
-        total += kostka(lam, sigma) * monomial_eval_ones(sigma, k)
+        total += kostka(lam, sigma) * _monomial_eval_ones(sigma, k)
     return total
 
 
@@ -232,30 +269,27 @@ def test_schur_kostka_all_k_matches_per_k_sum():
             assert _schur_kostka(lam, ks) == [_schur_kostka_per_k(lam, k) for k in ks]
 
 
-def test_schur_kostka_reads_each_kostka_number_once(monkeypatch):
-    calls = []
+def test_schur_strips_reads_no_kostka_number(monkeypatch):
+    def no_kostka(*args):
+        raise AssertionError("the tableau count read a Kostka number")
 
-    def counted(lam, sigma):
-        calls.append((lam, sigma))
-        return kostka(lam, sigma)
-
-    monkeypatch.setattr(partitions, "kostka", counted)
-    lam = Partition((3, 2, 1))
-    assert _schur_kostka(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]
-    assert calls == [(lam, sigma) for sigma in enumerate_partitions(6)
-                     if lam.dominates(sigma)]
+    monkeypatch.setattr(partitions, "kostka", no_kostka)
+    monkeypatch.setattr(partitions, "_kostka", no_kostka)
+    partitions._ssyt_count.cache_clear()
+    for lam in enumerate_partitions(6):
+        assert _schur_strips(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]
 
 
 def test_kostka_nonzero_exactly_on_dominance():
     # K[lam', sigma] != 0 <=> lam' dominates sigma, over the shapes lam' the
-    # Schur route of the a-coefficients reads, which is why _schur_kostka
-    # reads only the dominated sigma
+    # Schur route of the a-coefficients reads, which is why the Kostka
+    # expansion reads only the dominated sigma
     for n in range(1, 12):
         sigmas = enumerate_partitions(n)
         for lam in sigmas:
             conj = lam.conjugate()
             for sigma in sigmas:
-                assert (kostka(conj, sigma) != 0) == conj.dominates(sigma), (conj, sigma)
+                assert (kostka(conj, sigma) != 0) == _dominates(conj, sigma), (conj, sigma)
 
 
 def test_input_validation():

@@ -231,7 +231,7 @@ def test_production_path_is_single(monkeypatch):
 
     monkeypatch.setattr(traces, "_a_via_partial_fractions", reference_route)
     monkeypatch.setattr(traces, "_a_via_schur", reference_route)
-    monkeypatch.setattr(partitions, "_schur_kostka", reference_route)
+    monkeypatch.setattr(partitions, "_schur_strips", reference_route)
     traces._a_coefficients_cached.cache_clear()
     assert len(trace_table(10)) == len(gamma_star(10))
     assert len(hook_matrix(10)) == 9
