@@ -12,10 +12,20 @@ Bareiss (Math. Comp. 22, 1968) divides exactly by the previous pivot,
 this divides by the gcd of the new row.  `rank`, `nullspace` and
 `invert` read their answers off its result; the only division that can
 leave a denominator happens at the end of `invert`.
+
+`Echelon` drives the same step on rows that arrive one at a time: each
+is made primitive and reduced against the pivot rows kept so far, so a
+caller can stop as soon as the rank it needs is reached, without
+building the rows it never reads.  It stands beside `rref` rather than
+under it: `rref` picks the sparsest row for each pivot from all the
+rows it holds and reduces above the pivots too, which a row-at-a-time
+echelon cannot do, and rebuilt on `Echelon` plus back-substitution it
+gave the same output more slowly.
 """
 
 import math
 from itertools import compress, count
+from operator import mul
 
 from .exact import quotient, rational
 
@@ -25,11 +35,13 @@ class SingularMatrix(ValueError):
 
 
 def _primitive(row):
-    """The primitive integer row on the ray of the dense `row`, as a map
-    column -> nonzero entry: denominators cleared, then the gcd of the
-    entries divided out."""
+    """The primitive integer row on the ray of `row`, as a map column ->
+    nonzero entry: denominators cleared, then the gcd of the entries
+    divided out.  `row` is dense, or a map from orderable column keys to
+    entries."""
+    keys, values = (row, row.values()) if isinstance(row, dict) else (count(), row)
     row = {j: x if type(x) is int else rational(x)
-           for j, x in zip(compress(count(), row), compress(row, row))}
+           for j, x in zip(compress(keys, values), compress(values, values))}
     den = math.lcm(*(x.denominator for x in row.values() if type(x) is not int))
     if den != 1:
         row = {j: x * den if type(x) is int else x.numerator * (den // x.denominator)
@@ -107,6 +119,41 @@ def rank(m):
     return len(rref(m)[1])
 
 
+class Echelon:
+    """A row echelon form built one row at a time.
+
+    `pivots` maps each leading column to its pivot row: a primitive
+    integer row, positive at that column, whose other entries lie in
+    later columns.  A new row is made primitive and reduced by
+    `_eliminate` against the pivot row of its leading column until that
+    column has none (the row joins the pivots) or nothing is left.
+    Columns are any orderable keys, so rows may be given sparse."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, row):
+        """Reduce `row` (dense, or a map column -> entry) into the form;
+        True exactly when it was independent of the rows before, so the
+        rank grew."""
+        row = _primitive(row)
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
+                return True
+            row = _eliminate(row, prow, c)
+        return False
+
+
 def nullspace(m, ncols=None):
     """Basis of the right nullspace: for each free column, the primitive
     integer vector that is positive there and zero at the other free
@@ -142,8 +189,8 @@ def invert(m):
 
 
 def mat_mul(a, b):
-    return [[rational(sum(a[i][k] * b[k][j] for k in range(len(b))))
-             for j in range(len(b[0]))] for i in range(len(a))]
+    cols = list(zip(*b))
+    return [[rational(sum(map(mul, row, col))) for col in cols] for row in a]
 
 
 def transpose(a):

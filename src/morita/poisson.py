@@ -3,10 +3,11 @@
 A group of exact rational symplectic matrices acts on polynomials; the
 degree-d invariants are the common fixed space of the generators on the
 degree-d monomials (the nullspace of the stacked Sym^d(g) - I), bracket
-spans are measured by exact rank, and the graded dimensions of the
-quotient of invariants by brackets are cross-checked against the dual
-picture: a polynomial P of degree n pairs with the quotient iff
-sum over g of (u, g v) P(u + g v) vanishes identically in u, v.
+spans are measured by exact rank on invariant coordinates, and the
+graded dimensions of the quotient of invariants by brackets are
+cross-checked against the dual picture: a polynomial P of degree n
+pairs with the quotient iff sum over g of (u, g v) P(u + g v) vanishes
+identically in u, v.
 The Reynolds operator (the group average) is kept only as the
 reference the tests compare the invariant bases against.
 
@@ -18,10 +19,17 @@ element's shift [I | g] for the dual -- holding one degree of images at
 a time, so a command that climbs the degrees builds each monomial image
 once per matrix.  A bracket span takes each invariant's gradient once
 and sums -J^-1[a][b] d_a p d_b q straight into one term map.
+
+Every generator is checked symplectic, so the group preserves J and
+hence the bivector J^-1, and a bracket of invariants is invariant.  The
+degree-d brackets therefore lie in the span of the degree-d invariant
+basis, on which restriction to the leading monomials of its row echelon
+form is injective: a bracket is read only at those len(basis) monomials,
+and its span is full once its rank reaches len(basis).
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 
 from . import linalg
@@ -339,15 +347,14 @@ class _Substitution:
         return out
 
 
+@lru_cache(maxsize=None)
 def monomials(nvars, degree):
-    """Exponent tuples of total degree exactly `degree`, in a fixed order."""
+    """Exponent tuples of total degree exactly `degree`, in a fixed order,
+    as a tuple: each (nvars, degree) is enumerated once and shared."""
     if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials(nvars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
+        return ((),) if degree == 0 else ()
+    return tuple((first,) + rest for first in range(degree, -1, -1)
+                 for rest in monomials(nvars - 1, degree - first))
 
 
 def bracket(p, q, form):
@@ -419,28 +426,41 @@ def bracket_span_dim(action, degree, bases=None):
 
     bases[k] is the degree-k invariant basis for k <= d + 1; it is
     computed here when not given.  bases[d + 1] is read only when
-    bases[1] is not empty."""
+    bases[1] is not empty.
+
+    The group preserves the bracket, so every bracket of invariants is
+    a degree-d invariant, in the span of bases[d].  Restriction to the
+    leading monomials K of the row echelon form of bases[d] is injective
+    on that span, so the brackets' rank is the rank of their
+    coefficients at K.  The brackets are taken one at a time into an
+    incremental echelon on those coordinates, which stops as soon as
+    its rank reaches dim span bases[d], the most it can be."""
     _check_degree(degree)
     if bases is None:
         bases = [invariant_basis(action, k) for k in range(degree + 2)]
-    column = {e: c for c, e in enumerate(monomials(action.dim, degree))}
+    if not bases[degree]:
+        return 0
+    basis = linalg.Echelon()
+    for p in bases[degree]:
+        basis.add(p.terms)
+    keys = basis.pivots.keys()
     j_inv = action.form_inverse
-    rows = []
-    # each degree k is paired in one pass of this loop only
+    span = linalg.Echelon()
+    # each degree k is paired in one pass of this loop only; within one
+    # degree only one order of each pair is taken, since {q, p} = -{p, q}
     for i in range(1, degree // 2 + 2):
         j = degree + 2 - i
         if not bases[i] or not bases[j]:
             continue
         left = [_gradient(p) for p in bases[i]]
         right = left if i == j else [_gradient(q) for q in bases[j]]
-        for dp in left:
-            for dq in right:
-                row = [0] * len(column)
-                for e, x in _bracket_terms(dp, dq, j_inv).items():
-                    row[column[e]] = x
-                if any(row):
-                    rows.append(row)
-    return linalg.rank(rows)
+        for a, dp in enumerate(left):
+            for dq in right[a + 1:] if i == j else right:
+                terms = _bracket_terms(dp, dq, j_inv)
+                if span.add({e: x for e, x in terms.items() if e in keys}) \
+                        and span.rank == basis.rank:
+                    return span.rank
+    return span.rank
 
 
 class GradedDims:
@@ -476,8 +496,8 @@ def hp0_dims(action, max_degree):
     bases = [invariant_basis(action, k) for k in range(max_degree + 1)]
     if max_degree == 0 or bases[1]:
         bases.append(invariant_basis(action, max_degree + 1))
-    # no invariance rows are built after the bases, so their images go
-    # before the brackets, whose rank is the peak of memory
+    # no invariance rows are built after the bases, so their images are
+    # dropped before the brackets are taken
     action.forget_images()
     dims = {}
     for n in range(max_degree + 1):

@@ -155,6 +155,50 @@ def test_invert_matches_fraction_gauss_jordan(n, data):
     _check_invert(m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(m=_matrices(), sparse=st.booleans())
+def test_echelon_matches_rref_row_by_row(m, sparse):
+    # after every row its rank is that of rref on the rows so far, and
+    # add reports exactly the rows that made it grow; sparse rows are
+    # maps from column to entry, zeros included
+    echelon = linalg.Echelon()
+    for r, row in enumerate(m):
+        before = echelon.rank
+        grew = echelon.add(dict(enumerate(row)) if sparse else row)
+        assert echelon.rank == len(linalg.rref(m[:r + 1])[1])
+        assert grew == (echelon.rank > before)
+        for c, prow in echelon.pivots.items():
+            assert prow[c] > 0 and min(prow) == c
+            assert all(type(x) is int and x for x in prow.values())
+            assert math.gcd(*prow.values()) == 1
+    before = echelon.rank
+    assert not echelon.add([0, 0, 0])
+    assert not echelon.add({0: 0, 1: Fraction(0)})
+    assert echelon.rank == before
+
+
+def _triple_loop_product(a, b):
+    """The matrix product `linalg.mat_mul` computed before it summed over
+    zipped columns, kept as the oracle."""
+    return [[rational(sum(a[i][k] * b[k][j] for k in range(len(b))))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 5), inner=st.integers(1, 5), cols=st.integers(1, 5),
+       data=st.data())
+def test_mat_mul_matches_triple_loop(rows, inner, cols, data):
+    a = data.draw(st.lists(st.lists(_SCALAR, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(_SCALAR, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    product = linalg.mat_mul(a, b)
+    assert product == _triple_loop_product(a, b)
+    assert len(product) == rows and all(len(row) == cols for row in product)
+    # ints where integral, Fractions elsewhere
+    assert all(type(x) is int or x.denominator != 1 for row in product for x in row)
+
+
 def test_rref_accepts_tuples_and_fractions():
     m = ((Fraction(1, 2), 3), (Fraction(1, 4), Fraction(3, 2)))
     assert linalg.rref(m) == ([[1, 6], [0, 0]], [0])

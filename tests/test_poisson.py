@@ -615,6 +615,66 @@ def test_hp0_permutation_action_vanishes():
     assert hp0_dims(action, 5).dims == {d: 0 for d in range(6)}
 
 
+def _full_rank_bracket_span_dim(action, degree, bases):
+    """The bracket span `bracket_span_dim` measured before it read the
+    brackets on invariant coordinates and stopped at full rank, kept as
+    the oracle: every pair, both orders, each bracket a dense row over
+    all degree-d monomials, and the rank of the whole matrix."""
+    column = {e: c for c, e in enumerate(monomials(action.dim, degree))}
+    j_inv = action.form_inverse
+    rows = []
+    for i in range(1, degree // 2 + 2):
+        j = degree + 2 - i
+        if not bases[i] or not bases[j]:
+            continue
+        left = [poisson._gradient(p) for p in bases[i]]
+        right = left if i == j else [poisson._gradient(q) for q in bases[j]]
+        for dp in left:
+            for dq in right:
+                row = [0] * len(column)
+                for e, x in poisson._bracket_terms(dp, dq, j_inv).items():
+                    row[column[e]] = x
+                if any(row):
+                    rows.append(row)
+    return linalg.rank(rows)
+
+
+def _fractional_form():
+    # the form of test_linalg's fractional-form case
+    return close_group([[[0, -1], [1, -1]]], [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])
+
+
+BRACKET_SPAN_CASES = dict(
+    [("afls_" + name, case[:2]) for name, case in AFLS_CASES.items()]
+    + [("molien_" + name, (case[0], 6)) for name, case in MOLIEN_ACTIONS.items()]
+    + [("trivial", (trivial, 4)), ("permutation_s3", (permutation_s3, 5)),
+       ("fractional_file", (_conjugated_s3, 4)), ("fractional_form", (_fractional_form, 6))])
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SPAN_CASES))
+def test_bracket_span_matches_full_rank(name):
+    make, cutoff = BRACKET_SPAN_CASES[name]
+    action = make()
+    bases = [invariant_basis(action, k) for k in range(cutoff + 2)]
+    for d in range(cutoff + 1):
+        assert bracket_span_dim(action, d, bases) \
+            == _full_rank_bracket_span_dim(action, d, bases)
+
+
+def test_bracket_span_stops_at_full_rank(monkeypatch):
+    # the full-rank span took 2252 brackets for S_3 through degree 10
+    calls = []
+    original = poisson._bracket_terms
+
+    def counted(dp, dq, j_inv):
+        calls.append(1)
+        return original(dp, dq, j_inv)
+
+    monkeypatch.setattr(poisson, "_bracket_terms", counted)
+    assert hp0_dims(s3(), 10).total == 1
+    assert 0 < len(calls) < 2252 // 2
+
+
 @pytest.mark.parametrize("make, cutoff", [
     (plus_minus, 6), (order_three, 6), (s3, 4),
 ], ids=["pm", "z3", "s3"])
