@@ -12,7 +12,7 @@ import math
 
 from . import linalg
 from .exact import PartialFraction, Poly, quotient, rational, rational_roots
-from .partitions import OutOfRange, gamma_star, hook_partition, kostka
+from .partitions import OutOfRange, gamma_star, hook_partition, kostka, partition_count
 from .traces import a_coefficients, content_polynomial, f_trivial
 
 
@@ -94,10 +94,10 @@ class KTheoryVector:
 
     @classmethod
     def from_list(cls, n, values):
-        index = gamma_star(n)
-        if len(values) != len(index):
-            raise ValueError("expected %d coordinates, got %d" % (len(index), len(values)))
-        return cls(n, dict(zip(index, values)))
+        expected = partition_count(n) - 1  # before gamma_star(n) lists them all
+        if len(values) != expected:
+            raise ValueError("expected %d coordinates, got %d" % (expected, len(values)))
+        return cls(n, dict(zip(gamma_star(n), values)))
 
     def as_list(self):
         return [self.coords[lam] for lam in self.index]

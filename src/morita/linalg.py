@@ -1,26 +1,25 @@
 """Small exact linear algebra kit over the rationals.
 
-Matrices are lists of lists (or tuples of tuples) of exact scalars under
-the rule of ``exact.rational``: ints where integral, Fractions elsewhere,
-and every matrix returned here follows it.
+Matrices come dense, as rows of exact scalars, or as sparse rows: maps
+column -> entry.  Every scalar returned here follows the rule of
+``exact.rational``: ints where integral, Fractions elsewhere.
 
 There is one elimination routine, `rref`, and it is fraction-free: every
 row is kept as a primitive integer row (denominators cleared, the gcd of
 its entries divided out), and each elimination step is an integer
 combination of two rows followed by the same normalisation -- where
 Bareiss (Math. Comp. 22, 1968) divides exactly by the previous pivot,
-this divides by the gcd of the new row.  `rank`, `nullspace` and
-`invert` read their answers off its result; the only division that can
-leave a denominator happens at the end of `invert`.
+this divides by the gcd of the new row.  It returns the rows as it holds
+them, one sparse map per pivot, and builds no matrix of the input's
+shape.  `rank`, `nullspace` and `invert` read their answers off its
+result; the only division that can leave a denominator happens at the
+end of `invert`.
 
-`Echelon` drives the same step on rows that arrive one at a time: each
-is made primitive and reduced against the pivot rows kept so far, so a
-caller can stop as soon as the rank it needs is reached, without
-building the rows it never reads.  It stands beside `rref` rather than
-under it: `rref` picks the sparsest row for each pivot from all the
-rows it holds and reduces above the pivots too, which a row-at-a-time
-echelon cannot do, and rebuilt on `Echelon` plus back-substitution it
-gave the same output more slowly.
+`Echelon` drives the same step on rows that arrive one at a time, so a
+caller can stop at the rank it needs without building the rows it never
+reads.  `rref` is not built on it: a row-at-a-time echelon cannot pick
+the sparsest pivot row or reduce above the pivots, and `rref` rebuilt on
+`Echelon` plus back-substitution gave the same output more slowly.
 """
 
 import math
@@ -76,15 +75,15 @@ def rref(m):
     """Reduced row echelon form up to a positive scale per row; returns
     (rows, pivot_columns).
 
-    rows has the shape of m.  Row r < rank is a primitive integer row
-    with a positive entry at pivot_columns[r] and zeros at every other
-    pivot column; the rows after the rank are zero.  Dividing each row by
-    its pivot gives the classical reduced row echelon form.
+    m is dense, or a list of maps column -> entry.  There is one row per
+    pivot: rows[r] is a primitive integer row, a map column -> nonzero
+    int, positive at pivot_columns[r] and zero at the other pivots.
+    Divided by their pivots, the rows are the nonzero rows of the
+    classical reduced row echelon form.
 
     The rows are kept sparse while they are reduced, column by column:
     each pivot clears its column from every other row, above and below.
     """
-    cols = len(m[0]) if m else 0
     # active rows not yet used as pivots, by leading column: every column
     # left of c is already cleared from them
     active = {}
@@ -108,11 +107,7 @@ def rref(m):
                 done[k] = _eliminate(row, prow, c)
         done.append(prow)
         pivots.append(c)
-    dense = [[0] * cols for _ in m]
-    for out, row in zip(dense, done):
-        for j, x in row.items():
-            out[j] = x
-    return dense, pivots
+    return done, pivots
 
 
 def rank(m):
@@ -154,28 +149,16 @@ class Echelon:
         return False
 
 
-def nullspace(m, ncols=None):
-    """Basis of the right nullspace: for each free column, the primitive
-    integer vector that is positive there and zero at the other free
-    columns."""
-    if not m:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols or 0)]
-    a, pivots = rref(m)
-    cols = len(a[0])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        used = [(pc, row[pc], row[fc]) for row, pc in zip(a, pivots) if row[fc]]
-        scale = math.lcm(*(p for _, p, _ in used))
-        v = [0] * cols
-        v[fc] = scale
-        for pc, p, x in used:
-            v[pc] = -x * (scale // p)
-        g = math.gcd(*v)
-        basis.append([x // g for x in v] if g > 1 else v)
-    return basis
+def nullspace(m, ncols):
+    """Basis of the right nullspace of m over the columns 0..ncols-1: for
+    each free column, the dense primitive integer vector that is positive
+    there and zero at the other free columns."""
+    rows, pivots = rref(m)
+    free = sorted(set(range(ncols)).difference(pivots))
+    basis = (_primitive({fc: 1} | {pc: quotient(-row[fc], row[pc])
+                                   for row, pc in zip(rows, pivots) if fc in row})
+             for fc in free)
+    return [[v.get(j, 0) for j in range(ncols)] for v in basis]
 
 
 def invert(m):
@@ -185,7 +168,8 @@ def invert(m):
                         for i, row in enumerate(m)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular over Q")
-    return [[quotient(x, row[i]) for x in row[n:]] for i, row in enumerate(red[:n])]
+    return [[quotient(row.get(j, 0), row[i]) for j in range(n, 2 * n)]
+            for i, row in enumerate(red[:n])]
 
 
 def mat_mul(a, b):

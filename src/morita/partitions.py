@@ -102,6 +102,18 @@ def enumerate_partitions(n):
     return [Partition(p) for p in gen(n, n)]
 
 
+def partition_count(n):
+    """p(n) without listing the partitions: ways[m] counts those of m
+    into the part sizes taken so far."""
+    if n < 1:
+        raise OutOfRange("need n >= 1, got %d" % n)
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
 @lru_cache(maxsize=32)
 def _partitions_of(n):
     return tuple(enumerate_partitions(n))

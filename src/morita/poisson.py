@@ -393,19 +393,21 @@ def reynolds(action, p):
 
 
 def _invariance_rows(action, monos):
-    """Nonzero rows of Sym^d(g) - I stacked over the generators g, on the
-    coefficient vectors of the degree-d monomials `monos`.  A polynomial
+    """Nonzero rows of Sym^d(g) - I stacked over the generators g, as maps
+    column -> entry over the degree-d monomials `monos`.  A polynomial
     fixed by every generator is fixed by the group they generate."""
     index = {e: r for r, e in enumerate(monos)}
     rows = []
     for g in action.generators:
-        block = [[0] * len(monos) for _ in monos]
+        block = [{} for _ in monos]
         for c, img in enumerate(action.substitution(g, action.dim).images(monos)):
             for e, x in img.items():
                 block[index[e]][c] = x
         for r, row in enumerate(block):
-            row[r] -= 1
-            if any(row):
+            x = row.pop(r, 0) - 1
+            if x:
+                row[r] = x
+            if row:
                 rows.append(row)
     return rows
 
@@ -518,8 +520,8 @@ def _pairing_poly(action, g):
 
 
 def _functional_matrix(action, degree):
-    # rows: monomials in (u, v); columns: coefficients of a generic
-    # homogeneous P of the given degree
+    # sparse rows: monomials in (u, v), sorted; columns: coefficients of
+    # a generic homogeneous P of the given degree
     d = action.dim
     p_monos = monomials(d, degree)
     columns = [{} for _ in p_monos]
@@ -530,10 +532,11 @@ def _functional_matrix(action, degree):
         images = action.substitution(shift, 2 * d).images(p_monos)
         for col, img in zip(columns, images):
             _add_product(col, pair, img)
-    columns = [_exact_nonzero(col) for col in columns]
-    row_index = sorted(set().union(*columns))
-    matrix = [[col.get(e, 0) for col in columns] for e in row_index]
-    return matrix, p_monos
+    rows = {}
+    for c, col in enumerate(columns):
+        for e, x in _exact_nonzero(col).items():
+            rows.setdefault(e, {})[c] = x
+    return [rows[e] for e in sorted(rows)], p_monos
 
 
 def functional_solutions_dim(action, degree, invariant_only=False):

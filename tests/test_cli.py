@@ -502,6 +502,19 @@ def _run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_nvec_length_checked_before_listing_partitions(monkeypatch):
+    # p(60) - 1 = 966466 coordinates are expected; the length is compared
+    # with that count before any partition of 60 is listed, which took
+    # 13.7 s and 261 MB when it came first
+    def listing(n):
+        raise RuntimeError("gamma_star(%d) listed the partitions" % n)
+
+    monkeypatch.setattr(classify, "gamma_star", listing)
+    code, out, err = _run_captured(["classify", "--n", "60", "--nvec", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --nvec: expected 966466 coordinates, got 1")
+
+
 @pytest.mark.parametrize("n, text", [(3, "-1,2"), (3, "-3,-2"), (3, "-1,0"),
                                      (4, "-1,0,0,0"), (3, "3,-2")])
 def test_nvec_leading_minus_without_equals(n, text):

@@ -495,8 +495,8 @@ def test_scalar_rule_linalg(rows, cols, data):
     m = data.draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows))
     red, _ = linalg.rref(m)
-    _check_scalars(x for row in red for x in row)
-    _check_scalars(x for v in linalg.nullspace(m) for x in v)
+    _check_scalars(x for row in red for x in row.values())
+    _check_scalars(x for v in linalg.nullspace(m, cols) for x in v)
     square = [row[:rows] + [0] * (rows - len(row)) for row in m]
     try:
         inverse = linalg.invert(square)

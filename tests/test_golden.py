@@ -4,7 +4,10 @@ The files in tests/golden/ were recorded before the a-coefficient,
 Schur and hook-inverse cross-checks moved off the production path, and
 the S_3 hp0 cases (two generators, tests/golden/s3.json) before the
 invariant bases moved from the Reynolds average to the generators'
-fixed space; a refactor that changes any byte of a report fails here.
+fixed space.  The S_4 hp0 cases (three generators on six variables,
+tests/golden/s4.json) were recorded before the invariance and
+functional rows went sparse.  A refactor that changes any byte of a
+report fails here.
 """
 
 import json

@@ -77,12 +77,24 @@ def _fraction_invert(m):
     return [row[n:] for row in red[:n]]
 
 
-def _check_kernel(m):
-    """rref, rank and nullspace of m agree with the oracle."""
-    cols = len(m[0]) if m else 0
-    expected, expected_pivots = _fraction_rref(m)
-    red, pivots = linalg.rref(m)
-    assert pivots == expected_pivots
+def _dense(rows, ncols, nrows=0):
+    """Sparse rows (maps column -> entry) laid out dense over columns
+    0..ncols-1 and padded with zero rows to nrows: rref's rows in the
+    dense layout of m's shape that it returned before it kept them
+    sparse, and sparse input rows in the layout the oracle reads."""
+    out = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    return out + [[0] * ncols for _ in range(nrows - len(out))]
+
+
+def _check_kernel(m, cols):
+    """rref, rank and nullspace of m agree with the oracle; m is dense,
+    or sparse rows over the columns 0..cols-1."""
+    dense_m = [_dense([row], cols)[0] if isinstance(row, dict) else row for row in m]
+    expected, expected_pivots = _fraction_rref(dense_m)
+    sparse, pivots = linalg.rref(m)
+    assert pivots == expected_pivots and len(sparse) == len(pivots)
+    assert all(x for row in sparse for x in row.values())
+    red = _dense(sparse, cols, len(m))
     assert len(red) == len(m) and all(len(row) == cols for row in red)
     for r, row in enumerate(red):
         assert all(type(x) is int for x in row)
@@ -95,11 +107,11 @@ def _check_kernel(m):
     assert linalg.rank(m) == len(expected_pivots)
 
     null = linalg.nullspace(m, cols)
-    expected_null = _fraction_nullspace(m, cols)
+    expected_null = _fraction_nullspace(dense_m, cols)
     assert len(null) == len(expected_null) == cols - len(expected_pivots)
     for v in null:
         assert all(type(x) is int for x in v) and math.gcd(*v) == 1
-        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in dense_m)
     if null:
         assert _fraction_rank(null) == len(null)
         assert _fraction_rank(null + expected_null) == len(null)
@@ -142,7 +154,7 @@ def _matrices(draw, max_rows=9, max_cols=9):
 @settings(max_examples=150, deadline=None)
 @given(m=_matrices())
 def test_kernel_matches_fraction_gauss_jordan(m):
-    _check_kernel(m)
+    _check_kernel(m, len(m[0]) if m else 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -201,7 +213,9 @@ def test_mat_mul_matches_triple_loop(rows, inner, cols, data):
 
 def test_rref_accepts_tuples_and_fractions():
     m = ((Fraction(1, 2), 3), (Fraction(1, 4), Fraction(3, 2)))
-    assert linalg.rref(m) == ([[1, 6], [0, 0]], [0])
+    rows, pivots = linalg.rref(m)
+    assert (_dense(rows, 2, len(m)), pivots) == ([[1, 6], [0, 0]], [0])
+    assert rows == [{0: 1, 1: 6}]
     assert linalg.rref([]) == ([], [])
     assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
 
@@ -223,7 +237,8 @@ def _order_three():
 def test_kernel_on_invariance_rows(make, degrees):
     action = make()
     for d in degrees:
-        _check_kernel(_invariance_rows(action, monomials(action.dim, d)))
+        monos = monomials(action.dim, d)
+        _check_kernel(_invariance_rows(action, monos), len(monos))
 
 
 @pytest.mark.parametrize("make, degrees", [
@@ -233,12 +248,13 @@ def test_kernel_on_invariance_rows(make, degrees):
 def test_kernel_on_functional_matrix(make, degrees):
     action = make()
     for d in degrees:
-        _check_kernel(_functional_matrix(action, d)[0])
+        matrix, p_monos = _functional_matrix(action, d)
+        _check_kernel(matrix, len(p_monos))
 
 
 def test_kernel_on_hook_matrices():
     for n in range(2, 11):
-        _check_kernel(hook_matrix(n))
+        _check_kernel(hook_matrix(n), n - 1)
         _check_invert(hook_matrix(n))
 
 
@@ -265,9 +281,11 @@ def test_kernel_on_group_file_with_fractions(tmp_path):
     action = close_group(gens, form)
     assert action.order == 6
     for d in range(5):
-        _check_kernel(_invariance_rows(action, monomials(action.dim, d)))
+        monos = monomials(action.dim, d)
+        _check_kernel(_invariance_rows(action, monos), len(monos))
     for d in range(3):
-        _check_kernel(_functional_matrix(action, d)[0])
+        matrix, p_monos = _functional_matrix(action, d)
+        _check_kernel(matrix, len(p_monos))
     for g in gens:
         _check_invert(g)
     # conjugation changes no dimension
@@ -280,4 +298,5 @@ def test_kernel_on_fractional_form():
     _check_invert(form)
     assert action.form_inverse == [[0, -3], [3, 0]]
     for d in range(5):
-        _check_kernel(_invariance_rows(action, monomials(action.dim, d)))
+        monos = monomials(action.dim, d)
+        _check_kernel(_invariance_rows(action, monos), len(monos))

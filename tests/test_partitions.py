@@ -9,12 +9,21 @@ from morita import partitions, poisson
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
                                WeightMismatch, _schur_strips,
                                enumerate_partitions, gamma_star,
-                               hook_partition, kostka, schur_eval_ones)
+                               hook_partition, kostka, partition_count,
+                               schur_eval_ones)
 
 
 def test_enumerate_small():
     assert [p.parts for p in enumerate_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
     assert [p.parts for p in enumerate_partitions(2)] == [(2,), (1, 1)]
+
+
+def test_partition_count_matches_enumeration():
+    for n in range(1, 21):
+        assert partition_count(n) == len(enumerate_partitions(n))
+    assert partition_count(60) == 966467
+    with pytest.raises(OutOfRange):
+        partition_count(0)
 
 
 def test_enumerate_counts():

@@ -2,6 +2,7 @@ import os
 import pathlib
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
                             functional_solutions_dim, hp0_dims,
                             invariant_basis, monomials, reynolds,
                             standard_form, symmetric_group_action)
+from test_linalg import _dense
 
 J2 = standard_form(1)
 
@@ -222,14 +224,14 @@ def test_solution_space_group_stable():
         matrix, p_monos = _functional_matrix(action, degree)
         if not matrix:
             continue
-        null = linalg.nullspace(matrix)
+        null = linalg.nullspace(matrix, len(p_monos))
         for v in null:
             p = MultiPoly(action.dim, dict(zip(p_monos, v)))
             for h in action.elements:
                 moved = p.substitute(h)
                 w = [moved.terms.get(e, Fraction(0)) for e in p_monos]
                 residual = [sum(row[i] * w[i] for i in range(len(w)))
-                            for row in matrix]
+                            for row in _dense(matrix, len(p_monos))]
                 assert all(x == 0 for x in residual)
 
 
@@ -417,7 +419,7 @@ def test_invariance_rows_match_per_monomial_substitution(make, degrees):
     action = make()
     for d in degrees:
         monos = monomials(action.dim, d)
-        assert poisson._invariance_rows(action, monos) \
+        assert _dense(poisson._invariance_rows(action, monos), len(monos)) \
             == _invariance_rows_per_monomial(action, monos)
 
 
@@ -462,6 +464,7 @@ def _functional_matrix_per_monomial(action, degree):
 def _assert_functional_matrix_matches(action, degrees):
     for d in degrees:
         matrix, p_monos = poisson._functional_matrix(action, d)
+        matrix = _dense(matrix, len(p_monos))
         assert (matrix, p_monos) == _functional_matrix_per_monomial(action, d)
         assert all(type(x) is int or x.denominator != 1
                    for row in matrix for x in row)
@@ -505,11 +508,28 @@ def test_invariance_rows_with_fractions_match_per_monomial(make):
     fractions = 0
     for d in range(5):
         monos = monomials(action.dim, d)
-        rows = poisson._invariance_rows(action, monos)
+        rows = _dense(poisson._invariance_rows(action, monos), len(monos))
         assert rows == _invariance_rows_per_monomial(action, monos)
         assert all(type(x) is int or x.denominator != 1 for row in rows for x in row)
         fractions += sum(type(x) is Fraction for row in rows for x in row)
     assert fractions
+
+
+def test_invariance_rows_stay_sparse():
+    # S_4 in degree 6 (924 monomials, 32 invariants): with dense
+    # invariance rows and a dense rref the basis peaked at 10.0 MB of
+    # Python allocations; the sparse rows need 1.6 MB
+    action = symmetric_group_action(4)
+    for k in range(6):
+        invariant_basis(action, k)
+    tracemalloc.start()
+    try:
+        basis = invariant_basis(action, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 32
+    assert peak <= 4 * 2 ** 20
 
 
 def test_images_in_any_degree_order():
