@@ -14,11 +14,12 @@ reference the tests compare the invariant bases against.
 Every substitution x -> M x goes through one kernel, `_Substitution`:
 the image of x^e is the image of x^(e - e_i), taken from the degree
 below, times the linear form of row i of M.  An action keeps one per
-matrix it substitutes -- each generator for the invariance rows, each
-element's shift [I | g] for the dual -- holding one degree of images at
-a time, so a command that climbs the degrees builds each monomial image
-once per matrix.  A bracket span takes each invariant's gradient once
-and sums -J^-1[a][b] d_a p d_b q straight into one term map.
+group element it substitutes -- each generator for the invariance rows,
+every element for the orbit sums of the dual -- holding one degree of
+images at a time, so a command that climbs the degrees builds each
+monomial image once per element.  A bracket span takes each invariant's
+gradient once and sums -J^-1[a][b] d_a p d_b q straight into one term
+map.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
@@ -26,10 +27,19 @@ degree-d brackets therefore lie in the span of the degree-d invariant
 basis, on which restriction to the leading monomials of its row echelon
 form is injective: a bracket is read only at those len(basis) monomials,
 and its span is full once its rank reaches len(basis).
+
+The dual substitutes nothing into the doubled variables (u, v): its sum
+over g of (u, g v) P(u + g v) is the sum over g of Q_P(u, g v), where
+Q_P(u, w) = (u, w) P(u + w) is expanded by binomials, so the w^b part of
+Q_P pairs with the orbit sum T(b) = sum over g of (g v)^b.  Each u^a
+block is then invariant in v and is read only at the leading monomials
+of the echelon form of the orbit sums of its degree, which span the
+invariants of that degree.
 """
 
 import math
 from functools import cached_property, lru_cache
+from itertools import product
 from operator import add
 
 from . import linalg
@@ -79,9 +89,9 @@ class SymplecticAction:
     """A finite group of symplectic matrices together with its form and
     the generators it was closed from.
 
-    It also keeps, per matrix it has substituted, a `_Substitution` with
+    It also keeps, per element it has substituted, a `_Substitution` with
     the monomial images of the degree last asked for, from which the
-    next degree is built."""
+    next degree is built, and the orbit sums of every degree built."""
 
     def __init__(self, dim, form, elements, generators):
         self.dim = dim
@@ -89,14 +99,36 @@ class SymplecticAction:
         self.elements = elements
         self.generators = generators
         self._substitutions = {}
+        self._orbit_sums = []
 
-    def substitution(self, matrix, nvars):
-        """The kept `_Substitution` of the hashable `matrix`, into `nvars`
-        variables."""
-        sub = self._substitutions.get(matrix)
+    def substitution(self, g):
+        """The kept `_Substitution` of the element `g`."""
+        sub = self._substitutions.get(g)
         if sub is None:
-            sub = self._substitutions[matrix] = _Substitution(matrix, nvars)
+            sub = self._substitutions[g] = _Substitution(g, self.dim)
         return sub
+
+    def orbit_sums(self, degree):
+        """Map each degree-d monomial b to the orbit sum
+        T(b) = sum over g of (g x)^b, read at the leading monomials of the
+        echelon form of all of them (nonzero coefficients only).  These
+        span the degree-d invariants, so that restriction is injective
+        on them.  Each degree is built once, from every element's images."""
+        sums = self._orbit_sums
+        while len(sums) <= degree:
+            monos = monomials(self.dim, len(sums))
+            totals = [{} for _ in monos]
+            for g in self.elements:
+                for total, img in zip(totals, self.substitution(g).images(monos)):
+                    get = total.get
+                    for e, x in img.items():
+                        total[e] = get(e, 0) + x
+            echelon = linalg.Echelon()
+            for total in totals:
+                echelon.add(total)
+            sums.append({b: _exact_nonzero({e: total.get(e, 0) for e in echelon.pivots})
+                         for b, total in zip(monos, totals)})
+        return sums[degree]
 
     def forget_images(self):
         """Drop every kept monomial image, for a caller that needs none
@@ -299,9 +331,9 @@ class _Substitution:
     i, and every image built is kept until `images` drops it.
 
     M has one row per substituted variable; the forms live in `nvars`
-    variables (2d for the dual's shift map [I | g]).  The images share
-    their exponent tuples: `raised` maps an exponent f to the tuples
-    f + e_j, each built once, which keeps the kept images small."""
+    variables.  The images share their exponent tuples: `raised` maps an
+    exponent f to the tuples f + e_j, each built once, which keeps the
+    kept images small."""
 
     __slots__ = ("forms", "one", "memo", "raised", "shared")
 
@@ -400,7 +432,7 @@ def _invariance_rows(action, monos):
     rows = []
     for g in action.generators:
         block = [{} for _ in monos]
-        for c, img in enumerate(action.substitution(g, action.dim).images(monos)):
+        for c, img in enumerate(action.substitution(g).images(monos)):
             for e, x in img.items():
                 block[index[e]][c] = x
         for r, row in enumerate(block):
@@ -511,32 +543,32 @@ def hp0_dims(action, max_degree):
     return GradedDims(dims=dims, max_degree=max_degree, stabilized=stable)
 
 
-def _pairing_poly(action, g):
-    # (u, g v) = sum of (J g)[a][c] u_a v_c in the 2*dim variables (u, then v)
-    d = action.dim
-    jg = linalg.mat_mul(action.form, g)
-    return MultiPoly(2 * d, {_unit(2 * d, a, d + c): jg[a][c]
-                             for a in range(d) for c in range(d)})
-
-
 def _functional_matrix(action, degree):
-    # sparse rows: monomials in (u, v), sorted; columns: coefficients of
-    # a generic homogeneous P of the given degree
-    d = action.dim
-    p_monos = monomials(d, degree)
-    columns = [{} for _ in p_monos]
-    for g in action.elements:
-        # u_i -> (u + g v)_i, the shift map [I | g] into the doubled variables
-        shift = tuple(tuple(int(i == j) for j in range(d)) + g[i] for i in range(d))
-        pair = _pairing_poly(action, g).terms
-        images = action.substitution(shift, 2 * d).images(p_monos)
-        for col, img in zip(columns, images):
-            _add_product(col, pair, img)
+    """Sparse rows over the monomials of a degree-n P: the coefficients
+    of sum over g of (u, g v) P(u + g v) at the monomials u^a v^c, sorted,
+    whose v^c leads the orbit sums of its degree.  For P = x^e, Q_P has
+    the terms J[a][c] C(e, f) u^(f + e_a) w^(e - f + e_c), f <= e, and
+    each w^b sums over the group to T(b)."""
+    p_monos = monomials(action.dim, degree)
+    sums = [action.orbit_sums(k) for k in range(degree + 2)]
+    pairing = [(a, c, x) for a, row in enumerate(action.form)
+               for c, x in enumerate(row) if x]
     rows = {}
-    for c, col in enumerate(columns):
-        for e, x in _exact_nonzero(col).items():
-            rows.setdefault(e, {})[c] = x
-    return [rows[e] for e in sorted(rows)], p_monos
+    for col, e in enumerate(p_monos):
+        terms = {}
+        get = terms.get
+        for f in product(*(range(k + 1) for k in e)):
+            scale = math.prod(map(math.comb, e, f))
+            rest = tuple(k - i for k, i in zip(e, f))
+            level = sums[degree + 1 - sum(f)]
+            for a, c, x in pairing:
+                u = f[:a] + (f[a] + 1,) + f[a + 1:]
+                for v, y in level[rest[:c] + (rest[c] + 1,) + rest[c + 1:]].items():
+                    key = u + v
+                    terms[key] = get(key, 0) + scale * x * y
+        for key, x in _exact_nonzero(terms).items():
+            rows.setdefault(key, {})[col] = x
+    return [rows[key] for key in sorted(rows)], p_monos
 
 
 def functional_solutions_dim(action, degree, invariant_only=False):
@@ -545,12 +577,19 @@ def functional_solutions_dim(action, degree, invariant_only=False):
 
     With invariant_only, additionally restrict to group-invariant P
     (for comparison; the unrestricted count is the dual dimension).
+
+    The rows go one at a time into an incremental echelon, which stops
+    once its rank reaches the number of monomials of P.
     """
     _check_degree(degree)
     matrix, p_monos = _functional_matrix(action, degree)
     if invariant_only:
         matrix += _invariance_rows(action, p_monos)
-    return len(p_monos) - linalg.rank(matrix)
+    echelon = linalg.Echelon()
+    for row in matrix:
+        if echelon.add(row) and echelon.rank == len(p_monos):
+            break
+    return len(p_monos) - echelon.rank
 
 
 def duality_check(action, graded):

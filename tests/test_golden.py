@@ -6,8 +6,9 @@ the S_3 hp0 cases (two generators, tests/golden/s3.json) before the
 invariant bases moved from the Reynolds average to the generators'
 fixed space.  The S_4 hp0 cases (three generators on six variables,
 tests/golden/s4.json) were recorded before the invariance and
-functional rows went sparse.  A refactor that changes any byte of a
-report fails here.
+functional rows went sparse, and the Z/4 (tests/golden/z4.json) and
+S_4 degree-4 --dual-check cases before the dual read orbit sums.  A
+refactor that changes any byte of a report fails here.
 """
 
 import json

@@ -434,6 +434,36 @@ def test_substitute_matches_per_call_substitution():
             assert p.substitute(matrix) == _substitute_per_call(p, matrix)
 
 
+def _pairing_poly(action, g):
+    # (u, g v) = sum of (J g)[a][c] u_a v_c in the 2*dim variables (u, then v)
+    d = action.dim
+    jg = linalg.mat_mul(action.form, g)
+    return MultiPoly(2 * d, {poisson._unit(2 * d, a, d + c): jg[a][c]
+                             for a in range(d) for c in range(d)})
+
+
+def _full_functional_matrix(action, degree):
+    """The functional matrix as built before it was read on orbit sums,
+    kept as the oracle: every element's shift map [I | g] into the 2*dim
+    variables (u, then v), one row per monomial in (u, v).  Returns the
+    rows as a map monomial -> sparse row, in sorted order, and p_monos."""
+    d = action.dim
+    p_monos = monomials(d, degree)
+    columns = [{} for _ in p_monos]
+    for g in action.elements:
+        # u_i -> (u + g v)_i, the shift map [I | g] into the doubled variables
+        shift = tuple(tuple(int(i == j) for j in range(d)) + g[i] for i in range(d))
+        pair = _pairing_poly(action, g).terms
+        images = poisson._Substitution(shift, 2 * d).images(p_monos)
+        for col, img in zip(columns, images):
+            poisson._add_product(col, pair, img)
+    rows = {}
+    for c, col in enumerate(columns):
+        for e, x in poisson._exact_nonzero(col).items():
+            rows.setdefault(e, {})[c] = x
+    return {e: rows[e] for e in sorted(rows)}, p_monos
+
+
 def _functional_matrix_per_monomial(action, degree):
     """The functional matrix as built before the shift powers were shared
     across monomials: for every monomial of P and every element g, the
@@ -445,7 +475,7 @@ def _functional_matrix_per_monomial(action, degree):
         shifted = [MultiPoly(2 * d, {poisson._unit(2 * d, i): 1}
                              | {poisson._unit(2 * d, d + c): g[i][c] for c in range(d)})
                    for i in range(d)]
-        per_element.append((poisson._pairing_poly(action, g), shifted))
+        per_element.append((_pairing_poly(action, g), shifted))
     columns = []
     for e in p_monos:
         total = MultiPoly(2 * d)
@@ -461,13 +491,27 @@ def _functional_matrix_per_monomial(action, degree):
     return matrix, p_monos
 
 
+def _invariant_leading_monomials(action, degree):
+    # the leading monomials of the echelon form of the degree-d
+    # invariants, which the orbit sums of degree d span
+    return set(linalg.rref([p.terms for p in invariant_basis(action, degree)])[1])
+
+
 def _assert_functional_matrix_matches(action, degrees):
-    for d in degrees:
-        matrix, p_monos = poisson._functional_matrix(action, d)
-        matrix = _dense(matrix, len(p_monos))
-        assert (matrix, p_monos) == _functional_matrix_per_monomial(action, d)
+    # the rows are the full matrix's rows at the monomials u^a v^c whose
+    # v^c leads the degree-|c| invariants, in order, with the same rank
+    d = action.dim
+    for n in degrees:
+        matrix, p_monos = poisson._functional_matrix(action, n)
+        full, full_monos = _full_functional_matrix(action, n)
+        assert full_monos == p_monos
+        assert (_dense(list(full.values()), len(p_monos)), p_monos) \
+            == _functional_matrix_per_monomial(action, n)
+        keys = {k: _invariant_leading_monomials(action, k) for k in range(1, n + 2)}
+        assert matrix == [row for e, row in full.items() if e[d:] in keys[sum(e[d:])]]
+        assert linalg.rank(matrix) == linalg.rank(list(full.values()))
         assert all(type(x) is int or x.denominator != 1
-                   for row in matrix for x in row)
+                   for row in matrix for x in row.values())
 
 
 @pytest.mark.parametrize("make, degrees", [
@@ -548,8 +592,9 @@ def test_images_in_any_degree_order():
 
 def test_dual_check_builds_each_image_once(monkeypatch, capsys):
     # one `hp0 --dual-check`: every monomial image is built once per
-    # matrix, each generator (invariance rows) and each element's shift
-    # [I | g] (the dual), for every degree the command reads
+    # substitution, each generator's for the invariance rows of degrees
+    # 1..cutoff and then each element's for the orbit sums of degrees
+    # 1..cutoff + 1
     from morita.cli import run
     built = []
     original = poisson._Substitution.image
@@ -567,11 +612,35 @@ def test_dual_check_builds_each_image_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(set(built)) == len(built)
     action = s3()
-    matrices = {sub for sub, _ in built}
-    assert len(matrices) == len(action.generators) + action.order
-    # no degree-1 invariants, so degree cutoff + 1 is never built
-    per_matrix = sum(len(monomials(action.dim, d)) for d in range(1, cutoff + 1))
-    assert len(built) == len(matrices) * per_matrix
+    per_sub = {}
+    for sub, e in built:
+        per_sub.setdefault(sub, set()).add(e)
+    # no degree-1 invariants, so the degree cutoff + 1 basis is never built
+    bases = set().union(*(monomials(action.dim, d) for d in range(1, cutoff + 1)))
+    sums = bases.union(monomials(action.dim, cutoff + 1))
+    assert sorted(map(len, per_sub.values())) \
+        == [len(bases)] * len(action.generators) + [len(sums)] * action.order
+    assert all(exps in (bases, sums) for exps in per_sub.values())
+
+
+def test_dual_check_substitutes_in_dim_variables(monkeypatch, capsys):
+    # the dual reads orbit sums of the elements' images in the dim
+    # variables: no shift map [I | g] into the 2*dim variables (u, v)
+    from morita.cli import run
+    nvars = []
+    original = poisson._Substitution.__init__
+
+    def recorded(sub, matrix, n):
+        nvars.append(n)
+        original(sub, matrix, n)
+
+    monkeypatch.setattr(poisson._Substitution, "__init__", recorded)
+    for name, cutoff, code in (("s3.json", 3, 1), ("z3.json", 4, 0)):
+        group = os.path.join(os.path.dirname(__file__), "golden", name)
+        assert run(["hp0", "--group", group, "--max-degree", str(cutoff),
+                    "--dual-check"]) == code
+    capsys.readouterr()
+    assert sorted(set(nvars)) == [2, 4]
 
 
 def _afls_count(action):
@@ -719,3 +788,47 @@ def test_s3_degree_two_solution_is_not_invariant():
     null = linalg.nullspace(matrix, len(p_monos))
     assert len(null) == functional_solutions_dim(action, 2) == 1
     assert reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, null[0])))).is_zero()
+
+
+def _full_solutions_dim(action, degree, invariant_only=False):
+    # the count as taken before: the rank of every row of the full matrix
+    rows, p_monos = _full_functional_matrix(action, degree)
+    rows = list(rows.values())
+    if invariant_only:
+        rows += poisson._invariance_rows(action, p_monos)
+    return len(p_monos) - linalg.rank(rows)
+
+
+DUAL_CASES = dict([(name, (case[0], 3 if name == "s4" else 4))
+                   for name, case in AFLS_CASES.items()]
+                  + [("fractional_file", (_conjugated_s3, 4)),
+                     ("fractional_form", (_fractional_form, 4))])
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CASES))
+def test_functional_solutions_match_full_rank(name):
+    make, top = DUAL_CASES[name]
+    action = make()
+    for n in range(top + 1):
+        for invariant_only in (False, True):
+            assert functional_solutions_dim(action, n, invariant_only) \
+                == _full_solutions_dim(action, n, invariant_only)
+
+
+def test_dual_rank_stops_at_full_rank(monkeypatch):
+    # S_4 in degree 3 has no solution but P = 0: the rank is full before
+    # every row is read
+    added = []
+    original = linalg.Echelon.add
+
+    def counted(echelon, row):
+        added.append(row)
+        return original(echelon, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counted)
+    action = s4()
+    functional_solutions_dim(action, 3)  # the orbit sums, built once
+    added.clear()
+    assert functional_solutions_dim(action, 3) == 0
+    matrix, p_monos = poisson._functional_matrix(action, 3)
+    assert len(p_monos) <= len(added) < len(matrix)
