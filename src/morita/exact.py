@@ -9,6 +9,10 @@ divmod.  On top of that we provide rational functions, partial fraction
 expansions at given simple integer poles, and integer-root extraction
 for monic integer polynomials, which serves classify.
 
+Integer roots come from exact integer bisection on the pieces where the
+polynomial is monotone, not from trial division, so the work grows with
+log|c0| for the constant term c0, not with sqrt|c0|.
+
 A RationalFunction is a value, not an arithmetic: its constructor stores
 num and a monic den as given and takes no gcd, and it has no + - *.
 Each one the package returns is a ratio of products of integer linear
@@ -306,35 +310,84 @@ def _divide_root(cs, r):
     return out[-2::-1], out[-1]
 
 
-def _peel(cs, d, roots):
-    """Divide the roots d and -d out of cs, each as often as it divides,
-    appending them to roots; returns the quotient."""
-    for r in (d, -d):
-        while len(cs) > 1 and cs[0] % d == 0:
-            quot, rem = _divide_root(cs, r)
-            if rem:
-                break
-            roots.append(r)
-            cs = quot
-    return cs
+def _value(rcs, x):
+    """The integer polynomial with descending coefficients rcs at x, by
+    Horner's rule."""
+    acc = 0
+    for c in rcs:
+        acc = acc * x + c
+    return acc
+
+
+def _bisect(rcs, a, b, positive):
+    """Integer bisection of a polynomial (descending coefficients rcs),
+    strictly monotone on [a, b], nonzero of the sign `positive` at a and
+    of the other sign at b: (t, True) for an integer root t, else
+    (t, False) with the root in (t - 1, t)."""
+    while b - a > 1:
+        m = (a + b) // 2
+        v = _value(rcs, m)
+        if not v:
+            return m, True
+        if (v > 0) == positive:
+            a = m
+        else:
+            b = m
+    return b, False
+
+
+def _locate(cs, pts):
+    """The integer roots of cs (ascending coefficients) from the first
+    to the last of the sorted integers pts, and the ceiling of each
+    other root in a step of pts of two or more, on each of which cs must
+    be strictly monotone.  A root inside a unit step is no integer and
+    is not located."""
+    rcs = cs[::-1]
+    vals = [_value(rcs, x) for x in pts]
+    zeros = [x for x, v in zip(pts, vals) if not v]
+    ceilings = []
+    for a, b, va, vb in zip(pts, pts[1:], vals, vals[1:]):
+        if b - a > 1 and (va < 0 < vb or vb < 0 < va):
+            t, zero = _bisect(rcs, a, b, va > 0)
+            (zeros if zero else ceilings).append(t)
+    return zeros, ceilings
+
+
+def _breakpoints(cs, lo, hi):
+    """Sorted integers from lo to hi, both included, such that cs
+    (ascending coefficients, positive leading one) is strictly monotone
+    between any two consecutive ones at least 2 apart, and so monotone
+    on the integers of every step.
+
+    That holds once the floor and ceiling of each real root of cs' in
+    (lo, hi) are among them.  A linear cs' = d0 + d1 x has the root
+    -d0/d1.  Otherwise `_locate` finds each root of cs' in a long step
+    of its own breakpoints, and each root inside a unit step (two can
+    lie in one) has that step's ends: so every breakpoint of cs' is
+    passed up, not only the brackets of sign changes."""
+    if len(cs) <= 2:
+        return [lo, hi]
+    deriv = [i * c for i, c in enumerate(cs)][1:]
+    if len(deriv) == 2:
+        marks = (-deriv[0] // deriv[1], -(deriv[0] // deriv[1]))
+        return sorted({lo, hi}.union(x for x in marks if lo < x < hi))
+    pts = _breakpoints(deriv, lo, hi)
+    zeros, ceilings = _locate(deriv, pts)
+    return sorted(set(pts).union(zeros, ceilings, [t - 1 for t in ceilings]))
 
 
 def rational_roots(p):
     """All integer roots (with multiplicity) of a monic integer polynomial.
 
-    After the roots at zero, every integer root of the current quotient
-    divides its constant term c0, which shrinks as roots are divided
-    out.  One pass of trial division runs d = 1, 2, ... while
-    d^2 <= |c0| and the quotient is not constant, and tries +d and -d
-    whenever d divides c0, each by integer synthetic division, retried
-    while it divides again.  A root left after that pass has
-    |r| >= d > sqrt|c0|, and the magnitudes of the remaining roots
-    divide c0, so at most one is left: c0/e up to sign, for a divisor
-    e < d of c0.  Each such e divided c0 when the pass met it, so the
-    cofactors of the divisors met are the last candidates.  Without an
-    integer root this is one pass up to sqrt|c0|; with roots it stops
-    as soon as the quotient is constant.  Returns the sorted root list
-    together with the integer-root-free remaining factor.
+    After the roots at zero, every integer root of the quotient divides
+    its constant term c0 != 0, so it lies in [-B, B] for B = |c0|
+    (Cauchy's bound 1 + max|c_i| is never smaller).  The quotient is
+    monotone on the integers between its breakpoints there, so a root is
+    a breakpoint where it vanishes or the zero that integer bisection
+    meets across a change of sign.  Each root is divided out by synthetic
+    division as often as it divides.  Work: O(deg^3 + deg^2 log B)
+    Horner evaluations, however c0 factors.  Returns the sorted root
+    list together with the integer-root-free remaining factor.
     """
     if not (p.is_monic() and p.has_integer_coeffs()):
         raise NotMonicInteger("need a monic polynomial with integer coefficients")
@@ -343,15 +396,15 @@ def rational_roots(p):
     while len(cs) > 1 and cs[0] == 0:
         roots.append(0)
         cs = cs[1:]
-    met, d = [], 1
-    while len(cs) > 1 and d * d <= abs(cs[0]):
-        if cs[0] % d == 0:
-            met.append(d)
-            cs = _peel(cs, d, roots)
-        d += 1
-    for e in reversed(met):
-        if len(cs) > 1 and cs[0] % e == 0 and abs(cs[0]) // e >= d:
-            cs = _peel(cs, abs(cs[0]) // e, roots)
+    bound = abs(cs[0])
+    found, _ = _locate(cs, _breakpoints(cs, -bound, bound))
+    for r in found:
+        while len(cs) > 1:
+            quot, rem = _divide_root(cs, r)
+            if rem:
+                break
+            roots.append(r)
+            cs = quot
     roots.sort()
     return roots, Poly(cs)
 

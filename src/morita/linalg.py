@@ -11,9 +11,9 @@ combination of two rows followed by the same normalisation -- where
 Bareiss (Math. Comp. 22, 1968) divides exactly by the previous pivot,
 this divides by the gcd of the new row.  It returns the rows as it holds
 them, one sparse map per pivot, and builds no matrix of the input's
-shape.  `rank`, `nullspace` and `invert` read their answers off its
-result; the only division that can leave a denominator happens at the
-end of `invert`.
+shape.  `nullspace` and `invert` read their answers off its result;
+the only division that can leave a denominator happens at the end of
+`invert`.
 
 `Echelon` drives the same step on rows that arrive one at a time, so a
 caller can stop at the rank it needs without building the rows it never
@@ -108,10 +108,6 @@ def rref(m):
         done.append(prow)
         pivots.append(c)
     return done, pivots
-
-
-def rank(m):
-    return len(rref(m)[1])
 
 
 class Echelon:

@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +248,27 @@ def test_classify_does_not_import_dataclasses():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "%s False" % [c["exit"] for c in cases]
+
+
+def test_classify_rejects_a_huge_constant_term_promptly():
+    # f = x^2 + (1e18 + 5) x + (1e18 - 2): trial division up to
+    # sqrt|f(0)| ran for minutes; a fresh `morita` process now answers,
+    # with the exit code of a rejection
+    src = os.path.join(os.path.dirname(_GOLDEN), os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, %r); from morita import cli; "
+            "sys.exit(cli.main())" % os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-I", "-c", code, "classify", "--n", "3",
+                           "--nvec=166666666666666666,1"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1, proc.stderr
+    rejection = json.loads(proc.stdout)["payload"]["rejection"]
+    assert rejection["reason"] == "NonIntegerRoots"
+    assert rejection["witness"]["roots_found"] == []
+    c, b, one = (int(x) for x in rejection["witness"]["remainder"])
+    assert one == 1 and c > 10 ** 17
+    # a monic quadratic has an integer root iff its discriminant is a square
+    disc = b * b - 4 * c
+    assert disc < 0 or math.isqrt(disc) ** 2 != disc
 
 
 @pytest.mark.parametrize("argv, name, least", [

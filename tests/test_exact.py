@@ -290,6 +290,95 @@ def _divisor_rational_roots(p):
     return roots, Poly(cs)
 
 
+def _trial_division_rational_roots(p):
+    """The trial division that rational_roots replaced, kept as its
+    oracle: after the roots at zero, d = 1, 2, ... while d^2 <= |c0| of
+    the current quotient, trying +d and -d whenever d divides c0, each as
+    often as it divides; then the cofactors |c0|/e of the divisors e met,
+    which leave at most one root above sqrt|c0|."""
+    if not (p.is_monic() and p.has_integer_coeffs()):
+        raise NotMonicInteger("need a monic polynomial with integer coefficients")
+
+    def peel(cs, d):
+        for r in (d, -d):
+            while len(cs) > 1 and cs[0] % d == 0:
+                quot, rem = exact._divide_root(cs, r)
+                if rem:
+                    break
+                roots.append(r)
+                cs = quot
+        return cs
+
+    cs = list(p.coeffs)
+    roots = []
+    while len(cs) > 1 and cs[0] == 0:
+        roots.append(0)
+        cs = cs[1:]
+    met, d = [], 1
+    while len(cs) > 1 and d * d <= abs(cs[0]):
+        if cs[0] % d == 0:
+            met.append(d)
+            cs = peel(cs, d)
+        d += 1
+    for e in reversed(met):
+        if len(cs) > 1 and cs[0] % e == 0 and abs(cs[0]) // e >= d:
+            cs = peel(cs, abs(cs[0]) // e)
+    roots.sort()
+    return roots, Poly(cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(st.integers(-30, 30), max_size=4),
+       repeats=st.integers(0, 2),
+       zeros=st.integers(0, 2),
+       far=st.one_of(st.none(), st.integers(-10 ** 9, 10 ** 9)),
+       cofactor=st.lists(st.integers(-5, 5), max_size=2))
+def test_rational_roots_matches_trial_division(roots, repeats, zeros, far, cofactor):
+    # repeated and zero roots, and at most one far root on a small
+    # cofactor, which the oracle still reaches through its cofactor pass
+    planted = roots + roots[:repeats] + [0] * zeros + ([] if far is None else [far])
+    p = Poly.from_roots(planted) * Poly(cofactor + [1])
+    assume(p.degree <= 8)
+    assert rational_roots(p) == _trial_division_rational_roots(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=st.integers(2, 10 ** 9), negative=st.booleans(),
+       units=st.lists(st.sampled_from([1, -1]), max_size=4),
+       cofactor=st.lists(st.integers(-5, 5), max_size=2),
+       last=st.sampled_from([1, -1]))
+def test_rational_roots_root_at_the_bound(root, negative, units, cofactor, last):
+    # every other root is +-1 and the cofactor's constant term is +-1, so
+    # |f(0)| = |root|: the root sits at an end of [-B, B]
+    r = -root if negative else root
+    p = Poly.from_roots([r] + units) * Poly([last] + cofactor + [1])
+    assert abs(p.coeffs[0]) == root
+    found, rem = rational_roots(p)
+    assert r in found
+    assert (found, rem) == _trial_division_rational_roots(p)
+
+
+def test_rational_roots_two_critical_points_in_one_unit_step():
+    # f' has two roots in (0, 1) and equal signs at 0 and 1, so f is not
+    # monotone between the breakpoints 0 and 1 that f'' gives; both must
+    # reach f.  The root at 0 is divided out before the search, which
+    # moves the critical points of the quotient apart, so f(x - 3), whose
+    # roots are not 0, is searched with the two critical points in (3, 4)
+    p = Poly([0, -142912, 661492, -501137, -18972, 1448, 80, 1])
+    shifted = Poly([18080400, -15118684, 3848374, -183518, -30837, 197, 59, 1])
+    assert all(shifted(x) == p(x - 3) for x in range(-10, 11))
+    for poly, left, roots in ((p, 0, [-29, -28, 0, 1, 16]),
+                              (shifted, 3, [-26, -25, 3, 4, 19])):
+        deriv = Poly([i * c for i, c in enumerate(poly.coeffs)][1:])
+        grid = [left + Fraction(k, 16) for k in range(17)]
+        changes = sum((deriv(a) > 0) != (deriv(b) > 0) for a, b in zip(grid, grid[1:]))
+        assert changes == 2 and deriv(left) < 0 and deriv(left + 1) < 0
+        found, rem = rational_roots(poly)
+        assert found == roots
+        assert Poly.from_roots(found) * rem == poly
+        assert (found, rem) == _trial_division_rational_roots(poly)
+
+
 @settings(max_examples=300, deadline=None)
 @given(roots=st.lists(st.integers(-40, 40), max_size=5),
        zeros=st.integers(0, 2),
@@ -311,7 +400,8 @@ def test_rational_roots_large_cofactor_root(roots):
 
 def test_rational_roots_factorial_constant_term(monkeypatch):
     # prod_{k=1}^{29} (x + k): c0 = 29! ~ 8.8e30, so trial division up to
-    # sqrt|c0| never ends; bounded by the shrinking c0 it stops at d = 29
+    # sqrt|c0| never ends; the bisection finds the 29 roots and divides
+    # each out once, with one failed division each for its multiplicity
     calls = []
     divide = exact._divide_root
 
@@ -404,19 +494,6 @@ def test_rational_roots_recovers_planted_roots(roots, zeros, cofactor):
     assert Poly.from_roots(found) * rem == p
 
 
-def _divisor_count(m):
-    # from the prime factorisation, independently of trial division
-    count, p = 1, 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        count *= e + 1
-        p += 1
-    return count * (2 if m > 1 else 1)
-
-
 def _frontier_poly(kind):
     if kind == "cubic":
         # x^3 + c0 with c0 = 2^6 3^4 5^2 7^2 11 13 17 19 23, which is no
@@ -436,19 +513,30 @@ def _frontier_poly(kind):
 
 @pytest.mark.parametrize("kind", ["cubic", "quadratic"])
 def test_rational_roots_frontier_candidate_count(kind, monkeypatch):
+    # no integer root and |c0| ~ 1e12: trial division would try 1e6
+    # divisors; the bisection evaluates O(deg^3 + deg^2 log |c0|) times
+    # and divides nothing out
     p = _frontier_poly(kind)
     c0 = abs(int(p.coeffs[0]))
     assert 10 ** 11 <= c0 <= 10 ** 13
-    calls = []
-    divide = exact._divide_root
+    calls, evals = [], []
+    divide, value = exact._divide_root, exact._value
 
-    def counted(cs, r):
+    def counted_divide(cs, r):
         calls.append(r)
         return divide(cs, r)
 
-    monkeypatch.setattr(exact, "_divide_root", counted)
+    def counted_value(rcs, x):
+        evals.append(x)
+        return value(rcs, x)
+
+    monkeypatch.setattr(exact, "_divide_root", counted_divide)
+    monkeypatch.setattr(exact, "_value", counted_value)
     assert rational_roots(p) == ([], p)
-    assert 0 < len(calls) <= 2 * _divisor_count(c0)
+    assert calls == []
+    d = p.degree
+    assert 0 < len(evals) <= d ** 3 + d ** 2 * (2 * c0).bit_length()
+    assert all(abs(x) <= c0 for x in evals)
 
 
 # The scalar rule: every exact value is an int when it is integral and a

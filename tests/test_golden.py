@@ -7,8 +7,10 @@ invariant bases moved from the Reynolds average to the generators'
 fixed space.  The S_4 hp0 cases (three generators on six variables,
 tests/golden/s4.json) were recorded before the invariance and
 functional rows went sparse, and the Z/4 (tests/golden/z4.json) and
-S_4 degree-4 --dual-check cases before the dual read orbit sums.  A
-refactor that changes any byte of a report fails here.
+S_4 degree-4 --dual-check cases before the dual read orbit sums, and
+classify_n3_reject_1e12 (|f(0)| ~ 1e12, no integer root) before integer
+roots came from bisection instead of trial division.  A refactor that
+changes any byte of a report fails here.
 """
 
 import json
