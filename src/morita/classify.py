@@ -170,26 +170,41 @@ def derive_relation(n, v):
     root multiset as an arithmetic progression with common difference
     +1 or -1, emitting one relation per reading.  For n = 2 a single
     root determines no difference and both signs are emitted.
+
+    For n >= 3 that accepts exactly when the monic f is
+    f_r = prod_{i=0}^{n-2} (x - r - i) for an integer r, whose x^(n-2)
+    coefficient is -((n-1) r + (n-1)(n-2)/2): r is read off f and one
+    comparison accepts, so for n >= 3 the roots are searched for only to
+    witness a rejection.
     """
     f, a = build_f(n, v)
+    if n >= 3:
+        r, rest = divmod(-f.coeffs[n - 2] - (n - 1) * (n - 2) // 2, n - 1)
+        if not rest and f == Poly.from_roots(range(r, r + n - 1)):
+            s = _shift(n, a, v)
+            return {Relation(1, s), Relation(-1, s)}
     roots, remainder = rational_roots(f)
     if remainder.degree > 0:
         return Rejection("NonIntegerRoots",
                          {"roots_found": roots, "remainder": remainder.to_json()})
-    s = quotient(sum(a), n * (n - 1))
-    if not isinstance(s, int):
-        raise InternalDivisibility("shift %s is not an integer for %r" % (s, v))
+    s = _shift(n, a, v)
     if n == 2:
         return {Relation(1, s), Relation(-1, s)}
     diffs = sorted(set(roots[i + 1] - roots[i] for i in range(len(roots) - 1)))
     if len(diffs) > 1:
         return Rejection("NotArithmeticProgression",
                          {"roots": roots, "differences": diffs})
-    d = diffs[0]
-    if d != 1:
-        return Rejection("CommonDifferenceNotUnit",
-                         {"roots": roots, "common_difference": d})
-    return {Relation(1, s), Relation(-1, s)}
+    # one common difference, not 1: with difference 1, f is f_r
+    return Rejection("CommonDifferenceNotUnit",
+                     {"roots": roots, "common_difference": diffs[0]})
+
+
+def _shift(n, a, v):
+    """The shift s = sum(a) / (n (n - 1)), which must be an integer."""
+    s = quotient(sum(a), n * (n - 1))
+    if not isinstance(s, int):
+        raise InternalDivisibility("shift %s is not an integer for %r" % (s, v))
+    return s
 
 
 def remark_identity_check(n, v):

@@ -20,9 +20,13 @@ caller can stop at the rank it needs without building the rows it never
 reads.  `rref` is not built on it: a row-at-a-time echelon cannot pick
 the sparsest pivot row or reduce above the pivots, and `rref` rebuilt on
 `Echelon` plus back-substitution gave the same output more slowly.
+
+`MolienSeries` counts the invariants of a finite matrix group in each
+degree from the characteristic polynomials of its elements.
 """
 
 import math
+from collections import Counter
 from itertools import compress, count
 from operator import mul
 
@@ -143,6 +147,71 @@ class Echelon:
                 return True
             row = _eliminate(row, prow, c)
         return False
+
+
+class MolienSeries:
+    """The dimensions of the invariants of a finite matrix group G in each
+    degree, by Molien's formula: (1/|G|) sum over g of h_d(g), where
+    h_d(g), the trace of g on the degree-d polynomials, is the t^d
+    coefficient of 1/det(1 - t g), so that
+    h_d = sum over 1 <= j <= min(d, n) of (-1)^(j+1) e_j(g) h_(d-j).
+
+    e_k(g) comes from the power traces p_i = tr(g^i), i <= k, by Newton's
+    identities, and degree d reads e_k for k <= min(d, n) only: the k-th
+    power of each element, on sparse rows, is taken when a degree first
+    needs it.  The elements are grouped by the e_k read so far, and the
+    h series of each group is built once."""
+
+    __slots__ = ("order", "rows", "powers", "traces", "esym", "classes", "series", "counts")
+
+    def __init__(self, group):
+        self.order = len(group)
+        self.rows = [[[(j, x) for j, x in enumerate(row) if x] for row in g] for g in group]
+        self.powers = [[{i: 1} for i in range(len(g))] for g in group]
+        self.traces = [[] for _ in group]
+        self.esym = [[1] for _ in group]
+        self.classes = Counter({(): self.order})
+        self.series = {(): [1]}
+        self.counts = []
+
+    def count(self, degree):
+        """The dimension of the degree-d invariants: a nonnegative
+        integer when the matrices form a group."""
+        while len(self.counts) <= degree:
+            d = len(self.counts)
+            if len(self.traces[0]) < min(d, len(self.rows[0])):
+                self._next_power()
+            self.counts.append(quotient(sum(m * self._h(e, d) for e, m in self.classes.items()),
+                                        self.order))
+        return self.counts[degree]
+
+    def _next_power(self):
+        """g^k = g^(k-1) g for every element, and its e_k from
+        k e_k = sum over i of (-1)^(i-1) e_(k-i) p_i."""
+        for rows, power, p, e in zip(self.rows, self.powers, self.traces, self.esym):
+            for i, prow in enumerate(power):
+                out = {}
+                for j, x in prow.items():
+                    for c, y in rows[j]:
+                        out[c] = out.get(c, 0) + x * y
+                power[i] = out
+            p.append(sum(prow.get(i, 0) for i, prow in enumerate(power)))
+            k = len(p)
+            e.append(quotient(sum(e[k - i] * p[i - 1] if i % 2 else -e[k - i] * p[i - 1]
+                                  for i in range(1, k + 1)), k))
+        self.classes = Counter(tuple(e[1:]) for e in self.esym)
+
+    def _h(self, e, d):
+        """h_d of the group of elements whose e_k are `e`; a group first
+        seen in this degree takes h_(<d) from that of e without its last
+        entry."""
+        series = self.series.get(e)
+        if series is None:
+            series = self.series[e] = list(self.series[e[:-1]])
+        for k in range(len(series), d + 1):
+            series.append(sum((-1) ** (j + 1) * e[j - 1] * series[k - j]
+                              for j in range(1, min(k, len(e)) + 1)))
+        return series[d]
 
 
 def nullspace(m, ncols):

@@ -1,8 +1,14 @@
 """Finite symplectic group actions and 0-th Poisson homology at desk scale.
 
-A group of exact rational symplectic matrices acts on polynomials; the
-degree-d invariants are the common fixed space of the generators on the
-degree-d monomials (the nullspace of the stacked Sym^d(g) - I), bracket
+A group of exact rational symplectic matrices acts on polynomials.  The
+degree-d invariants number Molien's count (`linalg.MolienSeries`), and
+their basis is built from products of lower-degree invariants: the
+products g b of each generator g with the basis of degree d - deg g go
+into an incremental echelon, which stops once its rank is that count.
+Only in degrees where the products fall short (new generators exist,
+and never above |G|, by Noether's bound) is the basis the common fixed
+space of the generators on the degree-d monomials, the nullspace of the
+stacked Sym^d(g) - I; it must have the Molien count's size.  Bracket
 spans are measured by exact rank on invariant coordinates, and the
 graded dimensions of the quotient of invariants by brackets are
 cross-checked against the dual picture: a polynomial P of degree n
@@ -19,7 +25,8 @@ every element for the orbit sums of the dual -- holding one degree of
 images at a time, so a command that climbs the degrees builds each
 monomial image once per element.  A bracket span takes each invariant's
 gradient once and sums -J^-1[a][b] d_a p d_b q straight into one term
-map.
+map.  Products and brackets run on packed exponents
+(`polynomials._Packing`), where multiplying monomials adds ints.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
@@ -38,12 +45,13 @@ invariants of that degree.
 """
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
-from operator import add
 
 from . import linalg
 from .exact import OutOfRange, quotient, rational
+from .polynomials import (MultiPoly, ShapeMismatch, _Packing, _Substitution,
+                          _add_packed_product, _add_product, _exact_nonzero, monomials)
 
 
 class NotSymplectic(ValueError):
@@ -54,12 +62,13 @@ class OrderCapExceeded(ValueError):
     pass
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 class NegativeDimension(AssertionError):
     """A graded dimension came out negative: an internal bug, not bad input."""
+
+
+class InvariantCountMismatch(AssertionError):
+    """An invariant basis disagrees with Molien's count: an internal bug,
+    not bad input."""
 
 
 def _check_degree(degree):
@@ -91,7 +100,8 @@ class SymplecticAction:
 
     It also keeps, per element it has substituted, a `_Substitution` with
     the monomial images of the degree last asked for, from which the
-    next degree is built, and the orbit sums of every degree built."""
+    next degree is built, the orbit sums of every degree built, and the
+    state of its Molien count (`linalg.MolienSeries`)."""
 
     def __init__(self, dim, form, elements, generators):
         self.dim = dim
@@ -100,6 +110,7 @@ class SymplecticAction:
         self.generators = generators
         self._substitutions = {}
         self._orbit_sums = []
+        self._molien = None
 
     def substitution(self, g):
         """The kept `_Substitution` of the element `g`."""
@@ -129,6 +140,12 @@ class SymplecticAction:
             sums.append({b: _exact_nonzero({e: total.get(e, 0) for e in echelon.pivots})
                          for b, total in zip(monos, totals)})
         return sums[degree]
+
+    def molien(self, degree):
+        """The dimension of the degree-d invariants, by Molien's formula."""
+        if self._molien is None:
+            self._molien = linalg.MolienSeries(self.elements)
+        return self._molien.count(degree)
 
     def forget_images(self):
         """Drop every kept monomial image, for a caller that needs none
@@ -201,215 +218,27 @@ def symmetric_group_action(n):
     return close_group(big, standard_form(d), cap=math.factorial(n) + 1)
 
 
-def _unit(nvars, *indices):
-    """Exponent tuple of the product of the variables at `indices`."""
-    return tuple(indices.count(k) for k in range(nvars))
-
-
-class MultiPoly:
-    """Polynomial in several variables: map exponent tuple -> nonzero
-    coefficient, an int when integral and a Fraction otherwise."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        for e, c in (terms or {}).items():
-            c = rational(c)
-            if c:
-                if len(e) != nvars:
-                    raise ShapeMismatch("exponent %r has not %d entries" % (e, nvars))
-                self.terms[tuple(e)] = c
-
-    @classmethod
-    def _raw(cls, nvars, terms):
-        """Trusted construction: `terms` already maps exponent tuples of
-        length nvars to nonzero scalars under the rule of `rational`, and
-        is kept as given."""
-        p = object.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
-
-    @classmethod
-    def variable(cls, nvars, i):
-        return cls(nvars, {_unit(nvars, i): 1})
-
-    @classmethod
-    def monomial(cls, nvars, exponents, coeff=1):
-        return cls(nvars, {tuple(exponents): coeff})
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
-
-    def __neg__(self):
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            c = rational(other)
-            return MultiPoly._raw(self.nvars, _exact_nonzero(
-                {e: c * v for e, v in self.terms.items()}))
-        out = {}
-        _add_product(out, self.terms, other.terms)
-        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = MultiPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def diff(self, i):
-        return MultiPoly._raw(self.nvars, _exact_nonzero(
-            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-             for e, c in self.terms.items() if e[i]}))
-
-    def substitute(self, matrix):
-        """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
-        out = {}
-        images = _Substitution(matrix, self.nvars).images(list(self.terms))
-        for c, img in zip(self.terms.values(), images):
-            for e, x in img.items():
-                out[e] = out.get(e, 0) + c * x
-        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join("x%d^%d" % (i, k) for i, k in enumerate(e) if k)
-            bits.append("%s%s%s" % (c, "*" if mono else "", mono))
-        return "MultiPoly(%s)" % " + ".join(bits)
-
-
-def _exact_nonzero(terms):
-    """`terms` without its zero coefficients and with the others under
-    the rule of `rational` (a product of Fractions stays a Fraction even
-    when it is integral)."""
-    return {e: c if type(c) is int else rational(c) for e, c in terms.items() if c}
-
-
-def _add_product(out, p, q, scale=1):
-    """out += scale * p * q, on term maps; `out` is left unnormalised."""
-    get = out.get
-    for e1, c1 in p.items():
-        c1 *= scale
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
-
-
-class _Substitution:
-    """The monomial images x^e -> (M x)^e of one matrix M, built
-    incrementally: the image of x^e is the image of x^(e - e_i), for the
-    first variable i of e, times the linear form sum_j M[i][j] x_j of row
-    i, and every image built is kept until `images` drops it.
-
-    M has one row per substituted variable; the forms live in `nvars`
-    variables.  The images share their exponent tuples: `raised` maps an
-    exponent f to the tuples f + e_j, each built once, which keeps the
-    kept images small."""
-
-    __slots__ = ("forms", "one", "memo", "raised", "shared")
-
-    def __init__(self, matrix, nvars):
-        self.forms = [[(j, rational(x)) for j, x in enumerate(row) if x] for row in matrix]
-        self.one = ((0,) * len(matrix), {(0,) * nvars: 1})
-        self.memo = dict([self.one])
-        self.raised = {}
-        self.shared = {}
-
-    def image(self, e):
-        """The terms of the image of x^e."""
-        img = self.memo.get(e)
-        if img is None:
-            i = next(k for k, v in enumerate(e) if v)
-            lower = self.image(e[:i] + (e[i] - 1,) + e[i + 1:])
-            form = self.forms[i]
-            raised = self.raised
-            out = {}
-            get = out.get
-            for f, c in lower.items():
-                up = raised.get(f)
-                if up is None:
-                    up = raised[f] = [
-                        self.shared.setdefault(g, g)
-                        for g in (f[:j] + (f[j] + 1,) + f[j + 1:] for j in range(len(f)))]
-                for j, x in form:
-                    g = up[j]
-                    out[g] = get(g, 0) + c * x
-            img = self.memo[e] = _exact_nonzero(out)
-        return img
-
-    def images(self, exponents):
-        """The images of x^e for e in `exponents`.  Afterwards only these
-        are kept (and that of 1), so asking for one degree after another
-        holds the images of one degree: the next degree is built from
-        them, and an earlier one again from 1."""
-        out = [self.image(e) for e in exponents]
-        self.memo = dict(zip(exponents, out))
-        self.memo.setdefault(*self.one)
-        self.raised = {}
-        self.shared = {}
-        return out
-
-
-@lru_cache(maxsize=None)
-def monomials(nvars, degree):
-    """Exponent tuples of total degree exactly `degree`, in a fixed order,
-    as a tuple: each (nvars, degree) is enumerated once and shared."""
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    return tuple((first,) + rest for first in range(degree, -1, -1)
-                 for rest in monomials(nvars - 1, degree - first))
-
-
 def bracket(p, q, form):
     """Poisson bracket of the symplectic form: constant bivector -J^{-1},
     normalized so that {x_i, x_{d+i}} = 1 for the standard block form."""
-    terms = _bracket_terms(_gradient(p), _gradient(q), linalg.invert(form))
+    dp, dq = ([f.diff(a).terms for a in range(f.nvars)] for f in (p, q))
+    terms = {}
+    for a, row in enumerate(linalg.invert(form)):
+        for b, x in enumerate(row):
+            if x:
+                _add_product(terms, dp[a], dq[b], -x)
     return MultiPoly._raw(p.nvars, _exact_nonzero(terms))
 
 
-def _gradient(p):
-    """The term maps of the partial derivatives of p."""
-    return [p.diff(a).terms for a in range(p.nvars)]
-
-
 def _bracket_terms(dp, dq, j_inv):
-    """The terms (unnormalised) of sum over a, b of -J^-1[a][b] d_a p d_b q,
-    from the gradients of p and q."""
+    """The terms (unnormalised, keyed by packed exponents) of sum over
+    a, b of -J^-1[a][b] d_a p d_b q, from the packed gradients of p and q."""
     out = {}
     for a, da in enumerate(dp):
         if da:
             for b, db in enumerate(dq):
                 if j_inv[a][b] and db:
-                    _add_product(out, da, db, -j_inv[a][b])
+                    _add_packed_product(out, da, db, -j_inv[a][b])
     return out
 
 
@@ -454,6 +283,50 @@ def invariant_basis(action, degree):
             for v in null]
 
 
+def _invariant_bases(action, top):
+    """The degree-d invariant bases for d = 0..top.
+
+    Products of invariants are invariant.  In degree d the products g b
+    of each generator g (an invariant that the products of its degree
+    could not build) with each b in the basis of degree d - deg g go one
+    at a time into an echelon, which stops once its rank is the Molien
+    count: its pivot rows are then a basis.  Otherwise the degree has new
+    generators: its basis is the nullspace one, `invariant_basis`, which
+    must have the Molien count's size, and those of its vectors that the
+    products miss join the generators.  A degree whose count is 0 takes
+    no work.  The products are taken on packed exponents."""
+    packing = _Packing(action.dim, top)
+    bases = [[MultiPoly._raw(action.dim, {(0,) * action.dim: 1})]]
+    packed = [[{0: 1}]]  # each basis on packed exponents
+    generators = []  # (degree, packed terms), by degree
+    for d in range(1, top + 1):
+        size = action.molien(d)
+        echelon = linalg.Echelon()
+        if size:
+            products = (_add_packed_product({}, g, b)
+                        for k, g in generators for b in packed[d - k])
+            for row in products:
+                if echelon.add(row) and echelon.rank == size:
+                    break
+        rows = list(echelon.pivots.values())
+        if len(rows) != size:
+            basis = invariant_basis(action, d)
+            if len(basis) != size:
+                raise InvariantCountMismatch("degree %d: %d invariants, Molien count %s"
+                                             % (d, len(basis), size))
+            rows = [packing.terms(p.terms) for p in basis]
+            generators += [(d, row) for row in rows if echelon.add(row)]
+        elif rows:
+            unpack = {packing.pack(e): e for e in monomials(action.dim, d)}
+            basis = [MultiPoly._raw(action.dim, {unpack[k]: x for k, x in row.items()})
+                     for row in rows]
+        else:
+            basis = []
+        bases.append(basis)
+        packed.append(rows)
+    return bases
+
+
 def bracket_span_dim(action, degree, bases=None):
     """Dimension of the span of brackets of positive-degree invariants
     landing in degree d (inputs of degrees i + j = d + 2).
@@ -471,12 +344,13 @@ def bracket_span_dim(action, degree, bases=None):
     its rank reaches dim span bases[d], the most it can be."""
     _check_degree(degree)
     if bases is None:
-        bases = [invariant_basis(action, k) for k in range(degree + 2)]
+        bases = _invariant_bases(action, degree + 1)
     if not bases[degree]:
         return 0
+    packing = _Packing(action.dim, degree + 1)
     basis = linalg.Echelon()
     for p in bases[degree]:
-        basis.add(p.terms)
+        basis.add(packing.terms(p.terms))
     keys = basis.pivots.keys()
     j_inv = action.form_inverse
     span = linalg.Echelon()
@@ -486,8 +360,8 @@ def bracket_span_dim(action, degree, bases=None):
         j = degree + 2 - i
         if not bases[i] or not bases[j]:
             continue
-        left = [_gradient(p) for p in bases[i]]
-        right = left if i == j else [_gradient(q) for q in bases[j]]
+        left = [packing.gradient(p.terms) for p in bases[i]]
+        right = left if i == j else [packing.gradient(q.terms) for q in bases[j]]
         for a, dp in enumerate(left):
             for dq in right[a + 1:] if i == j else right:
                 terms = _bracket_terms(dp, dq, j_inv)
@@ -527,9 +401,7 @@ def hp0_dims(action, max_degree):
     window is zero; it is a heuristic, not a finiteness proof.
     """
     _check_degree(max_degree)
-    bases = [invariant_basis(action, k) for k in range(max_degree + 1)]
-    if max_degree == 0 or bases[1]:
-        bases.append(invariant_basis(action, max_degree + 1))
+    bases = _invariant_bases(action, max_degree + (max_degree == 0 or action.molien(1) > 0))
     # no invariance rows are built after the bases, so their images are
     # dropped before the brackets are taken
     action.forget_images()

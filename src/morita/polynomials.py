@@ -1,0 +1,250 @@
+"""Polynomials in several variables with exact coefficients.
+
+A polynomial is a term map: exponent tuple -> nonzero coefficient, an
+int when integral and a Fraction otherwise.  `MultiPoly` wraps one;
+`_Substitution` builds the monomial images x^e -> (M x)^e of a matrix
+incrementally, a degree at a time; `monomials` lists the exponents of
+one degree.  For products in bulk, `_Packing` packs each exponent tuple
+into one int, so that multiplying monomials adds ints
+(`_add_packed_product`).
+"""
+
+from functools import lru_cache
+from operator import add, mul
+
+from .exact import rational
+
+
+class ShapeMismatch(ValueError):
+    pass
+
+
+def _unit(nvars, *indices):
+    """Exponent tuple of the product of the variables at `indices`."""
+    return tuple(indices.count(k) for k in range(nvars))
+
+
+class MultiPoly:
+    """Polynomial in several variables: map exponent tuple -> nonzero
+    coefficient, an int when integral and a Fraction otherwise."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            c = rational(c)
+            if c:
+                if len(e) != nvars:
+                    raise ShapeMismatch("exponent %r has not %d entries" % (e, nvars))
+                self.terms[tuple(e)] = c
+
+    @classmethod
+    def _raw(cls, nvars, terms):
+        """Trusted construction: `terms` already maps exponent tuples of
+        length nvars to nonzero scalars under the rule of `rational`, and
+        is kept as given."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
+    def variable(cls, nvars, i):
+        return cls(nvars, {_unit(nvars, i): 1})
+
+    @classmethod
+    def monomial(cls, nvars, exponents, coeff=1):
+        return cls(nvars, {tuple(exponents): coeff})
+
+    @classmethod
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (isinstance(other, MultiPoly) and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
+
+    def __neg__(self):
+        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, MultiPoly):
+            c = rational(other)
+            return MultiPoly._raw(self.nvars, _exact_nonzero(
+                {e: c * v for e, v in self.terms.items()}))
+        out = {}
+        _add_product(out, self.terms, other.terms)
+        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = MultiPoly.constant(self.nvars, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def diff(self, i):
+        return MultiPoly._raw(self.nvars, _exact_nonzero(
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+             for e, c in self.terms.items() if e[i]}))
+
+    def substitute(self, matrix):
+        """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
+        out = {}
+        images = _Substitution(matrix, self.nvars).images(list(self.terms))
+        for c, img in zip(self.terms.values(), images):
+            for e, x in img.items():
+                out[e] = out.get(e, 0) + c * x
+        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
+
+    def __repr__(self):
+        if not self.terms:
+            return "MultiPoly(0)"
+        bits = []
+        for e, c in sorted(self.terms.items()):
+            mono = "*".join("x%d^%d" % (i, k) for i, k in enumerate(e) if k)
+            bits.append("%s%s%s" % (c, "*" if mono else "", mono))
+        return "MultiPoly(%s)" % " + ".join(bits)
+
+
+def _exact_nonzero(terms):
+    """`terms` without its zero coefficients and with the others under
+    the rule of `rational` (a product of Fractions stays a Fraction even
+    when it is integral)."""
+    return {e: c if type(c) is int else rational(c) for e, c in terms.items() if c}
+
+
+def _add_product(out, p, q, scale=1):
+    """out += scale * p * q, on term maps; `out` is left unnormalised."""
+    get = out.get
+    for e1, c1 in p.items():
+        c1 *= scale
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+
+
+def _add_packed_product(out, p, q, scale=1):
+    """`_add_product` on term maps keyed by packed exponents
+    (`_Packing`), where adding exponents adds the keys; returns `out`."""
+    get = out.get
+    q = list(q.items())
+    for k1, c1 in p.items():
+        c1 *= scale
+        for k2, c2 in q:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+class _Packing:
+    """Exponent tuples packed into one int each, e_0 in the highest
+    bits, with room for entries up to `top` (the total degree of every
+    product taken).  Adding exponents adds the ints, and the ints are
+    ordered as the tuples are, so an echelon on packed columns picks the
+    same leading monomials."""
+
+    __slots__ = ("units",)
+
+    def __init__(self, nvars, top):
+        bits = top.bit_length()
+        self.units = [1 << bits * (nvars - 1 - i) for i in range(nvars)]
+
+    def pack(self, e):
+        return sum(map(mul, e, self.units))
+
+    def terms(self, terms):
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def gradient(self, terms):
+        """The packed term maps of the partial derivatives."""
+        out = [{} for _ in self.units]
+        for e, c in terms.items():
+            k = self.pack(e)
+            for a, x in enumerate(e):
+                if x:
+                    out[a][k - self.units[a]] = c * x
+        return out
+
+
+class _Substitution:
+    """The monomial images x^e -> (M x)^e of one matrix M, built
+    incrementally: the image of x^e is the image of x^(e - e_i), for the
+    first variable i of e, times the linear form sum_j M[i][j] x_j of row
+    i, and every image built is kept until `images` drops it.
+
+    M has one row per substituted variable; the forms live in `nvars`
+    variables.  The images share their exponent tuples: `raised` maps an
+    exponent f to the tuples f + e_j, each built once, which keeps the
+    kept images small."""
+
+    __slots__ = ("forms", "one", "memo", "raised", "shared")
+
+    def __init__(self, matrix, nvars):
+        self.forms = [[(j, rational(x)) for j, x in enumerate(row) if x] for row in matrix]
+        self.one = ((0,) * len(matrix), {(0,) * nvars: 1})
+        self.memo = dict([self.one])
+        self.raised = {}
+        self.shared = {}
+
+    def image(self, e):
+        """The terms of the image of x^e."""
+        img = self.memo.get(e)
+        if img is None:
+            i = next(k for k, v in enumerate(e) if v)
+            lower = self.image(e[:i] + (e[i] - 1,) + e[i + 1:])
+            form = self.forms[i]
+            raised = self.raised
+            out = {}
+            get = out.get
+            for f, c in lower.items():
+                up = raised.get(f)
+                if up is None:
+                    up = raised[f] = [
+                        self.shared.setdefault(g, g)
+                        for g in (f[:j] + (f[j] + 1,) + f[j + 1:] for j in range(len(f)))]
+                for j, x in form:
+                    g = up[j]
+                    out[g] = get(g, 0) + c * x
+            img = self.memo[e] = _exact_nonzero(out)
+        return img
+
+    def images(self, exponents):
+        """The images of x^e for e in `exponents`.  Afterwards only these
+        are kept (and that of 1), so asking for one degree after another
+        holds the images of one degree: the next degree is built from
+        them, and an earlier one again from 1."""
+        out = [self.image(e) for e in exponents]
+        self.memo = dict(zip(exponents, out))
+        self.memo.setdefault(*self.one)
+        self.raised = {}
+        self.shared = {}
+        return out
+
+
+@lru_cache(maxsize=None)
+def monomials(nvars, degree):
+    """Exponent tuples of total degree exactly `degree`, in a fixed order,
+    as a tuple: each (nvars, degree) is enumerated once and shared."""
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
+    return tuple((first,) + rest for first in range(degree, -1, -1)
+                 for rest in monomials(nvars - 1, degree - first))

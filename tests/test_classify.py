@@ -330,3 +330,103 @@ def test_input_validation_raises_out_of_range():
                  lambda: search_relations(1, 2), lambda: search_relations(0, 0)):
         with pytest.raises(OutOfRange):
             call()
+
+
+def _derive_relation_by_roots(n, v):
+    """`derive_relation` as it was before it accepted by comparing f with
+    f_r, kept as its oracle: every vector goes through the root search."""
+    from morita import classify
+    from morita.exact import quotient, rational_roots
+    f, a = build_f(n, v)
+    roots, remainder = rational_roots(f)
+    if remainder.degree > 0:
+        return Rejection("NonIntegerRoots",
+                         {"roots_found": roots, "remainder": remainder.to_json()})
+    s = quotient(sum(a), n * (n - 1))
+    if not isinstance(s, int):
+        raise classify.InternalDivisibility("shift %s is not an integer for %r" % (s, v))
+    if n == 2:
+        return {Relation(1, s), Relation(-1, s)}
+    diffs = sorted(set(roots[i + 1] - roots[i] for i in range(len(roots) - 1)))
+    if len(diffs) > 1:
+        return Rejection("NotArithmeticProgression",
+                         {"roots": roots, "differences": diffs})
+    d = diffs[0]
+    if d != 1:
+        return Rejection("CommonDifferenceNotUnit",
+                         {"roots": roots, "common_difference": d})
+    return {Relation(1, s), Relation(-1, s)}
+
+
+def _same_result(n, v):
+    new, old = derive_relation(n, v), _derive_relation_by_roots(n, v)
+    if isinstance(old, Rejection):
+        return isinstance(new, Rejection) and new.to_json() == old.to_json()
+    return new == old
+
+
+def _catalogue_vectors():
+    """(n, coordinates) of every classify request of the benchmark."""
+    import importlib.util
+    import os
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "catalogue.py")
+    spec = importlib.util.spec_from_file_location("bench_catalogue", path)
+    catalogue = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(catalogue)
+    out = []
+    for req in catalogue.full_catalogue("classify"):
+        argv = req["argv"]
+        if argv[0] == "classify":
+            out.append((int(argv[2]), [int(x) for x in argv[3].split("=")[1].split(",")]))
+    return out
+
+
+# the vectors of the tests above and of the classify goldens
+_TEST_VECTORS = [(2, [1]), (2, [0]), (3, [0, 0]), (3, [3, -2]), (3, [1, 0]), (3, [1, 1]),
+                 (6, [0, 0, 0, 1, 0, 0, 0, 0, 0, 2]), (3, [166666666666, 1]),
+                 (3, [166666666666666666, 1])]
+
+
+def test_accept_by_comparison_matches_the_root_search():
+    vectors = _catalogue_vectors()
+    assert len(vectors) > 30
+    for n, values in vectors + _TEST_VECTORS:
+        assert _same_result(n, KTheoryVector.from_list(n, values)), (n, values)
+
+
+@pytest.mark.parametrize("n, bound", [(3, 4), (4, 3), (5, 2)])
+def test_accept_by_comparison_on_every_point_of_small_boxes(n, bound):
+    for point in itertools.product(range(-bound, bound + 1), repeat=len(gamma_star(n))):
+        assert _same_result(n, KTheoryVector.from_list(n, list(point))), point
+
+
+@pytest.mark.parametrize("n, bound", [(5, 2), (6, 2), (6, 3), (7, 1)])
+def test_accept_by_comparison_on_the_solver_points(n, bound):
+    from morita import classify
+    index = gamma_star(n)
+    points = classify._solve_box(n, bound)
+    assert points
+    for point in points:
+        v = KTheoryVector(n, dict(zip(index, point)))
+        assert not isinstance(derive_relation(n, v), Rejection)
+        assert _same_result(n, v), point
+
+
+def test_accept_searches_no_roots(monkeypatch):
+    # an accepted vector is decided by one comparison; a rejection still
+    # searches the roots for its witness
+    from morita import classify
+    calls = []
+    original = classify.rational_roots
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(classify, "rational_roots", counted)
+    for n, values in ((3, [3, -2]), (6, [0] * 9 + [-1]), (6, [0] * 10)):
+        assert not isinstance(derive_relation(n, vec(n, *values)), Rejection)
+    assert calls == []
+    assert isinstance(derive_relation(3, vec(3, 1, 0)), Rejection)
+    assert len(calls) == 1

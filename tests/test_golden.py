@@ -9,8 +9,10 @@ tests/golden/s4.json) were recorded before the invariance and
 functional rows went sparse, and the Z/4 (tests/golden/z4.json) and
 S_4 degree-4 --dual-check cases before the dual read orbit sums, and
 classify_n3_reject_1e12 (|f(0)| ~ 1e12, no integer root) before integer
-roots came from bisection instead of trial division.  A refactor that
-changes any byte of a report fails here.
+roots came from bisection instead of trial division.  The S_5 case
+(four generators on eight variables, tests/golden/s5.json) was recorded
+before the invariant bases came from products of lower-degree
+invariants.  A refactor that changes any byte of a report fails here.
 """
 
 import json

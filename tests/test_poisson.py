@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from morita import linalg, poisson
+from morita import linalg, poisson, polynomials
 from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
                             OutOfRange, ShapeMismatch, bracket,
                             bracket_span_dim, close_group, duality_check,
@@ -334,25 +334,39 @@ def test_reynolds_off_the_production_path(monkeypatch):
 
 
 def test_one_basis_per_degree(monkeypatch):
-    calls = []
-    original = poisson.invariant_basis
+    # each degree is built once, by products or by the nullspace: the
+    # bases run through degrees 0..cutoff, and cutoff + 1 only when
+    # something pairs with it (at cutoff 0, or with degree-1 invariants,
+    # which only the trivial group has); the nullspace runs only in the
+    # degrees where products of lower invariants fall short of the
+    # Molien count
+    built, nullspace = [], []
+    bases, original = poisson._invariant_bases, poisson.invariant_basis
+
+    def counted_bases(action, top):
+        out = bases(action, top)
+        built.extend(range(len(out)))
+        return out
 
     def counted(action, degree):
-        calls.append(degree)
+        nullspace.append(degree)
         return original(action, degree)
 
     def refuse(action, max_degree):
         raise AssertionError("hp0_dims called")
+    monkeypatch.setattr(poisson, "_invariant_bases", counted_bases)
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     reports = []
-    # degrees 0..cutoff, and cutoff + 1 only when something pairs with it:
-    # at cutoff 0, or with degree-1 invariants (only the trivial group's)
-    for action, cutoff, top in ((order_three(), 6, False), (s3(), 3, False),
-                                (trivial(), 3, True), (trivial(), 0, True),
-                                (order_three(), 0, True)):
-        calls.clear()
+    for action, cutoff, top, fallback in ((order_three(), 6, False, [2, 3]),
+                                          (s3(), 3, False, [2, 3]),
+                                          (trivial(), 3, True, [1]),
+                                          (trivial(), 0, True, [1]),
+                                          (order_three(), 0, True, [])):
+        built.clear()
+        nullspace.clear()
         reports.append((action, hp0_dims(action, cutoff)))
-        assert sorted(calls) == list(range(cutoff + 1 + top))
+        assert built == list(range(cutoff + 1 + top))
+        assert nullspace == fallback
     monkeypatch.setattr(poisson, "hp0_dims", refuse)
     for action, graded in reports:
         assert len(duality_check(action, graded)["rows"]) == graded.max_degree + 1
@@ -438,7 +452,7 @@ def _pairing_poly(action, g):
     # (u, g v) = sum of (J g)[a][c] u_a v_c in the 2*dim variables (u, then v)
     d = action.dim
     jg = linalg.mat_mul(action.form, g)
-    return MultiPoly(2 * d, {poisson._unit(2 * d, a, d + c): jg[a][c]
+    return MultiPoly(2 * d, {polynomials._unit(2 * d, a, d + c): jg[a][c]
                              for a in range(d) for c in range(d)})
 
 
@@ -472,8 +486,8 @@ def _functional_matrix_per_monomial(action, degree):
     p_monos = monomials(d, degree)
     per_element = []
     for g in action.elements:
-        shifted = [MultiPoly(2 * d, {poisson._unit(2 * d, i): 1}
-                             | {poisson._unit(2 * d, d + c): g[i][c] for c in range(d)})
+        shifted = [MultiPoly(2 * d, {polynomials._unit(2 * d, i): 1}
+                             | {polynomials._unit(2 * d, d + c): g[i][c] for c in range(d)})
                    for i in range(d)]
         per_element.append((_pairing_poly(action, g), shifted))
     columns = []
@@ -707,21 +721,19 @@ def test_hp0_permutation_action_vanishes():
 def _full_rank_bracket_span_dim(action, degree, bases):
     """The bracket span `bracket_span_dim` measured before it read the
     brackets on invariant coordinates and stopped at full rank, kept as
-    the oracle: every pair, both orders, each bracket a dense row over
-    all degree-d monomials, and the rank of the whole matrix."""
+    the oracle: every pair, both orders, each bracket (`bracket`, on
+    exponent tuples) a dense row over all degree-d monomials, and the
+    rank of the whole matrix."""
     column = {e: c for c, e in enumerate(monomials(action.dim, degree))}
-    j_inv = action.form_inverse
     rows = []
     for i in range(1, degree // 2 + 2):
         j = degree + 2 - i
         if not bases[i] or not bases[j]:
             continue
-        left = [poisson._gradient(p) for p in bases[i]]
-        right = left if i == j else [poisson._gradient(q) for q in bases[j]]
-        for dp in left:
-            for dq in right:
+        for p in bases[i]:
+            for q in bases[j]:
                 row = [0] * len(column)
-                for e, x in poisson._bracket_terms(dp, dq, j_inv).items():
+                for e, x in bracket(p, q, action.form).terms.items():
                     row[column[e]] = x
                 if any(row):
                     rows.append(row)
@@ -832,3 +844,117 @@ def test_dual_rank_stops_at_full_rank(monkeypatch):
     assert functional_solutions_dim(action, 3) == 0
     matrix, p_monos = poisson._functional_matrix(action, 3)
     assert len(p_monos) <= len(added) < len(matrix)
+
+
+def _s5():
+    return symmetric_group_action(5)
+
+
+# group and the degrees through which Molien's count is read against the
+# oracle `_molien_coefficients`
+MOLIEN_COUNT_CASES = dict(
+    [("molien_" + name, (case[0], 12)) for name, case in MOLIEN_ACTIONS.items()]
+    + [("afls_" + name, (case[0], 12)) for name, case in AFLS_CASES.items()]
+    + [("s5", (_s5, 6))])
+
+
+@pytest.mark.parametrize("name", sorted(MOLIEN_COUNT_CASES))
+def test_molien_count_matches_oracle(name):
+    make, top = MOLIEN_COUNT_CASES[name]
+    action = make()
+    assert [action.molien(d) for d in range(top + 1)] == _molien_coefficients(action, top)
+    # read from the top degree down, a fresh action gives the same counts
+    fresh = make()
+    assert [fresh.molien(d) for d in range(top, -1, -1)] == _molien_coefficients(action, top)[::-1]
+
+
+@pytest.mark.parametrize("name", sorted(MOLIEN_ACTIONS) + sorted(AFLS_CASES))
+def test_molien_count_is_the_nullspace_size(name):
+    # in every degree the tests build a nullspace basis in
+    make, top = (MOLIEN_ACTIONS[name][0], 6) if name in MOLIEN_ACTIONS \
+        else (AFLS_CASES[name][0], AFLS_CASES[name][1] + 1)
+    action = make()
+    assert [action.molien(d) for d in range(top + 1)] \
+        == [len(invariant_basis(action, d)) for d in range(top + 1)]
+
+
+def test_molien_count_reads_only_the_powers_it_needs():
+    # degree d needs tr(g^k) for k <= min(d, dim) only
+    action = s4()
+    assert action.molien(2) == 3
+    assert len(action._molien.traces[0]) == 2
+    assert action.molien(9) == 92
+    assert len(action._molien.traces[0]) == action.dim
+
+
+PRODUCT_SPAN_CASES = {"z3": (order_three, 10), "z4": (order_four, 10),
+                      "z6": (order_six, 10), "s3": (s3, 8), "s4": (s4, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_SPAN_CASES))
+def test_product_bases_span_the_invariants(name):
+    # the product bases span what the nullspace bases span, degree by degree
+    make, top = PRODUCT_SPAN_CASES[name]
+    action = make()
+    products = poisson._invariant_bases(action, top)
+    for d, basis in enumerate(products):
+        null = invariant_basis(action, d)
+        assert len(basis) == len(null) == action.molien(d)
+        assert _rank([p.terms for p in basis + null]) == len(null)
+        for p in basis:
+            assert {sum(e) for e in p.terms} == {d}
+
+
+def _nullspace_hp0_dims(action, cutoff):
+    """The dims as `hp0_dims` took them before the product bases: every
+    basis a nullspace one, degrees 0..cutoff + 1."""
+    bases = [invariant_basis(action, k) for k in range(cutoff + 2)]
+    return {n: len(bases[n]) - bracket_span_dim(action, n, bases) for n in range(cutoff + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_hp0_dims_match_the_nullspace_bases(name):
+    make, cutoff, _ = AFLS_CASES[name]
+    assert hp0_dims(make(), cutoff).dims == _nullspace_hp0_dims(make(), cutoff)
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_new_generators_only_up_to_the_noether_bound(name, monkeypatch):
+    # past |G| the products of lower invariants span each degree
+    # (Noether; Fleischmann, Fogarty), so the nullspace never runs there
+    make, cutoff, _ = AFLS_CASES[name]
+    action = make()
+    nullspace = []
+    original = poisson.invariant_basis
+
+    def counted(action, degree):
+        nullspace.append(degree)
+        return original(action, degree)
+
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    hp0_dims(action, cutoff)
+    assert nullspace and max(nullspace) <= action.order
+
+
+def test_molien_mismatch_is_an_internal_error(monkeypatch, capsys):
+    # a nullspace basis whose size is not Molien's count is a bug in the
+    # program: an AssertionError subclass, not a ValueError, so the CLI
+    # exits 1 with "internal error", never 2; no assert statement is
+    # involved, so this holds under python -O too
+    from morita.cli import run
+    assert issubclass(poisson.InvariantCountMismatch, AssertionError)
+    assert not issubclass(poisson.InvariantCountMismatch, ValueError)
+    original = poisson.SymplecticAction.molien
+
+    def off_by_one(action, degree):
+        return original(action, degree) + (degree == 3)
+
+    monkeypatch.setattr(poisson.SymplecticAction, "molien", off_by_one)
+    with pytest.raises(poisson.InvariantCountMismatch, match="degree 3: 4 invariants"):
+        hp0_dims(s3(), 3)
+    group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
+    capsys.readouterr()
+    assert run(["hp0", "--group", group, "--max-degree", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: degree 3: 4 invariants, Molien count 5")
