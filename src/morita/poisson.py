@@ -8,7 +8,8 @@ into an incremental echelon, which stops once its rank is that count.
 Only in degrees where the products fall short (new generators exist,
 and never above |G|, by Noether's bound) is the basis the common fixed
 space of the generators on the degree-d monomials, the nullspace of the
-stacked Sym^d(g) - I; it must have the Molien count's size.  Bracket
+stacked Sym^d(g) - I, whose vectors join the same echelon to reach
+that count; the basis is its pivot rows.  Bracket
 spans are measured by exact rank on invariant coordinates, and the
 graded dimensions of the quotient of invariants by brackets are
 cross-checked against the dual picture: a polynomial P of degree n
@@ -23,17 +24,18 @@ below, times the linear form of row i of M.  An action keeps one per
 group element it substitutes -- each generator for the invariance rows,
 every element for the orbit sums of the dual -- holding one degree of
 images at a time, so a command that climbs the degrees builds each
-monomial image once per element.  A bracket span takes each invariant's
-gradient once and sums -J^-1[a][b] d_a p d_b q straight into one term
-map.  Products and brackets run on packed exponents
-(`polynomials._Packing`), where multiplying monomials adds ints.
+monomial image once per element.  The bases, their products and
+brackets stay on packed exponents (`polynomials._Packing`, one per
+`hp0_dims` run), where multiplying monomials adds ints.  A bracket span
+takes each basis row's gradient once, from its packed terms, and sums
+-J^-1[a][b] d_a p d_b q straight into one term map.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
-degree-d brackets therefore lie in the span of the degree-d invariant
-basis, on which restriction to the leading monomials of its row echelon
-form is injective: a bracket is read only at those len(basis) monomials,
-and its span is full once its rank reaches len(basis).
+degree-d brackets therefore lie in the span of the degree-d basis rows,
+on which restriction to their leading monomials is injective (the rows
+are in echelon form): a bracket is read only at those len(basis)
+monomials, and its span is full once its rank reaches len(basis).
 
 The dual substitutes nothing into the doubled variables (u, v): its sum
 over g of (u, g v) P(u + g v) is the sum over g of Q_P(u, g v), where
@@ -165,13 +167,16 @@ class SymplecticAction:
 def close_group(generators, form, cap=10000):
     """Breadth-first closure of the generators under multiplication.
 
-    The generators are verified symplectic exactly, so every product of
-    them is; closure past cap signals an infinite or mis-entered group.
+    The form is checked skew (else its bracket is not Poisson) and the
+    generators symplectic, exactly, so every product of them is
+    symplectic; closure past cap signals an infinite or mis-entered group.
     """
     form = _freeze(form)
     n = len(form)
     if any(len(row) != n for row in form):
         raise ShapeMismatch("form is not square")
+    if any(form[i][k] != -form[k][i] for i in range(n) for k in range(i, n)):
+        raise NotSymplectic("form fails J^T = -J: %r" % (form,))
     gens = [_freeze(g) for g in generators]
     for g in gens:
         if len(g) != n or any(len(row) != n for row in g):
@@ -284,74 +289,58 @@ def invariant_basis(action, degree):
 
 
 def _invariant_bases(action, top):
-    """The degree-d invariant bases for d = 0..top.
+    """The `_Packing` of d = 0..top and, per degree d, the pivot rows of
+    the echelon that certified the degree-d invariants: their basis.
 
     Products of invariants are invariant.  In degree d the products g b
     of each generator g (an invariant that the products of its degree
     could not build) with each b in the basis of degree d - deg g go one
     at a time into an echelon, which stops once its rank is the Molien
-    count: its pivot rows are then a basis.  Otherwise the degree has new
-    generators: its basis is the nullspace one, `invariant_basis`, which
-    must have the Molien count's size, and those of its vectors that the
-    products miss join the generators.  A degree whose count is 0 takes
-    no work.  The products are taken on packed exponents."""
+    count.  Where they fall short the vectors of the nullspace basis,
+    `invariant_basis`, go into the same echelon, which must then reach
+    the count, and those that raise its rank join the generators.  A
+    degree whose count is 0 takes no work."""
     packing = _Packing(action.dim, top)
-    bases = [[MultiPoly._raw(action.dim, {(0,) * action.dim: 1})]]
-    packed = [[{0: 1}]]  # each basis on packed exponents
+    bases = [[{0: 1}]]
     generators = []  # (degree, packed terms), by degree
     for d in range(1, top + 1):
         size = action.molien(d)
         echelon = linalg.Echelon()
         if size:
             products = (_add_packed_product({}, g, b)
-                        for k, g in generators for b in packed[d - k])
+                        for k, g in generators for b in bases[d - k])
             for row in products:
                 if echelon.add(row) and echelon.rank == size:
                     break
-        rows = list(echelon.pivots.values())
-        if len(rows) != size:
-            basis = invariant_basis(action, d)
-            if len(basis) != size:
-                raise InvariantCountMismatch("degree %d: %d invariants, Molien count %s"
-                                             % (d, len(basis), size))
-            rows = [packing.terms(p.terms) for p in basis]
+        if echelon.rank < size:
+            rows = [packing.terms(p.terms) for p in invariant_basis(action, d)]
             generators += [(d, row) for row in rows if echelon.add(row)]
-        elif rows:
-            unpack = {packing.pack(e): e for e in monomials(action.dim, d)}
-            basis = [MultiPoly._raw(action.dim, {unpack[k]: x for k, x in row.items()})
-                     for row in rows]
-        else:
-            basis = []
-        bases.append(basis)
-        packed.append(rows)
-    return bases
+            if echelon.rank != size:
+                raise InvariantCountMismatch("degree %d: %d invariants, Molien count %s"
+                                             % (d, echelon.rank, size))
+        bases.append(list(echelon.pivots.values()))
+    return packing, bases
 
 
 def bracket_span_dim(action, degree, bases=None):
     """Dimension of the span of brackets of positive-degree invariants
     landing in degree d (inputs of degrees i + j = d + 2).
 
-    bases[k] is the degree-k invariant basis for k <= d + 1; it is
-    computed here when not given.  bases[d + 1] is read only when
-    bases[1] is not empty.
+    `bases` is the output of `_invariant_bases` through degree d + 1 (d
+    when there are no degree-1 invariants); computed here when not given.
 
     The group preserves the bracket, so every bracket of invariants is
-    a degree-d invariant, in the span of bases[d].  Restriction to the
-    leading monomials K of the row echelon form of bases[d] is injective
-    on that span, so the brackets' rank is the rank of their
-    coefficients at K.  The brackets are taken one at a time into an
-    incremental echelon on those coordinates, which stops as soon as
-    its rank reaches dim span bases[d], the most it can be."""
+    a degree-d invariant, in the span of the degree-d basis rows.  Their
+    leading columns K are distinct, so restriction to K is injective on
+    that span, and the brackets' rank is the rank of their coefficients
+    at K.  The brackets are taken one at a time into an incremental
+    echelon on those coordinates, which stops as soon as its rank
+    reaches the number of basis rows, the most it can be."""
     _check_degree(degree)
-    if bases is None:
-        bases = _invariant_bases(action, degree + 1)
-    if not bases[degree]:
+    packing, bases = _invariant_bases(action, degree + 1) if bases is None else bases
+    keys = {min(row) for row in bases[degree]}
+    if not keys:
         return 0
-    packing = _Packing(action.dim, degree + 1)
-    basis = linalg.Echelon()
-    for p in bases[degree]:
-        basis.add(packing.terms(p.terms))
-    keys = basis.pivots.keys()
     j_inv = action.form_inverse
     span = linalg.Echelon()
     # each degree k is paired in one pass of this loop only; within one
@@ -360,13 +349,13 @@ def bracket_span_dim(action, degree, bases=None):
         j = degree + 2 - i
         if not bases[i] or not bases[j]:
             continue
-        left = [packing.gradient(p.terms) for p in bases[i]]
-        right = left if i == j else [packing.gradient(q.terms) for q in bases[j]]
+        left = [packing.gradient(p) for p in bases[i]]
+        right = left if i == j else [packing.gradient(q) for q in bases[j]]
         for a, dp in enumerate(left):
             for dq in right[a + 1:] if i == j else right:
                 terms = _bracket_terms(dp, dq, j_inv)
                 if span.add({e: x for e, x in terms.items() if e in keys}) \
-                        and span.rank == basis.rank:
+                        and span.rank == len(keys):
                     return span.rank
     return span.rank
 
@@ -401,13 +390,14 @@ def hp0_dims(action, max_degree):
     window is zero; it is a heuristic, not a finiteness proof.
     """
     _check_degree(max_degree)
-    bases = _invariant_bases(action, max_degree + (max_degree == 0 or action.molien(1) > 0))
+    packing, bases = _invariant_bases(
+        action, max_degree + (max_degree == 0 or action.molien(1) > 0))
     # no invariance rows are built after the bases, so their images are
     # dropped before the brackets are taken
     action.forget_images()
     dims = {}
     for n in range(max_degree + 1):
-        dims[n] = len(bases[n]) - bracket_span_dim(action, n, bases)
+        dims[n] = len(bases[n]) - bracket_span_dim(action, n, (packing, bases))
         if dims[n] < 0:
             raise NegativeDimension("degree %d: bracket span exceeds invariants" % n)
     tail = max(1, -(-max_degree // 4))

@@ -6,7 +6,8 @@ int when integral and a Fraction otherwise.  `MultiPoly` wraps one;
 incrementally, a degree at a time; `monomials` lists the exponents of
 one degree.  For products in bulk, `_Packing` packs each exponent tuple
 into one int, so that multiplying monomials adds ints
-(`_add_packed_product`).
+(`_add_packed_product`) and a partial derivative reads its exponent
+off the int (`_Packing.gradient`).
 """
 
 from functools import lru_cache
@@ -160,13 +161,17 @@ class _Packing:
     bits, with room for entries up to `top` (the total degree of every
     product taken).  Adding exponents adds the ints, and the ints are
     ordered as the tuples are, so an echelon on packed columns picks the
-    same leading monomials."""
+    same leading monomials.  One packing serves a whole `hp0` run: its
+    invariant bases, their products and the gradients of its brackets
+    all stay packed."""
 
-    __slots__ = ("units",)
+    __slots__ = ("units", "shifts", "mask")
 
     def __init__(self, nvars, top):
         bits = top.bit_length()
-        self.units = [1 << bits * (nvars - 1 - i) for i in range(nvars)]
+        self.shifts = [bits * (nvars - 1 - i) for i in range(nvars)]
+        self.units = [1 << s for s in self.shifts]
+        self.mask = (1 << bits) - 1
 
     def pack(self, e):
         return sum(map(mul, e, self.units))
@@ -175,13 +180,15 @@ class _Packing:
         return {self.pack(e): c for e, c in terms.items()}
 
     def gradient(self, terms):
-        """The packed term maps of the partial derivatives."""
+        """The packed term maps of the partial derivatives of the packed
+        term map `terms`."""
         out = [{} for _ in self.units]
-        for e, c in terms.items():
-            k = self.pack(e)
-            for a, x in enumerate(e):
+        mask = self.mask
+        for k, c in terms.items():
+            for d, s, u in zip(out, self.shifts, self.units):
+                x = k >> s & mask
                 if x:
-                    out[a][k - self.units[a]] = c * x
+                    d[k - u] = c * x
         return out
 
 

@@ -574,6 +574,17 @@ def test_hp0_bad_file_exit_two(tmp_path):
     assert run(["hp0", "--group", str(bad), "--max-degree", "2"]) == 2
 
 
+def test_hp0_form_not_skew_exit_two(tmp_path, capsys):
+    # the identity form is not skew-symmetric, so its bracket is not
+    # Poisson; the command refuses it instead of reporting "pass"
+    path = _write_group(tmp_path, {"dim": 2, "form": [[1, 0], [0, 1]],
+                                   "generators": []})
+    assert run(["hp0", "--group", path, "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: form fails J^T = -J")
+
+
 def test_hp0_infinite_group_exit_two(tmp_path, capsys):
     # a shear is symplectic but of infinite order: closure stops at the cap
     path = _write_group(tmp_path, {"dim": 2, "form": [[0, 1], [-1, 0]],

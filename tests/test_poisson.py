@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -68,6 +69,19 @@ def test_close_group_orders():
 def test_close_group_rejects_nonsymplectic():
     with pytest.raises(NotSymplectic):
         close_group([[[2, 0], [0, 1]]], J2)
+
+
+@pytest.mark.parametrize("form", [
+    [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [-1, 0]],
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    [[0, Fraction(1, 3)], [Fraction(-1, 2), 0]],
+])
+def test_close_group_rejects_form_not_skew(form):
+    # a form with J^T != -J gives a bracket that is not Poisson: an input
+    # error, whatever the generators, so the CLI exits 2
+    with pytest.raises(NotSymplectic, match="J\\^T = -J"):
+        close_group([], form)
+    assert issubclass(NotSymplectic, ValueError)
 
 
 def test_close_group_cap():
@@ -345,7 +359,7 @@ def test_one_basis_per_degree(monkeypatch):
 
     def counted_bases(action, top):
         out = bases(action, top)
-        built.extend(range(len(out)))
+        built.extend(range(len(out[1])))
         return out
 
     def counted(action, degree):
@@ -754,12 +768,15 @@ BRACKET_SPAN_CASES = dict(
 
 @pytest.mark.parametrize("name", sorted(BRACKET_SPAN_CASES))
 def test_bracket_span_matches_full_rank(name):
+    # the span on the product bases against the full-rank span on the
+    # nullspace bases
     make, cutoff = BRACKET_SPAN_CASES[name]
     action = make()
-    bases = [invariant_basis(action, k) for k in range(cutoff + 2)]
+    null = [invariant_basis(action, k) for k in range(cutoff + 2)]
+    bases = poisson._invariant_bases(action, cutoff + 1)
     for d in range(cutoff + 1):
         assert bracket_span_dim(action, d, bases) \
-            == _full_rank_bracket_span_dim(action, d, bases)
+            == _full_rank_bracket_span_dim(action, d, null)
 
 
 def test_bracket_span_stops_at_full_rank(monkeypatch):
@@ -893,23 +910,84 @@ PRODUCT_SPAN_CASES = {"z3": (order_three, 10), "z4": (order_four, 10),
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_SPAN_CASES))
 def test_product_bases_span_the_invariants(name):
-    # the product bases span what the nullspace bases span, degree by degree
+    # the product bases span what the nullspace bases span, degree by
+    # degree, as primitive integer rows on the packed degree-d monomials
+    # with distinct leading columns
     make, top = PRODUCT_SPAN_CASES[name]
     action = make()
-    products = poisson._invariant_bases(action, top)
+    packing, products = poisson._invariant_bases(action, top)
     for d, basis in enumerate(products):
-        null = invariant_basis(action, d)
+        null = [packing.terms(p.terms) for p in invariant_basis(action, d)]
         assert len(basis) == len(null) == action.molien(d)
-        assert _rank([p.terms for p in basis + null]) == len(null)
-        for p in basis:
-            assert {sum(e) for e in p.terms} == {d}
+        assert _rank(basis + null) == len(null)
+        assert len({min(row) for row in basis}) == len(basis)
+        packed = {packing.pack(e) for e in monomials(action.dim, d)}
+        for row in basis:
+            assert row.keys() <= packed
+            assert all(type(x) is int for x in row.values())
+            assert math.gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 7, 8])
+def test_packed_gradient_matches_diff(top):
+    # `_Packing.gradient` reads each exponent off a packed key by shift
+    # and mask; an exponent equal to top fills its field when top is
+    # 2^k - 1 and sets only the high bit of it when top is 2^k
+    rng = random.Random(top)
+    for nvars in (1, 2, 4):
+        packing = polynomials._Packing(nvars, top)
+        corners = [(top,) * nvars] + [tuple(top * (k == a) for k in range(nvars))
+                                      for a in range(nvars)]
+        for _ in range(12):
+            exps = corners + [tuple(rng.randint(0, top) for _ in range(nvars))
+                              for _ in range(rng.randint(0, 6))]
+            p = MultiPoly(nvars, {e: rng.choice([1, -2, 5, Fraction(3, 4)])
+                                  for e in exps})
+            assert packing.gradient(packing.terms(p.terms)) \
+                == [packing.terms(p.diff(a).terms) for a in range(nvars)]
+
+
+def test_one_packing_per_run(monkeypatch):
+    # hp0_dims packs once for all its degrees; a bracket span given the
+    # bases packs nothing and builds one echelon, that of the brackets
+    packings, echelons = [], []
+
+    class Packing(polynomials._Packing):
+        __slots__ = ()
+
+        def __init__(self, nvars, top):
+            packings.append(top)
+            super().__init__(nvars, top)
+
+    class Echelon(linalg.Echelon):
+        __slots__ = ()
+
+        def __init__(self):
+            echelons.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(poisson, "_Packing", Packing)
+    monkeypatch.setattr(linalg, "Echelon", Echelon)
+    for action, cutoff in ((order_three(), 6), (s3(), 5), (trivial(), 3),
+                           (order_three(), 0)):
+        packings.clear()
+        hp0_dims(action, cutoff)
+        assert len(packings) == 1
+        bases = poisson._invariant_bases(action, cutoff + 1)
+        packings.clear()
+        for d in range(cutoff + 1):
+            echelons.clear()
+            bracket_span_dim(action, d, bases)
+            assert packings == [] and len(echelons) <= 1
 
 
 def _nullspace_hp0_dims(action, cutoff):
     """The dims as `hp0_dims` took them before the product bases: every
-    basis a nullspace one, degrees 0..cutoff + 1."""
+    basis a nullspace one, degrees 0..cutoff + 1, and every bracket span
+    the full-rank one."""
     bases = [invariant_basis(action, k) for k in range(cutoff + 2)]
-    return {n: len(bases[n]) - bracket_span_dim(action, n, bases) for n in range(cutoff + 1)}
+    return {n: len(bases[n]) - _full_rank_bracket_span_dim(action, n, bases)
+            for n in range(cutoff + 1)}
 
 
 @pytest.mark.parametrize("name", sorted(AFLS_CASES))
