@@ -6,8 +6,9 @@ anywhere.  ``rational`` brings a value under the rule and ``quotient``
 divides under it; no other code builds a Fraction.  Polynomials are dense
 tuples of such scalars indexed by degree, with + - * and one division,
 divmod.  On top of that we provide rational functions, partial fraction
-expansions at given simple integer poles, and integer-root extraction
-for monic integer polynomials, which serves classify.
+expansions at given simple integer poles with their numerator over a
+common denominator, and integer-root extraction for monic integer
+polynomials, which serves classify.
 
 Integer roots come from exact integer bisection on the pieces where the
 polynomial is monotone, not from trial division, so the work grows with
@@ -15,9 +16,10 @@ log|c0| for the constant term c0, not with sqrt|c0|.
 
 A RationalFunction is a value, not an arithmetic: its constructor stores
 num and a monic den as given and takes no gcd, and it has no + - *.
-Each one the package returns is a ratio of products of integer linear
-factors, built in lowest terms by cancelling the factors the two sides
-share, so no polynomial gcd runs anywhere in the package.
+Each one the package returns is built from products of integer linear
+factors, in lowest terms by cancelling the factors the two sides share
+(G_lam = dim - chi_B puts the difference of two such products over
+chi_B's denominator), so no polynomial gcd runs anywhere in the package.
 """
 
 from fractions import Fraction
@@ -281,14 +283,6 @@ class PartialFraction:
                 for i, c in enumerate(quot):
                     num[i] += r * c
         return Poly(num)
-
-    def to_rational_function(self):
-        """The sum as a RationalFunction in lowest terms: den = prod (x - p)
-        over the poles with nonzero residue, num = numerator_over(den).
-        num(p) = r_p * prod_{q != p} (p - q) is nonzero at every root p of
-        den, so gcd(num, den) = 1 with no gcd taken."""
-        den = Poly.from_roots(p for p, r in self.residues.items() if r)
-        return RationalFunction(self.numerator_over(den), den)
 
     def __eq__(self, other):
         if isinstance(other, PartialFraction):

@@ -47,7 +47,6 @@ invariants of that degree.
 """
 
 import math
-from functools import cached_property
 from itertools import product
 
 from . import linalg
@@ -97,17 +96,18 @@ def _is_symplectic(g, j):
 
 
 class SymplecticAction:
-    """A finite group of symplectic matrices together with its form and
-    the generators it was closed from.
+    """A finite group of symplectic matrices together with its form, the
+    form's inverse and the generators it was closed from.
 
     It also keeps, per element it has substituted, a `_Substitution` with
     the monomial images of the degree last asked for, from which the
     next degree is built, the orbit sums of every degree built, and the
     state of its Molien count (`linalg.MolienSeries`)."""
 
-    def __init__(self, dim, form, elements, generators):
+    def __init__(self, dim, form, form_inverse, elements, generators):
         self.dim = dim
         self.form = form
+        self.form_inverse = form_inverse
         self.elements = elements
         self.generators = generators
         self._substitutions = {}
@@ -158,18 +158,15 @@ class SymplecticAction:
     def order(self):
         return len(self.elements)
 
-    @cached_property
-    def form_inverse(self):
-        """J^-1, which every bracket uses; inverted once per action."""
-        return linalg.invert(self.form)
-
 
 def close_group(generators, form, cap=10000):
     """Breadth-first closure of the generators under multiplication.
 
-    The form is checked skew (else its bracket is not Poisson) and the
-    generators symplectic, exactly, so every product of them is
-    symplectic; closure past cap signals an infinite or mis-entered group.
+    The form is checked skew (else its bracket is not Poisson) and
+    invertible (inverted once here, for every bracket), and the
+    generators symplectic, exactly: then g^T J g = J forces det g = +-1,
+    so the closure is a group.  Closure past cap signals an infinite or
+    mis-entered group.
     """
     form = _freeze(form)
     n = len(form)
@@ -177,6 +174,10 @@ def close_group(generators, form, cap=10000):
         raise ShapeMismatch("form is not square")
     if any(form[i][k] != -form[k][i] for i in range(n) for k in range(i, n)):
         raise NotSymplectic("form fails J^T = -J: %r" % (form,))
+    try:
+        form_inverse = linalg.invert(form)
+    except linalg.SingularMatrix:
+        raise NotSymplectic("form is degenerate: %r" % (form,)) from None
     gens = [_freeze(g) for g in generators]
     for g in gens:
         if len(g) != n or any(len(row) != n for row in g):
@@ -197,7 +198,8 @@ def close_group(generators, form, cap=10000):
                     if len(seen) > cap:
                         raise OrderCapExceeded("group order exceeds cap %d" % cap)
         frontier = nxt
-    return SymplecticAction(dim=n, form=form, elements=sorted(seen), generators=gens)
+    return SymplecticAction(dim=n, form=form, form_inverse=form_inverse,
+                            elements=sorted(seen), generators=gens)
 
 
 def symmetric_group_action(n):

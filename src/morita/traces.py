@@ -2,16 +2,16 @@
 
 Every trace value here is a rational function in x = n*c, understood as
 the coefficient of the canonical basis element of the one-dimensional
-trace group.  The central table is the integer coefficient matrix
-a[lam, k] of the elementary-fraction expansion of G_lam, from its closed
+trace group.  G_lam = dim(lam) - chi_B is built over chi_B's linear
+factors.  The integer coefficient matrix a[lam, k] of its
+elementary-fraction expansion is computed on its own, from its closed
 form; check_routes compares it with two independent routes.
 """
 
 import math
 from functools import lru_cache
 
-from .exact import (PartialFraction, Poly, RationalFunction, partial_fractions,
-                    quotient)
+from .exact import Poly, RationalFunction, partial_fractions, quotient
 from .partitions import (OutOfRange, WeightMismatch, _schur_strips,
                          enumerate_partitions, gamma_star)
 
@@ -51,10 +51,12 @@ def _check_nontrivial(lam, n):
 
 
 def g_function(lam, n):
-    """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)), reduced, built from
-    its expansion sum a_k/(x+k) (a_coefficients) with no polynomial gcd."""
-    a = a_coefficients(lam, n)
-    return PartialFraction({-k: a[k - 1] for k in range(1, n)}).to_rational_function()
+    """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)) = dim(lam) - chi_B,
+    that is dim (D - B) / D over chi_B's factors B and D.  The roots -k
+    of D have k >= lam_1, where B(-k) != 0, so it is in lowest terms."""
+    _check_nontrivial(lam, n)
+    b = chi_B(lam, n)
+    return RationalFunction(lam.dimension() * b.den - b.num, b.den)
 
 
 def _a_via_partial_fractions(lam, n):

@@ -585,6 +585,21 @@ def test_hp0_form_not_skew_exit_two(tmp_path, capsys):
     assert captured.err.startswith("error: form fails J^T = -J")
 
 
+@pytest.mark.parametrize("gen", [[[0, 1], [0, 0]], [[-1, 0], [0, -1]]])
+@pytest.mark.parametrize("dual", [[], ["--dual-check"]])
+def test_hp0_degenerate_form_exit_two(tmp_path, capsys, gen, dual):
+    # the zero form is skew but not invertible: an input error naming the
+    # form, not an internal error from a closure that is no group, nor a
+    # bare "matrix is singular"
+    path = _write_group(tmp_path, {"dim": 2, "form": [[0, 0], [0, 0]],
+                                   "generators": [gen]})
+    assert run(["hp0", "--group", path, "--max-degree", "2"] + dual) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: form is degenerate")
+    assert "internal error" not in captured.err
+
+
 def test_hp0_infinite_group_exit_two(tmp_path, capsys):
     # a shear is symplectic but of infinite order: closure stops at the cap
     path = _write_group(tmp_path, {"dim": 2, "form": [[0, 1], [-1, 0]],

@@ -84,6 +84,19 @@ def test_close_group_rejects_form_not_skew(form):
     assert issubclass(NotSymplectic, ValueError)
 
 
+@pytest.mark.parametrize("form, gen", [
+    ([[0, 0], [0, 0]], [[0, 1], [0, 0]]),
+    ([[0, 0], [0, 0]], [[-1, 0], [0, -1]]),
+    ([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], None),
+])
+def test_close_group_rejects_degenerate_form(form, gen):
+    # a skew form that is not invertible lets a singular g satisfy
+    # g^T J g = J: the zero form closes [[0, 1], [0, 0]] to the non-group
+    # {0, g, I}.  The form is refused before any closure
+    with pytest.raises(NotSymplectic, match="form is degenerate"):
+        close_group([gen] if gen else [], form)
+
+
 def test_close_group_cap():
     # a scaling matrix is already non-symplectic; force the cap path with
     # a legitimate infinite symplectic subgroup (a shear)
@@ -396,9 +409,10 @@ def test_form_inverted_once_per_action(monkeypatch):
 
     actions = ((order_three(), 6), (symmetric_group_action(3), 3))
     monkeypatch.setattr(linalg, "invert", counted)
+    # close_group inverts the form, and hp0_dims uses that inverse
     for action, cutoff in actions:
         calls.clear()
-        hp0_dims(action, cutoff)
+        hp0_dims(close_group(action.generators, action.form), cutoff)
         assert calls == [action.form]
     # a direct call on the same action reuses its inverse
     calls.clear()

@@ -6,7 +6,8 @@ import pytest
 from euclid_oracle import Reduced, poly_gcd
 from morita import cli, exact, partitions, traces
 from morita.classify import KTheoryVector, build_f, hook_matrix, search_relations
-from morita.exact import Poly, RationalFunction, partial_fractions, rational_roots
+from morita.exact import (PartialFraction, Poly, RationalFunction,
+                          partial_fractions, rational_roots)
 from morita.partitions import (OutOfRange, Partition, WeightMismatch,
                                enumerate_partitions, gamma_star)
 from morita.traces import (RouteDisagreement, TrivialPartition,
@@ -45,6 +46,45 @@ def test_g_function_matches_gcd_reduced_definition():
             g, oracle = g_function(lam, n), _g_by_gcd(lam, n)
             assert (g.num, g.den) == (oracle.num, oracle.den)
             assert poly_gcd(g.num, g.den) == Poly([1])
+
+
+def _to_rational_function(pf):
+    """The reassembly of a PartialFraction that g_function replaced, kept
+    as its oracle: den = prod (x - p) over the poles with nonzero
+    residue, num = numerator_over(den).  num(p) = r_p * prod_{q != p}
+    (p - q) is nonzero at every root p of den, so it is in lowest terms."""
+    den = Poly.from_roots(p for p, r in pf.residues.items() if r)
+    return RationalFunction(pf.numerator_over(den), den)
+
+
+def _g_by_reassembly(lam, n):
+    """G_lam = sum a_k/(x+k) reassembled from a_coefficients."""
+    a = a_coefficients(lam, n)
+    return _to_rational_function(PartialFraction({-k: a[k - 1] for k in range(1, n)}))
+
+
+def test_g_function_matches_reassembly():
+    # exact tuples, so also the same lowest terms and all-int coefficients
+    for n in range(2, 17):
+        for lam in gamma_star(n):
+            g, oracle = g_function(lam, n), _g_by_reassembly(lam, n)
+            assert (g.num.coeffs, g.den.coeffs) == (oracle.num.coeffs, oracle.den.coeffs)
+            assert all(type(c) is int for c in g.num.coeffs + g.den.coeffs)
+
+
+def test_g_function_reads_no_a_coefficients(monkeypatch):
+    # G comes from chi_B's linear factors, so the g and a columns of the
+    # table are independent and their recombination checks something
+    def banned(*args):
+        raise AssertionError("g_function reassembled the a-coefficients")
+
+    expected = {(lam, n): _g_by_reassembly(lam, n)
+                for n in range(2, 11) for lam in gamma_star(n)}
+    monkeypatch.setattr(traces, "a_coefficients", banned)
+    monkeypatch.setattr(PartialFraction, "numerator_over", banned)
+    for (lam, n), oracle in expected.items():
+        g = g_function(lam, n)
+        assert (g.num.coeffs, g.den.coeffs) == (oracle.num.coeffs, oracle.den.coeffs)
 
 
 def test_tables_path_takes_no_polynomial_gcd():
