@@ -18,17 +18,18 @@ identically in u, v.
 The Reynolds operator (the group average) is kept only as the
 reference the tests compare the invariant bases against.
 
-Every substitution x -> M x goes through one kernel, `_Substitution`:
-the image of x^e is the image of x^(e - e_i), taken from the degree
-below, times the linear form of row i of M.  An action keeps one per
-group element it substitutes -- each generator for the invariance rows,
-every element for the orbit sums of the dual -- holding one degree of
-images at a time, so a command that climbs the degrees builds each
-monomial image once per element.  The bases, their products and
-brackets stay on packed exponents (`polynomials._Packing`, one per
-`hp0_dims` run), where multiplying monomials adds ints.  A bracket span
-takes each basis row's gradient once, from its packed terms, and sums
--J^-1[a][b] d_a p d_b q straight into one term map.
+Every substitution x -> M x goes through one kernel, `_Substitution`,
+on packed exponents (`polynomials._Packing`), where multiplying
+monomials adds ints: the image of x^e is the image of x^(e - e_i),
+taken from the degree below, times the linear form of row i of M.  An
+action is a plain value and keeps no images.  Each pass that needs
+them builds its own substitutions and drops them when it returns: the
+invariance rows of degree d, the generators' images of degrees 1..d;
+the orbit sums of the dual, every element's images of degrees 0..top,
+one element at a time.  The bases, their products and brackets stay
+packed too, on one packing for the bases of an `hp0_dims` run.  A
+bracket span takes each basis row's gradient once, from its packed
+terms, and sums -J^-1[a][b] d_a p d_b q straight into one term map.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
@@ -96,13 +97,11 @@ def _is_symplectic(g, j):
 
 
 class SymplecticAction:
-    """A finite group of symplectic matrices together with its form, the
-    form's inverse and the generators it was closed from.
-
-    It also keeps, per element it has substituted, a `_Substitution` with
-    the monomial images of the degree last asked for, from which the
-    next degree is built, the orbit sums of every degree built, and the
-    state of its Molien count (`linalg.MolienSeries`)."""
+    """A finite group of symplectic matrices: its form, the form's
+    inverse, its elements, the generators it was closed from, and its
+    Molien count (`linalg.MolienSeries`, built when first asked for).
+    It keeps no monomial images: each pass that substitutes builds its
+    own `_Substitution`s and drops them when it is done."""
 
     def __init__(self, dim, form, form_inverse, elements, generators):
         self.dim = dim
@@ -110,49 +109,13 @@ class SymplecticAction:
         self.form_inverse = form_inverse
         self.elements = elements
         self.generators = generators
-        self._substitutions = {}
-        self._orbit_sums = []
         self._molien = None
-
-    def substitution(self, g):
-        """The kept `_Substitution` of the element `g`."""
-        sub = self._substitutions.get(g)
-        if sub is None:
-            sub = self._substitutions[g] = _Substitution(g, self.dim)
-        return sub
-
-    def orbit_sums(self, degree):
-        """Map each degree-d monomial b to the orbit sum
-        T(b) = sum over g of (g x)^b, read at the leading monomials of the
-        echelon form of all of them (nonzero coefficients only).  These
-        span the degree-d invariants, so that restriction is injective
-        on them.  Each degree is built once, from every element's images."""
-        sums = self._orbit_sums
-        while len(sums) <= degree:
-            monos = monomials(self.dim, len(sums))
-            totals = [{} for _ in monos]
-            for g in self.elements:
-                for total, img in zip(totals, self.substitution(g).images(monos)):
-                    get = total.get
-                    for e, x in img.items():
-                        total[e] = get(e, 0) + x
-            echelon = linalg.Echelon()
-            for total in totals:
-                echelon.add(total)
-            sums.append({b: _exact_nonzero({e: total.get(e, 0) for e in echelon.pivots})
-                         for b, total in zip(monos, totals)})
-        return sums[degree]
 
     def molien(self, degree):
         """The dimension of the degree-d invariants, by Molien's formula."""
         if self._molien is None:
             self._molien = linalg.MolienSeries(self.elements)
         return self._molien.count(degree)
-
-    def forget_images(self):
-        """Drop every kept monomial image, for a caller that needs none
-        of them again."""
-        self._substitutions.clear()
 
     @property
     def order(self):
@@ -263,12 +226,16 @@ def reynolds(action, p):
 def _invariance_rows(action, monos):
     """Nonzero rows of Sym^d(g) - I stacked over the generators g, as maps
     column -> entry over the degree-d monomials `monos`.  A polynomial
-    fixed by every generator is fixed by the group they generate."""
-    index = {e: r for r, e in enumerate(monos)}
+    fixed by every generator is fixed by the group they generate.  Each
+    generator's images are built here, from degree 1, on a packing for
+    degree d."""
+    packing = _Packing(action.dim, sum(monos[0]) if monos else 0)
+    packed = list(map(packing.pack, monos))
+    index = {e: r for r, e in enumerate(packed)}
     rows = []
     for g in action.generators:
         block = [{} for _ in monos]
-        for c, img in enumerate(action.substitution(g).images(monos)):
+        for c, img in enumerate(_Substitution(g, packing).images(packed)):
             for e, x in img.items():
                 block[index[e]][c] = x
         for r, row in enumerate(block):
@@ -394,9 +361,6 @@ def hp0_dims(action, max_degree):
     _check_degree(max_degree)
     packing, bases = _invariant_bases(
         action, max_degree + (max_degree == 0 or action.molien(1) > 0))
-    # no invariance rows are built after the bases, so their images are
-    # dropped before the brackets are taken
-    action.forget_images()
     dims = {}
     for n in range(max_degree + 1):
         dims[n] = len(bases[n]) - bracket_span_dim(action, n, (packing, bases))
@@ -407,48 +371,77 @@ def hp0_dims(action, max_degree):
     return GradedDims(dims=dims, max_degree=max_degree, stabilized=stable)
 
 
-def _functional_matrix(action, degree):
+def orbit_sums(action, top):
+    """The `_Packing` of degrees 0..top and, per degree d, the map from
+    each packed degree-d monomial b to its orbit sum
+    T(b) = sum over g of (g x)^b, read at the leading monomials of the
+    echelon form of all of them (nonzero coefficients only).  These span
+    the degree-d invariants, so that restriction is injective on them.
+
+    The elements are taken one at a time, each climbing the degrees, so
+    that only one element's images are alive at once."""
+    packing = _Packing(action.dim, top)
+    levels = [list(map(packing.pack, monomials(action.dim, d))) for d in range(top + 1)]
+    totals = [[{} for _ in level] for level in levels]
+    for g in action.elements:
+        sub = _Substitution(g, packing)
+        for level, level_totals in zip(levels, totals):
+            for total, img in zip(level_totals, sub.images(level)):
+                get = total.get
+                for e, x in img.items():
+                    total[e] = get(e, 0) + x
+    sums = []
+    for level, level_totals in zip(levels, totals):
+        echelon = linalg.Echelon()
+        for total in level_totals:
+            echelon.add(total)
+        sums.append({b: _exact_nonzero({e: total.get(e, 0) for e in echelon.pivots})
+                     for b, total in zip(level, level_totals)})
+    return packing, sums
+
+
+def _functional_matrix(action, degree, sums=None):
     """Sparse rows over the monomials of a degree-n P: the coefficients
     of sum over g of (u, g v) P(u + g v) at the monomials u^a v^c, sorted,
     whose v^c leads the orbit sums of its degree.  For P = x^e, Q_P has
     the terms J[a][c] C(e, f) u^(f + e_a) w^(e - f + e_c), f <= e, and
-    each w^b sums over the group to T(b)."""
+    each w^b sums over the group to T(b).
+
+    `sums` is the output of `orbit_sums` through degree n + 1 or more;
+    computed here when not given."""
     p_monos = monomials(action.dim, degree)
-    sums = [action.orbit_sums(k) for k in range(degree + 2)]
-    pairing = [(a, c, x) for a, row in enumerate(action.form)
+    packing, sums = orbit_sums(action, degree + 1) if sums is None else sums
+    pack, units = packing.pack, packing.units
+    pairing = [(units[a], units[c], x) for a, row in enumerate(action.form)
                for c, x in enumerate(row) if x]
     rows = {}
     for col, e in enumerate(p_monos):
         terms = {}
         get = terms.get
+        packed = pack(e)
         for f in product(*(range(k + 1) for k in e)):
             scale = math.prod(map(math.comb, e, f))
-            rest = tuple(k - i for k, i in zip(e, f))
+            low = pack(f)
             level = sums[degree + 1 - sum(f)]
             for a, c, x in pairing:
-                u = f[:a] + (f[a] + 1,) + f[a + 1:]
-                for v, y in level[rest[:c] + (rest[c] + 1,) + rest[c + 1:]].items():
-                    key = u + v
+                for v, y in level[packed - low + c].items():
+                    key = (low + a, v)
                     terms[key] = get(key, 0) + scale * x * y
         for key, x in _exact_nonzero(terms).items():
             rows.setdefault(key, {})[col] = x
     return [rows[key] for key in sorted(rows)], p_monos
 
 
-def functional_solutions_dim(action, degree, invariant_only=False):
+def functional_solutions_dim(action, degree, sums=None):
     """Dimension of the space of degree-n polynomials P with
-    sum over g of (u, g v) P(u + g v) = 0 identically.
-
-    With invariant_only, additionally restrict to group-invariant P
-    (for comparison; the unrestricted count is the dual dimension).
+    sum over g of (u, g v) P(u + g v) = 0 identically, on the rows of
+    `_functional_matrix` (`sums` as there).
 
     The rows go one at a time into an incremental echelon, which stops
     once its rank reaches the number of monomials of P.
     """
     _check_degree(degree)
-    matrix, p_monos = _functional_matrix(action, degree)
-    if invariant_only:
-        matrix += _invariance_rows(action, p_monos)
+    matrix, p_monos = _functional_matrix(action, degree, sums)
     echelon = linalg.Echelon()
     for row in matrix:
         if echelon.add(row) and echelon.rank == len(p_monos):
@@ -460,10 +453,11 @@ def duality_check(action, graded):
     """Per-degree comparison of the bracket-quotient dimensions `graded`
     (as returned by hp0_dims) with the dual functional-equation solution
     counts."""
+    sums = orbit_sums(action, graded.max_degree + 1)
     rows = []
     ok = True
     for n in range(graded.max_degree + 1):
-        dual = functional_solutions_dim(action, n)
+        dual = functional_solutions_dim(action, n, sums)
         match = (graded.dims[n] == dual)
         ok = ok and match
         rows.append({"degree": n, "hp0": graded.dims[n], "dual": dual,

@@ -2,12 +2,14 @@
 
 A polynomial is a term map: exponent tuple -> nonzero coefficient, an
 int when integral and a Fraction otherwise.  `MultiPoly` wraps one;
-`_Substitution` builds the monomial images x^e -> (M x)^e of a matrix
-incrementally, a degree at a time; `monomials` lists the exponents of
-one degree.  For products in bulk, `_Packing` packs each exponent tuple
-into one int, so that multiplying monomials adds ints
+`monomials` lists the exponents of one degree.  For work in bulk,
+`_Packing` packs each exponent tuple into one int (and `unpack` reads
+it back), so that multiplying monomials adds ints
 (`_add_packed_product`) and a partial derivative reads its exponent
-off the int (`_Packing.gradient`).
+off the int (`_Packing.gradient`).  `_Substitution` builds the monomial
+images x^e -> (M x)^e of a square matrix on packed exponents, a degree
+at a time; `MultiPoly.substitute` packs its terms on a packing for its
+own degree and unpacks the result.
 """
 
 from functools import lru_cache
@@ -109,12 +111,15 @@ class MultiPoly:
 
     def substitute(self, matrix):
         """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
+        packing = _Packing(self.nvars, max(map(sum, self.terms), default=0))
+        images = _Substitution(matrix, packing).images(list(map(packing.pack, self.terms)))
         out = {}
-        images = _Substitution(matrix, self.nvars).images(list(self.terms))
+        get = out.get
         for c, img in zip(self.terms.values(), images):
-            for e, x in img.items():
-                out[e] = out.get(e, 0) + c * x
-        return MultiPoly._raw(self.nvars, _exact_nonzero(out))
+            for k, x in img.items():
+                out[k] = get(k, 0) + c * x
+        return MultiPoly._raw(self.nvars, {packing.unpack(k): x
+                                           for k, x in _exact_nonzero(out).items()})
 
     def __repr__(self):
         if not self.terms:
@@ -161,9 +166,10 @@ class _Packing:
     bits, with room for entries up to `top` (the total degree of every
     product taken).  Adding exponents adds the ints, and the ints are
     ordered as the tuples are, so an echelon on packed columns picks the
-    same leading monomials.  One packing serves a whole `hp0` run: its
-    invariant bases, their products and the gradients of its brackets
-    all stay packed."""
+    same leading monomials.  A packing serves one pass: the invariant
+    bases of an `hp0` run with their products and the gradients of its
+    brackets, one degree of invariance rows, the orbit sums of a dual
+    check, or one `MultiPoly.substitute`."""
 
     __slots__ = ("units", "shifts", "mask")
 
@@ -175,6 +181,10 @@ class _Packing:
 
     def pack(self, e):
         return sum(map(mul, e, self.units))
+
+    def unpack(self, k):
+        mask = self.mask
+        return tuple(k >> s & mask for s in self.shifts)
 
     def terms(self, terms):
         return {self.pack(e): c for e, c in terms.items()}
@@ -193,57 +203,47 @@ class _Packing:
 
 
 class _Substitution:
-    """The monomial images x^e -> (M x)^e of one matrix M, built
-    incrementally: the image of x^e is the image of x^(e - e_i), for the
-    first variable i of e, times the linear form sum_j M[i][j] x_j of row
-    i, and every image built is kept until `images` drops it.
+    """The monomial images x^e -> (M x)^e of one square matrix M, on
+    packed exponents (`_Packing`) both ways, built incrementally: the
+    image of x^e is the image of x^e / x_i, for the first variable i of
+    e, times the linear form sum_j M[i][j] x_j of row i, whose terms are
+    kept as (packed x_j, M[i][j]).  Every image built is kept until
+    `images` drops it; a substitution lives only as long as the pass that
+    reads its images."""
 
-    M has one row per substituted variable; the forms live in `nvars`
-    variables.  The images share their exponent tuples: `raised` maps an
-    exponent f to the tuples f + e_j, each built once, which keeps the
-    kept images small."""
+    __slots__ = ("forms", "bits", "memo")
 
-    __slots__ = ("forms", "one", "memo", "raised", "shared")
-
-    def __init__(self, matrix, nvars):
-        self.forms = [[(j, rational(x)) for j, x in enumerate(row) if x] for row in matrix]
-        self.one = ((0,) * len(matrix), {(0,) * nvars: 1})
-        self.memo = dict([self.one])
-        self.raised = {}
-        self.shared = {}
+    def __init__(self, matrix, packing):
+        units = packing.units
+        # indexed by field from the low bits up: the last variable first
+        self.forms = [(u, [(units[j], rational(x)) for j, x in enumerate(row) if x])
+                      for u, row in zip(units, matrix)][::-1]
+        self.bits = packing.mask.bit_length()
+        self.memo = {0: {0: 1}}
 
     def image(self, e):
-        """The terms of the image of x^e."""
+        """The packed terms of the image of the packed monomial e."""
         img = self.memo.get(e)
         if img is None:
-            i = next(k for k, v in enumerate(e) if v)
-            lower = self.image(e[:i] + (e[i] - 1,) + e[i + 1:])
-            form = self.forms[i]
-            raised = self.raised
+            # the highest nonzero field of e is that of its first variable
+            unit, form = self.forms[(e.bit_length() - 1) // self.bits]
             out = {}
             get = out.get
-            for f, c in lower.items():
-                up = raised.get(f)
-                if up is None:
-                    up = raised[f] = [
-                        self.shared.setdefault(g, g)
-                        for g in (f[:j] + (f[j] + 1,) + f[j + 1:] for j in range(len(f)))]
-                for j, x in form:
-                    g = up[j]
+            for f, c in self.image(e - unit).items():
+                for u, x in form:
+                    g = f + u
                     out[g] = get(g, 0) + c * x
             img = self.memo[e] = _exact_nonzero(out)
         return img
 
     def images(self, exponents):
-        """The images of x^e for e in `exponents`.  Afterwards only these
-        are kept (and that of 1), so asking for one degree after another
-        holds the images of one degree: the next degree is built from
-        them, and an earlier one again from 1."""
+        """The images of the packed monomials `exponents`.  Afterwards only
+        these are kept (and that of 1), so asking for one degree after
+        another holds the images of one degree: the next degree is built
+        from them, and an earlier one again from 1."""
         out = [self.image(e) for e in exponents]
         self.memo = dict(zip(exponents, out))
-        self.memo.setdefault(*self.one)
-        self.raised = {}
-        self.shared = {}
+        self.memo[0] = {0: 1}
         return out
 
 

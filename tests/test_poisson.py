@@ -233,11 +233,19 @@ def test_hp0_matches_dual_solver_order_three():
         assert graded.dims[n] == functional_solutions_dim(order_three(), n)
 
 
+def _invariant_solutions_dim(action, degree):
+    """The solution count of `functional_solutions_dim` restricted to
+    invariant P: the rank of the functional rows together with the
+    invariance rows of the degree-n monomials."""
+    matrix, p_monos = poisson._functional_matrix(action, degree)
+    return len(p_monos) - _rank(matrix + poisson._invariance_rows(action, p_monos))
+
+
 def test_invariant_restricted_count_bounded():
     for action in (plus_minus(), order_three()):
         for n in range(0, 5):
             full = functional_solutions_dim(action, n)
-            inv = functional_solutions_dim(action, n, invariant_only=True)
+            inv = _invariant_solutions_dim(action, n)
             assert 0 <= inv <= full
 
 
@@ -273,7 +281,7 @@ def test_invariant_only_count_uses_invariance():
     # the single degree-2 solution for Z/3 is x0^2 - x0 x1 + x1^2, which is
     # invariant, so restricting to invariants keeps it
     assert functional_solutions_dim(order_three(), 2) == 1
-    assert functional_solutions_dim(order_three(), 2, invariant_only=True) == 1
+    assert _invariant_solutions_dim(order_three(), 2) == 1
 
 
 def test_close_group_keeps_generators():
@@ -474,6 +482,15 @@ def test_substitute_matches_per_call_substitution():
         for _ in range(4):
             p = _random_poly(rng, 4, 2)
             assert p.substitute(matrix) == _substitute_per_call(p, matrix)
+        # `substitute` packs with room for entries up to the degree of p: a
+        # constant packs with top 0, and x_i^top fills the room of variable
+        # i (its whole field when top is 2^k - 1, the high bit when 2^k)
+        edge = [MultiPoly(4), MultiPoly.constant(4, Fraction(-3, 2))]
+        edge += [MultiPoly(4, {polynomials._unit(4, *[i] * top): 2,
+                               polynomials._unit(4, 3 - i): Fraction(1, 3)})
+                 for i in range(4) for top in (1, 2, 3, 4, 7, 8)]
+        for p in edge:
+            assert p.substitute(matrix) == _substitute_per_call(p, matrix)
 
 
 def _pairing_poly(action, g):
@@ -493,12 +510,14 @@ def _full_functional_matrix(action, degree):
     p_monos = monomials(d, degree)
     columns = [{} for _ in p_monos]
     for g in action.elements:
-        # u_i -> (u + g v)_i, the shift map [I | g] into the doubled variables
-        shift = tuple(tuple(int(i == j) for j in range(d)) + g[i] for i in range(d))
+        # u -> u + g v and v -> v, the shift map [[I, g], [0, I]] on the
+        # doubled variables
+        shift = [[int(i == j) for j in range(d)] + list(g[i]) for i in range(d)] \
+            + [[0] * d + [int(i == j) for j in range(d)] for i in range(d)]
         pair = _pairing_poly(action, g).terms
-        images = poisson._Substitution(shift, 2 * d).images(p_monos)
-        for col, img in zip(columns, images):
-            poisson._add_product(col, pair, img)
+        for col, e in zip(columns, p_monos):
+            img = MultiPoly.monomial(2 * d, e + (0,) * d).substitute(shift)
+            poisson._add_product(col, pair, img.terms)
     rows = {}
     for c, col in enumerate(columns):
         for e, x in poisson._exact_nonzero(col).items():
@@ -618,71 +637,108 @@ def test_invariance_rows_stay_sparse():
     assert peak <= 4 * 2 ** 20
 
 
+def test_dual_check_holds_one_element_of_images():
+    # S_4 through cutoff 5: the orbit sums take each element's images
+    # through degree 6 and drop them before the next element's, and keep
+    # only the echelon-reduced sums.  With the images of every element
+    # kept on the action the run peaked at 10.2 MB of Python allocations;
+    # it needs about 5 MB
+    action = symmetric_group_action(4)
+    tracemalloc.start()
+    try:
+        report = duality_check(action, hp0_dims(action, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row["degree"] for row in report["rows"]] == list(range(6))
+    assert peak < 7 * 2 ** 20
+
+
 def test_images_in_any_degree_order():
     # one action asked for degrees down and then up again: each answer is
-    # that of a fresh action, whatever images the action keeps
+    # that of a fresh action, and the action keeps nothing it did not
+    # have when it was closed (its Molien count aside); the rows read on
+    # the orbit sums of a higher degree are those read on their own
     for make, top in ((s3, 5), (_conjugated_s3, 4)):
         action = make()
+        kept = set(vars(action))
         for d in list(range(top, -1, -1)) + list(range(top + 1)):
             monos = monomials(action.dim, d)
             assert poisson._invariance_rows(action, monos) \
                 == poisson._invariance_rows(make(), monos)
+        sums = poisson.orbit_sums(action, 4)
         for d in (3, 1, 2, 0, 3):
             assert poisson._functional_matrix(action, d) \
-                == poisson._functional_matrix(make(), d)
+                == poisson._functional_matrix(make(), d) \
+                == poisson._functional_matrix(action, d, sums)
+        assert set(vars(action)) == kept
 
 
-def test_dual_check_builds_each_image_once(monkeypatch, capsys):
-    # one `hp0 --dual-check`: every monomial image is built once per
-    # substitution, each generator's for the invariance rows of degrees
-    # 1..cutoff and then each element's for the orbit sums of degrees
-    # 1..cutoff + 1
-    from morita.cli import run
-    built = []
-    original = poisson._Substitution.image
+def _recorded_substitutions(monkeypatch):
+    """Record, per `_Substitution` built, its matrix and packing, and the
+    exponents (unpacked) of every image it builds, in order."""
+    subs = {}
+    init, image = poisson._Substitution.__init__, poisson._Substitution.image
+
+    def recorded(sub, matrix, packing):
+        subs[sub] = (matrix, packing, [])
+        init(sub, matrix, packing)
 
     def counted(sub, e):
         if e not in sub.memo:
-            built.append((sub, e))
-        return original(sub, e)
+            subs[sub][2].append(subs[sub][1].unpack(e))
+        return image(sub, e)
 
+    monkeypatch.setattr(poisson._Substitution, "__init__", recorded)
     monkeypatch.setattr(poisson._Substitution, "image", counted)
+    return subs
+
+
+def test_dual_check_builds_each_image_once(monkeypatch, capsys):
+    # one `hp0 --dual-check`: each substitution builds every monomial
+    # image once.  Each nullspace basis of degree d (`invariant_basis`)
+    # builds its generators' images for degrees 1..d afresh, and the
+    # orbit sums, built once, each element's for degrees 1..cutoff + 1
+    from morita.cli import run
+    subs = _recorded_substitutions(monkeypatch)
+    nullspace = []
+    original = poisson.invariant_basis
+
+    def counted(action, degree):
+        nullspace.append(degree)
+        return original(action, degree)
+
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
     group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
     cutoff = 3
     assert run(["hp0", "--group", group, "--max-degree", str(cutoff),
                 "--dual-check"]) == 1  # the known S_3 dual mismatch
     capsys.readouterr()
-    assert len(set(built)) == len(built)
     action = s3()
-    per_sub = {}
-    for sub, e in built:
-        per_sub.setdefault(sub, set()).add(e)
+
+    def climb(top):
+        return sorted(set().union(*(monomials(action.dim, d) for d in range(1, top + 1))))
+
     # no degree-1 invariants, so the degree cutoff + 1 basis is never built
-    bases = set().union(*(monomials(action.dim, d) for d in range(1, cutoff + 1)))
-    sums = bases.union(monomials(action.dim, cutoff + 1))
-    assert sorted(map(len, per_sub.values())) \
-        == [len(bases)] * len(action.generators) + [len(sums)] * action.order
-    assert all(exps in (bases, sums) for exps in per_sub.values())
+    assert nullspace and max(nullspace) <= cutoff
+    expected = sorted([(g, climb(d)) for d in nullspace for g in action.generators]
+                      + [(g, climb(cutoff + 1)) for g in action.elements])
+    assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) == expected
+    assert all(len(set(built)) == len(built) for _, _, built in subs.values())
 
 
 def test_dual_check_substitutes_in_dim_variables(monkeypatch, capsys):
     # the dual reads orbit sums of the elements' images in the dim
     # variables: no shift map [I | g] into the 2*dim variables (u, v)
     from morita.cli import run
-    nvars = []
-    original = poisson._Substitution.__init__
-
-    def recorded(sub, matrix, n):
-        nvars.append(n)
-        original(sub, matrix, n)
-
-    monkeypatch.setattr(poisson._Substitution, "__init__", recorded)
+    subs = _recorded_substitutions(monkeypatch)
     for name, cutoff, code in (("s3.json", 3, 1), ("z3.json", 4, 0)):
         group = os.path.join(os.path.dirname(__file__), "golden", name)
         assert run(["hp0", "--group", group, "--max-degree", str(cutoff),
                     "--dual-check"]) == code
     capsys.readouterr()
-    assert sorted(set(nvars)) == [2, 4]
+    assert sorted({len(packing.units) for _, packing, _ in subs.values()}) == [2, 4]
+    assert all(len(matrix) == len(packing.units) for matrix, packing, _ in subs.values())
 
 
 def _afls_count(action):
@@ -821,8 +877,7 @@ def test_dual_solutions_reynolds_rank(make, cutoff):
         images = [reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, v))))
                   for v in null]
         rank = _rank([[p.terms.get(e, 0) for e in p_monos] for p in images])
-        assert rank == functional_solutions_dim(action, d, invariant_only=True) \
-            == graded.dims[d]
+        assert rank == _invariant_solutions_dim(action, d) == graded.dims[d]
 
 
 def test_s3_degree_two_solution_is_not_invariant():
@@ -853,9 +908,9 @@ def test_functional_solutions_match_full_rank(name):
     make, top = DUAL_CASES[name]
     action = make()
     for n in range(top + 1):
-        for invariant_only in (False, True):
-            assert functional_solutions_dim(action, n, invariant_only) \
-                == _full_solutions_dim(action, n, invariant_only)
+        assert functional_solutions_dim(action, n) == _full_solutions_dim(action, n)
+        assert _invariant_solutions_dim(action, n) \
+            == _full_solutions_dim(action, n, invariant_only=True)
 
 
 def test_dual_rank_stops_at_full_rank(monkeypatch):
@@ -870,10 +925,10 @@ def test_dual_rank_stops_at_full_rank(monkeypatch):
 
     monkeypatch.setattr(linalg.Echelon, "add", counted)
     action = s4()
-    functional_solutions_dim(action, 3)  # the orbit sums, built once
+    sums = poisson.orbit_sums(action, 4)  # their echelons are not counted
     added.clear()
-    assert functional_solutions_dim(action, 3) == 0
-    matrix, p_monos = poisson._functional_matrix(action, 3)
+    assert functional_solutions_dim(action, 3, sums) == 0
+    matrix, p_monos = poisson._functional_matrix(action, 3, sums)
     assert len(p_monos) <= len(added) < len(matrix)
 
 
@@ -959,12 +1014,15 @@ def test_packed_gradient_matches_diff(top):
                                   for e in exps})
             assert packing.gradient(packing.terms(p.terms)) \
                 == [packing.terms(p.diff(a).terms) for a in range(nvars)]
+            assert all(packing.unpack(packing.pack(e)) == e for e in exps)
 
 
 def test_one_packing_per_run(monkeypatch):
-    # hp0_dims packs once for all its degrees; a bracket span given the
-    # bases packs nothing and builds one echelon, that of the brackets
-    packings, echelons = [], []
+    # hp0_dims packs its bases once for all their degrees, and each
+    # nullspace basis of degree d packs its own invariance rows for d; a
+    # bracket span given the bases packs nothing and builds one echelon,
+    # that of the brackets
+    packings, echelons, nullspace = [], [], []
 
     class Packing(polynomials._Packing):
         __slots__ = ()
@@ -980,13 +1038,21 @@ def test_one_packing_per_run(monkeypatch):
             echelons.append(1)
             super().__init__()
 
+    original = poisson.invariant_basis
+
+    def counted(action, degree):
+        nullspace.append(degree)
+        return original(action, degree)
+
     monkeypatch.setattr(poisson, "_Packing", Packing)
     monkeypatch.setattr(linalg, "Echelon", Echelon)
-    for action, cutoff in ((order_three(), 6), (s3(), 5), (trivial(), 3),
-                           (order_three(), 0)):
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    for action, cutoff, top in ((order_three(), 6, 6), (s3(), 5, 5), (trivial(), 3, 4),
+                                (order_three(), 0, 1)):
         packings.clear()
+        nullspace.clear()
         hp0_dims(action, cutoff)
-        assert len(packings) == 1
+        assert packings == [top] + nullspace
         bases = poisson._invariant_bases(action, cutoff + 1)
         packings.clear()
         for d in range(cutoff + 1):

@@ -213,11 +213,17 @@ def test_chi_B_examples():
 
 
 def test_chi_B_relates_to_g():
-    # chi_B already carries the dim factor, so G = dim - chi_B
-    for n in range(2, 9):
+    # G is built from chi_B's factors; read it against the definition
+    # G = dim (1 - F_lam / F_triv), from the content polynomials alone, at
+    # x = 1..n + 1, where F_triv has no root
+    for n in range(2, 13):
+        f_triv = f_trivial(n)
         for lam in gamma_star(n):
             d = lam.dimension()
-            assert Reduced(d) - chi_B(lam, n) == g_function(lam, n)
+            f_lam = content_polynomial(lam)
+            g = g_function(lam, n)
+            for x in range(1, n + 2):
+                assert g(x) == d * (1 - exact.quotient(f_lam(x), f_triv(x)))
 
 
 def test_morita_phi_factor():
