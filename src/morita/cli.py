@@ -8,7 +8,9 @@ reported as `internal error: ...`), 2 on usage or input errors (a
 malformed command line, reported after a usage line, or any ValueError
 such as a value below its declared least, a bad --nvec, a malformed
 group file or a group past the order cap, reported as `error: ...`).
-Reports go to stdout as JSON (CSV where tabular).
+Reports go to stdout as JSON (CSV where tabular), the JSON through the
+module's own writer, _json_text, byte-identical to json.dumps with an
+indent of 2.
 """
 
 import csv
@@ -17,6 +19,7 @@ import json
 import re
 import sys
 import types
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import classify, poisson, traces
 from .exact import rational
@@ -36,8 +39,59 @@ def _report(command, status, payload, diagnostics=()):
             "diagnostics": list(diagnostics)}
 
 
+def _json_key(key):
+    """A dict key as json writes it: a str as is; an int, float, bool or
+    None as its JSON text, quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(json.dumps(key))
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % key.__class__.__name__)
+
+
+def _json_text(obj, pad="\n"):
+    """obj as json.dumps writes it with an indent of 2, byte for byte.
+
+    With an indent, json runs its pure-Python encoder, whose first call
+    in a fresh process costs more than a small report; the tests keep it
+    as the oracle.  A list of plain ints or plain strs is joined in one
+    pass.  Floats and every other scalar go to json.dumps, so they are
+    written, or refused with TypeError, as json does.  Reports are trees:
+    a cycle ends in RecursionError, not json's ValueError."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        elif all(type(x) is str for x in obj):
+            items = map(_quote, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_json_key(k) + ": " + _json_text(v, inner)
+             for k, v in obj.items()]) + pad + "}"
+    return json.dumps(obj)
+
+
 def _emit_json(report):
-    print(json.dumps(report, indent=2))
+    print(_json_text(report))
 
 
 def _emit_csv(rows, fieldnames):

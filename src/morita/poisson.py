@@ -15,8 +15,8 @@ graded dimensions of the quotient of invariants by brackets are
 cross-checked against the dual picture: a polynomial P of degree n
 pairs with the quotient iff sum over g of (u, g v) P(u + g v) vanishes
 identically in u, v.
-The Reynolds operator (the group average) is kept only as the
-reference the tests compare the invariant bases against.
+The Reynolds operator (the group average) lives in the tests, as the
+reference the invariant bases are compared against.
 
 Every substitution x -> M x goes through one kernel, `_Substitution`,
 on packed exponents (`polynomials._Packing`), where multiplying
@@ -51,7 +51,7 @@ import math
 from itertools import product
 
 from . import linalg
-from .exact import OutOfRange, quotient, rational
+from .exact import OutOfRange, rational
 from .polynomials import (MultiPoly, ShapeMismatch, _Packing, _Substitution,
                           _add_packed_product, _add_product, _exact_nonzero, monomials)
 
@@ -210,17 +210,6 @@ def _bracket_terms(dp, dq, j_inv):
                 if j_inv[a][b] and db:
                     _add_packed_product(out, da, db, -j_inv[a][b])
     return out
-
-
-def reynolds(action, p):
-    """Group average of p; a projector onto the invariant ring.
-
-    Not on the production path: the tests use it as the independent
-    reference for `invariant_basis`."""
-    total = MultiPoly(action.dim)
-    for g in action.elements:
-        total = total + p.substitute(g)
-    return quotient(1, action.order) * total
 
 
 def _invariance_rows(action, monos):

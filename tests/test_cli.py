@@ -117,6 +117,14 @@ def _inject_negative_dimension(monkeypatch):
     return ["hp0", "--group", group, "--max-degree", "2"]
 
 
+def _inject_unserialisable(monkeypatch):
+    # a report the writer cannot write must leave stdout empty, as
+    # json.dumps did, and exit 1: TypeError, not the ValueError of bad input
+    monkeypatch.setattr(classify, "derive_relation", lambda n, v: classify.Rejection(
+        "NonIntegerRoots", {"roots_found": [Fraction(1, 2)]}))
+    return ["classify", "--n", "3", "--nvec", "3,-2"]
+
+
 @pytest.mark.parametrize("inject, message", [
     (_inject_route_disagreement, "injected"),
     (_inject_non_integer, "non-integer a-coefficient"),
@@ -127,6 +135,7 @@ def _inject_negative_dimension(monkeypatch):
     (_inject_index_error, "injected"),
     (_inject_attribute_error, "injected"),
     (_inject_negative_dimension, "bracket span exceeds invariants"),
+    (_inject_unserialisable, "Object of type Fraction is not JSON serializable"),
 ])
 def test_internal_error_exit_one(inject, message, monkeypatch, capsys,
                                  fresh_a_cache):
@@ -136,6 +145,79 @@ def test_internal_error_exit_one(inject, message, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert message in captured.err
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as e:  # ValueError: an int past the str limit
+        return type(e), str(e)
+
+
+_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+_JSON_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_SCALARS = st.one_of(
+    _TEXT, st.booleans(), st.none(), st.integers(),
+    st.integers(-10 ** 4000, 10 ** 4000),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(_JSON_KEYS, children, max_size=5)), max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSON_TREES)
+def test_json_writer_matches_json_dumps(obj):
+    # the oracle: json.dumps with an indent of 2, byte for byte
+    expected = _outcome(lambda o: json.dumps(o, indent=2), obj)
+    assert _outcome(cli._json_text, obj) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_JSON_TREES, leaf=st.fractions(), spot=st.integers(0, 2))
+def test_json_writer_refuses_what_json_refuses(obj, leaf, spot):
+    # a Fraction leaf is refused with TypeError on both sides
+    obj = [[obj, leaf], {"w": leaf}, {1: {"x": (obj, leaf)}}][spot]
+    expected = _outcome(lambda o: json.dumps(o, indent=2), obj)
+    assert _outcome(cli._json_text, obj) == expected
+    assert expected[0] is TypeError
+
+
+class _LoudInt(int):
+    # json writes an int subclass by int.__repr__, not by its own repr or str
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize("obj", [
+    [_LoudInt(3)], [_LoudInt(3), "x"], {_LoudInt(3): _LoudInt(4)},
+    {}, [], (), [[]], {"a": {}}, {"a": [(), {}]}, [1, "1", True, None, 1.5],
+    [{True: 1, None: 2}, {False: 3}, {7: 4}, {-0.0: 5}, {math.nan: 6},
+     {math.inf: 7, -math.inf: 8, 1e300: 9}],
+    ["\ud800", "\x00\x1f\x7f", "\u00e9\U0001f600"], [10 ** 4299, -10 ** 4299],
+    [10 ** 4300], {(1, 2): 0}, [Fraction(1, 2)], {"a": {"b": [1, [2, [3]]]}}])
+def test_json_writer_examples(obj):
+    expected = _outcome(lambda o: json.dumps(o, indent=2), obj)
+    assert _outcome(cli._json_text, obj) == expected
+
+
+def test_classify_writes_without_the_pure_python_encoder(monkeypatch, capsys):
+    # json.dumps with an indent builds its encoder with _make_iterencode
+    entered = []
+
+    def refuse(*args, **kwargs):
+        entered.append(args)
+        raise AssertionError("json.encoder._make_iterencode entered")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code = run(["classify", "--n", "3", "--nvec", "3,-2"])
+    captured = capsys.readouterr()
+    assert entered == []
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["payload"]["nvec"] == [3, -2]
 
 
 def test_classify_accept(capsys):
