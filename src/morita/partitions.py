@@ -154,12 +154,14 @@ def _ssyt_count(shape, k):
     return sum(_ssyt_count(inner, k - 1) for inner in _strips(shape))
 
 
+@lru_cache(maxsize=None)
 def _strips(shape):
     """Every partition inner <= shape with shape/inner a horizontal strip
-    (rows interlace: shape[i+1] <= inner[i] <= shape[i])."""
+    (rows interlace: shape[i+1] <= inner[i] <= shape[i]), as a tuple
+    enumerated once per shape: _ssyt_count reads it once for every k."""
     ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
-    for inner in itertools.product(*ranges):
-        yield tuple(p for p in inner if p > 0)
+    return tuple(tuple(p for p in inner if p > 0)
+                 for inner in itertools.product(*ranges))
 
 
 def kostka(lam, sigma):

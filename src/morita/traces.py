@@ -2,10 +2,14 @@
 
 Every trace value here is a rational function in x = n*c, understood as
 the coefficient of the canonical basis element of the one-dimensional
-trace group.  G_lam = dim(lam) - chi_B is built over chi_B's linear
-factors.  The integer coefficient matrix a[lam, k] of its
-elementary-fraction expansion is computed on its own, from its closed
-form; check_routes compares it with two independent routes.
+trace group.  F_lam, G_lam = dim(lam) - chi_B and the integer matrix
+a[lam, k] of G's elementary-fraction expansion all factor through one
+product B = prod (x + c) over the contents c of the cells below the
+first row: with m = lam_1, F_lam = L_m B for L_m = x(x+1)...(x+m-1),
+G_lam = dim (D_m - B)/D_m for D_m = (x+m)...(x+n-1), and a_k is the
+residue of G at -k.  trace_table builds B once per row; a_coefficients
+reads the residues as integer products and builds no Poly.
+check_routes compares a with three independent routes.
 """
 
 import math
@@ -34,6 +38,7 @@ def content_polynomial(lam):
     return Poly.from_roots([-c for c in lam.content_multiset()])
 
 
+@lru_cache(maxsize=None)
 def f_trivial(n):
     """Content polynomial of the one-row partition: x(x+1)...(x+n-1)."""
     return Poly.from_roots([-k for k in range(n)])
@@ -50,13 +55,33 @@ def _check_nontrivial(lam, n):
         raise TrivialPartition("G is defined on nontrivial representations only")
 
 
+@lru_cache(maxsize=None)
+def _upper_factor(m, n):
+    # D_m = (x + m)...(x + n - 1), the factors of F_triv left under B
+    return Poly.from_roots(range(-m, -n, -1))
+
+
+def _below_product(lam):
+    # B = prod (x + c) over the contents c of the rows below the first
+    return Poly.from_roots([i - j for i, row in enumerate(lam.parts) if i
+                            for j in range(row)])
+
+
+def _g_over(lam, n, b):
+    # dim (D_m - B) / D_m: D_m and B are monic of degree n - lam_1, so
+    # their leading terms cancel
+    d_m = _upper_factor(lam.parts[0], n)
+    d = lam.dimension()
+    return RationalFunction(Poly([d * (p - q) for p, q in zip(d_m.coeffs, b.coeffs)]),
+                            d_m)
+
+
 def g_function(lam, n):
     """G_lam(x) = dim(lam) * (1 - F_lam(x)/F_triv(x)) = dim(lam) - chi_B,
-    that is dim (D - B) / D over chi_B's factors B and D.  The roots -k
-    of D have k >= lam_1, where B(-k) != 0, so it is in lowest terms."""
+    that is dim (D_m - B) / D_m over chi_B's factors B and D_m.  The roots
+    -k of D_m have k >= lam_1, where B(-k) != 0, so it is in lowest terms."""
     _check_nontrivial(lam, n)
-    b = chi_B(lam, n)
-    return RationalFunction(lam.dimension() * b.den - b.num, b.den)
+    return _g_over(lam, n, _below_product(lam))
 
 
 def _a_via_partial_fractions(lam, n):
@@ -87,29 +112,51 @@ def _a_via_schur(lam, n):
             for k, s in zip(ks, _schur_strips(lam.conjugate(), ks))]
 
 
+@lru_cache(maxsize=None)
+def _residue_denominators(m, n):
+    # prod_{j = m..n-1, j != k} (j - k) = (-1)^(k-m) (k-m)! (n-1-k)! for
+    # k = m..n-1, times -(-1)^(n-m), the sign of -B(-k) against the
+    # positive product _a_via_residues takes for it: (-1)^(n-k-1) (k-m)! (n-1-k)!
+    return tuple((-1) ** (n - k - 1) * math.factorial(k - m) * math.factorial(n - 1 - k)
+                 for k in range(m, n))
+
+
+def _a_via_residues(lam, n):
+    # a_k = -dim B(-k) / prod_{j = m..n-1, j != k} (j - k), the residue of
+    # dim (D_m - B)/D_m at -k; 0 for k < m = lam_1, where D_m has no root.
+    # Row i >= 1 has the contents -i..lam_i-1-i, so its factors of B(-k)
+    # multiply to (-1)^lam_i (k+i)!/(k+i-lam_i)! = (-1)^lam_i perm(k+i, lam_i)
+    m, rows = lam.parts[0], lam.parts[1:]
+    d = lam.dimension()
+    return [0] * (m - 1) + [
+        quotient(d * math.prod(map(math.perm, range(k + 1, k + 1 + len(rows)), rows)), den)
+        for k, den in zip(range(m, n), _residue_denominators(m, n))]
+
+
 def a_coefficients(lam, n):
-    """The integer vector a[lam, 1..n-1] with G_lam = sum a_k/(x+k), from
-    the conjugate-content closed form (check_routes cross-checks it)."""
+    """The integer vector a[lam, 1..n-1] with G_lam = sum a_k/(x+k), read
+    off the residues of G (check_routes cross-checks it)."""
     return list(_a_coefficients_cached(lam, n))
 
 
 @lru_cache(maxsize=None)
 def _a_coefficients_cached(lam, n):
     _check_nontrivial(lam, n)
-    vals = _a_via_conjugate_content(lam, n)
+    vals = _a_via_residues(lam, n)
     if not all(isinstance(v, int) for v in vals):
         raise NonIntegerCoefficient("non-integer a-coefficient for %r: %r" % (lam, vals))
     return tuple(vals)
 
 
 def check_routes(lam, n):
-    """Raise RouteDisagreement unless the partial-fraction, conjugate-content
-    and Schur routes agree on a[lam, 1..n-1]; return a_coefficients,
-    the conjugate-content route, which raises NonIntegerCoefficient on a
-    non-integral value."""
+    """Raise RouteDisagreement unless the partial-fraction,
+    conjugate-content and Schur routes agree with a_coefficients on
+    a[lam, 1..n-1]; return a_coefficients, which raises
+    NonIntegerCoefficient on a non-integral value."""
     a = a_coefficients(lam, n)
-    routes = (_a_via_partial_fractions(lam, n), a, _a_via_schur(lam, n))
-    if not (routes[0] == routes[1] == routes[2]):
+    routes = (a, _a_via_partial_fractions(lam, n), _a_via_conjugate_content(lam, n),
+              _a_via_schur(lam, n))
+    if any(route != a for route in routes[1:]):
         raise RouteDisagreement("a-coefficient routes differ for %r: %r" % (lam, routes))
     return a
 
@@ -132,9 +179,8 @@ def chi_B(lam, n):
     The contents left on top, of the rows below it, are at most lam_1 - 2
     and those left underneath are lam_1..n-1, so the two sides are coprime."""
     _check_weight(lam, n)
-    below = [j - i for i, j in lam.cells() if i]
-    return RationalFunction(lam.dimension() * Poly.from_roots([-c for c in below]),
-                            Poly.from_roots([-k for k in range(n - len(below), n)]))
+    return RationalFunction(lam.dimension() * _below_product(lam),
+                            _upper_factor(n - sum(lam.parts[1:]), n))
 
 
 def morita_phi_factor(n):
@@ -159,14 +205,16 @@ def verify_sum_identity(n):
 
 def trace_table(n):
     """One row per nontrivial partition: partition, dim, F coefficients,
-    reduced G, and the a-coefficient vector.  Backs the CLI."""
+    reduced G, and the a-coefficient vector.  Backs the CLI.  Each row
+    builds B once: F = L_m B with L_m = f_trivial(m), and G over B."""
     rows = []
     for lam in gamma_star(n):
+        b = _below_product(lam)
         rows.append({
             "partition": lam.to_json(),
             "dim": lam.dimension(),
-            "content_poly": content_polynomial(lam).to_json(),
-            "g": g_function(lam, n).to_json(),
+            "content_poly": (f_trivial(lam.parts[0]) * b).to_json(),
+            "g": _g_over(lam, n, b).to_json(),
             "a": a_coefficients(lam, n),
         })
     return rows

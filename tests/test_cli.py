@@ -75,7 +75,7 @@ def _inject_route_disagreement(monkeypatch):
 
 
 def _inject_non_integer(monkeypatch):
-    monkeypatch.setattr(traces, "_a_via_conjugate_content",
+    monkeypatch.setattr(traces, "_a_via_residues",
                         lambda lam, n: [Fraction(1, 2)] * (n - 1))
     return ["traces", "--n", "3"]
 

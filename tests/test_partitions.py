@@ -1,11 +1,13 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
-from morita import partitions, poisson
+from morita import cli, partitions, poisson, traces
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
                                WeightMismatch, _schur_strips,
                                enumerate_partitions, gamma_star,
@@ -172,6 +174,23 @@ def test_horizontal_strips_match_recursive_oracle():
                        if sum(inner) == n - size]
                 want = list(_recursive_strips(lam.parts, size))
                 assert len(got) == len(set(got)) and set(got) == set(want), (lam, size)
+
+
+def test_verify_routes_enumerates_each_shape_once(monkeypatch):
+    # the Schur route reads s(1^k) for every k by peeling strips; with cold
+    # caches each shape's strips are enumerated once, not once per k
+    for memo in (partitions._strips, partitions._ssyt_count, partitions._kostka,
+                 traces._a_coefficients_cached):
+        memo.cache_clear()
+    shapes = []
+
+    def product(*ranges):
+        shapes.append(tuple(r.stop - 1 for r in ranges))
+        return itertools.product(*ranges)
+
+    monkeypatch.setattr(partitions, "itertools", types.SimpleNamespace(product=product))
+    assert cli._verify_routes(11) == []
+    assert len(shapes) == len(set(shapes)) == partitions._strips.cache_info().currsize == 192
 
 
 def _dominates(lam, sigma):

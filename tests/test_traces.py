@@ -1,11 +1,15 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
 from euclid_oracle import Reduced, poly_gcd
 from morita import cli, exact, partitions, traces
-from morita.classify import KTheoryVector, build_f, hook_matrix, search_relations
+from morita.classify import KTheoryVector, build_f, hook_matrix
 from morita.exact import (PartialFraction, Poly, RationalFunction,
                           partial_fractions, rational_roots)
 from morita.partitions import (OutOfRange, Partition, WeightMismatch,
@@ -152,19 +156,37 @@ def test_a_coefficients_match_expanded_conjugate_content():
                 _a_by_expanded_conjugate_content(lam, n)
 
 
-def test_a_coefficient_path_builds_no_poly(monkeypatch):
-    def no_poly(*args):
-        raise AssertionError("Poly built on the a-coefficient path")
+_NO_POLY_ON_A_PATH = """
+import sys
+sys.path.insert(0, %r)
+from morita import traces
+from morita.classify import hook_matrix, search_relations
+from morita.exact import Poly
+from morita.partitions import gamma_star
 
-    monkeypatch.setattr(traces, "content_polynomial", no_poly)
-    traces._a_coefficients_cached.cache_clear()
-    with monkeypatch.context() as m:
-        m.setattr(Poly, "__init__", no_poly)
-        for n in range(2, 13):
-            for lam in gamma_star(n):
-                assert len(a_coefficients(lam, n)) == n - 1
-        assert len(hook_matrix(12)) == 11
-    assert search_relations(5, 1)
+def no_poly(*args):
+    raise AssertionError("Poly built on the a-coefficient path")
+
+traces.content_polynomial = no_poly
+poly_init, Poly.__init__ = Poly.__init__, no_poly
+for n in range(2, 13):
+    for lam in gamma_star(n):
+        assert len(traces.a_coefficients(lam, n)) == n - 1
+assert len(hook_matrix(12)) == 11
+Poly.__init__ = poly_init
+assert search_relations(5, 1)
+print("ok")
+"""
+
+
+def test_a_coefficient_path_builds_no_poly():
+    # a fresh interpreter, so that no memo the a path reads was filled by
+    # an earlier test; asserts are checked there even under python -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", _NO_POLY_ON_A_PATH % src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def test_a_coefficients_divisibility():
@@ -265,6 +287,49 @@ def test_partial_fraction_of_g_matches_table():
             assert pf.residues.get(-k, 0) == a[k - 1]
 
 
+def _trace_table_by_chi_b(n):
+    """The row builder that the one-product table replaced, kept as its
+    oracle: F from every cell, G = dim - chi_B over chi_B's factors, and
+    a from the conjugate-content closed form."""
+    rows = []
+    for lam in gamma_star(n):
+        b = chi_B(lam, n)
+        rows.append({
+            "partition": lam.to_json(),
+            "dim": lam.dimension(),
+            "content_poly": content_polynomial(lam).to_json(),
+            "g": RationalFunction(lam.dimension() * b.den - b.num, b.den).to_json(),
+            "a": traces._a_via_conjugate_content(lam, n),
+        })
+    return rows
+
+
+def test_trace_table_matches_chi_b_rows():
+    for n in range(2, 23):
+        assert trace_table(n) == _trace_table_by_chi_b(n), n
+
+
+def test_a_coefficients_match_closed_form():
+    for n in range(2, 23):
+        for lam in gamma_star(n):
+            assert a_coefficients(lam, n) == traces._a_via_conjugate_content(lam, n), lam
+
+
+def _traces_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return out.getvalue()
+
+
+def test_traces_output_matches_chi_b_rows(monkeypatch):
+    cases = [["traces", "--n", str(n), "--format", fmt]
+             for n in (2, 3, 6, 12, 16) for fmt in ("json", "csv")]
+    got = [_traces_stdout(argv) for argv in cases]
+    monkeypatch.setattr(traces, "trace_table", _trace_table_by_chi_b)
+    assert got == [_traces_stdout(argv) for argv in cases]
+
+
 def test_trace_table_shape():
     rows = trace_table(4)
     assert len(rows) == 4
@@ -276,6 +341,7 @@ def test_production_path_is_single(monkeypatch):
         raise AssertionError("reference route called on the production path")
 
     monkeypatch.setattr(traces, "_a_via_partial_fractions", reference_route)
+    monkeypatch.setattr(traces, "_a_via_conjugate_content", reference_route)
     monkeypatch.setattr(traces, "_a_via_schur", reference_route)
     monkeypatch.setattr(partitions, "_schur_strips", reference_route)
     traces._a_coefficients_cached.cache_clear()
