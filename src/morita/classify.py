@@ -135,17 +135,29 @@ def recombination_failures(n, c):
     x * D: G_hook * D = dim * (F_triv - F_hook) / x, a polynomial because
     F(0) = 0 for every partition, and 1/(x+k) * D = D/(x+k).  The check
     compares Polys built from the content polynomials, not from the
-    a-coefficients it tests."""
+    a-coefficients it tests.  Row k is scaled by the lcm L of its
+    denominators, L != 0, so both sides are integer Polys:
+    L * sum c_m G_hook D against L * D/(x+k)."""
     f = f_trivial(n)
     hooks = []
     for m in range(1, n):
         hook = hook_partition(n, m)
         times_x = hook.dimension() * (f - content_polynomial(hook))
-        hooks.append(Poly(times_x.coeffs[1:]))
+        hooks.append(times_x.coeffs[1:])
     d = Poly(f.coeffs[1:])
-    return [k for k in range(1, n)
-            if sum((coeff * h for coeff, h in zip(c[k - 1], hooks)), Poly())
-            != PartialFraction({-k: 1}).numerator_over(d)]
+    failures = []
+    for k in range(1, n):
+        row = c[k - 1]
+        scale = math.lcm(*(x.denominator for x in row))
+        lhs = [0] * (n - 1)
+        for coeff, h in zip(row, hooks):
+            if coeff:
+                w = coeff.numerator * (scale // coeff.denominator)
+                for i, v in enumerate(h):
+                    lhs[i] += w * v
+        if Poly(lhs) != PartialFraction({-k: scale}).numerator_over(d):
+            failures.append(k)
+    return failures
 
 
 def build_f(n, v):

@@ -87,7 +87,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [rational(c) for c in coeffs]
+        # ints, the common case, skip rational's call
+        cs = [c if type(c) is int else rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -105,7 +106,8 @@ class Poly:
         """Monic product of (x - r) over the given roots."""
         cs = [1]
         for r in roots:
-            r = rational(r)
+            if type(r) is not int:
+                r = rational(r)
             cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
         return cls(cs)
 
@@ -130,11 +132,12 @@ class Poly:
 
     def __call__(self, x):
         """Evaluate by Horner's rule with exact arithmetic."""
-        x = rational(x)
+        if type(x) is not int:
+            x = rational(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return rational(acc)
+        return acc if type(acc) is int else rational(acc)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -171,7 +174,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = rational(other)
+            c = other if type(other) is int else rational(other)
             return Poly([c * a for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly()

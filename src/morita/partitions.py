@@ -8,6 +8,7 @@ and the nontrivial tail is what vectors over "Gamma star" are indexed by.
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .exact import OutOfRange
@@ -25,20 +26,29 @@ class Partition:
     """A weakly decreasing tuple of positive integers.
 
     Immutable value type; weight and length are computed on
-    construction, the dimension on its first call.
+    construction.  The dimension is memoised per shape, not per object.
     """
 
-    __slots__ = ("parts", "weight", "length", "_dimension")
+    __slots__ = ("parts", "weight", "length")
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(_part, parts))
         if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
             raise InvalidPartition("parts must be positive and weakly decreasing: %r"
                                    % (parts,))
         self.parts = parts
         self.weight = sum(parts)
         self.length = len(parts)
-        self._dimension = None
+
+    @classmethod
+    def _from_parts(cls, parts):
+        # for a tuple of parts the package built itself and knows to be
+        # positive and weakly decreasing: skips __init__'s checks
+        lam = cls.__new__(cls)
+        lam.parts = parts
+        lam.weight = sum(parts)
+        lam.length = len(parts)
+        return lam
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -49,41 +59,45 @@ class Partition:
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
 
-    def cells(self):
-        """Cells (i, j) of the Young diagram, 0-based rows/columns."""
-        for i, row in enumerate(self.parts):
-            for j in range(row):
-                yield (i, j)
-
     def conjugate(self):
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
-
-    def hook_lengths(self):
-        """Hook length of every cell, as a flat list."""
-        conj = self.conjugate().parts
-        return [self.parts[i] - j + conj[j] - i - 1 for (i, j) in self.cells()]
+        return Partition._from_parts(_conjugate_parts(self.parts))
 
     def dimension(self):
         """Irreducible dimension by the hook length formula."""
-        if self._dimension is None:
-            num = math.factorial(self.weight)
-            for h in self.hook_lengths():
-                num //= h
-            self._dimension = num
-        return self._dimension
+        return _dimension(self.parts)
 
     def content_multiset(self):
         """Contents j - i over the cells of the diagram."""
-        return [j - i for (i, j) in self.cells()]
+        return [j - i for i, row in enumerate(self.parts) for j in range(row)]
 
     def to_json(self):
         return list(self.parts)
+
+
+def _part(p):
+    # operator.index, not int: int would truncate 2.7 and parse "3"
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise InvalidPartition("part %r is not an integer" % (p,)) from None
+
+
+def _conjugate_parts(parts):
+    # column lengths, longest first: the step parts[i - 1] - parts[i] of
+    # the diagram's right edge ends that many columns of length i
+    conj = []
+    for i in range(len(parts), 0, -1):
+        conj.extend([i] * (parts[i - 1] - (parts[i] if i < len(parts) else 0)))
+    return tuple(conj)
+
+
+@lru_cache(maxsize=None)
+def _dimension(parts):
+    # |lam|! over the product of the hook lengths, memoised per shape as
+    # _strips is: the table's dim column, G and a read it for one shape
+    conj = _conjugate_parts(parts)
+    return math.factorial(sum(parts)) // math.prod(
+        row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row))
 
 
 def enumerate_partitions(n):
@@ -99,7 +113,7 @@ def enumerate_partitions(n):
             for tail in gen(rest - first, first):
                 yield (first,) + tail
 
-    return [Partition(p) for p in gen(n, n)]
+    return [Partition._from_parts(p) for p in gen(n, n)]
 
 
 def partition_count(n):
@@ -128,7 +142,7 @@ def hook_partition(n, m):
     """The hook (m, 1^(n-m))."""
     if not 1 <= m <= n:
         raise OutOfRange("need 1 <= m <= n, got m = %d, n = %d" % (m, n))
-    return Partition((m,) + (1,) * (n - m))
+    return Partition._from_parts((m,) + (1,) * (n - m))
 
 
 @lru_cache(maxsize=None)

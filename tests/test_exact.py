@@ -153,6 +153,22 @@ def test_rational_roots_not_monic():
         rational_roots(Poly([Fraction(1, 2), 1]))
 
 
+def test_int_fast_path_keeps_scalar_rule():
+    # ints skip rational(); every other integral value still becomes an int
+    p = Poly([Fraction(4, 2), 2.0, "3", Fraction(1, 2)])
+    assert p.coeffs == (2, 2, 3, Fraction(1, 2))
+    assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
+    q = Poly.from_roots([Fraction(2), 3])
+    assert q == Poly.from_roots([2, 3]) and all(type(c) is int for c in q.coeffs)
+    line = Poly([1, 1])
+    assert line(Fraction(1, 2)) == Fraction(3, 2) and type(line(Fraction(1, 2))) is Fraction
+    assert line(Fraction(2)) == 3 and type(line(Fraction(2))) is int
+    assert Poly([1, 2])(Fraction(1, 2)) == 2 and type(Poly([1, 2])(Fraction(1, 2))) is int
+    scaled = Fraction(3, 1) * line
+    assert scaled == Poly([3, 3]) and all(type(c) is int for c in scaled.coeffs)
+    assert all(type(c) is int for c in (line * Fraction(3, 1)).coeffs)
+
+
 def test_rational_string_roundtrip():
     for r in (Fraction(3), Fraction(-7, 2), Fraction(0)):
         assert rational(str(rational(r))) == r

@@ -89,7 +89,7 @@ def test_dimension_matches_tableaux_enumeration():
 
 
 def test_dimension_burnside():
-    for n in range(2, 11):
+    for n in range(2, 15):
         assert sum(lam.dimension() ** 2 for lam in enumerate_partitions(n)) \
             == math.factorial(n)
 
@@ -100,27 +100,44 @@ def test_dimension_conjugation_invariant():
             assert lam.dimension() == lam.conjugate().dimension()
 
 
-def test_trace_table_reads_each_dimension_once(monkeypatch):
-    # the dimension is kept on the shared partition objects: the table's
-    # dim column and its a-coefficients compute the hooks once between them
-    from morita import traces
-    calls = {}
-    hook_lengths = Partition.hook_lengths
-
-    def counted(lam):
-        calls[lam.parts] = calls.get(lam.parts, 0) + 1
-        return hook_lengths(lam)
-
-    monkeypatch.setattr(Partition, "hook_lengths", counted)
-    partitions._partitions_of.cache_clear()
+def test_trace_table_reads_each_dimension_once():
+    # the dimension is memoised per shape: the table's dim column, its G
+    # and its a-coefficients compute the hooks of each shape once between
+    # them, so the memo misses once per row
+    partitions._dimension.cache_clear()
     traces._a_coefficients_cached.cache_clear()
     try:
         rows = traces.trace_table(10)
+        info = partitions._dimension.cache_info()
     finally:
-        partitions._partitions_of.cache_clear()
         traces._a_coefficients_cached.cache_clear()
     assert len(rows) == len(enumerate_partitions(10)) - 1
-    assert calls and max(calls.values()) == 1
+    assert info.misses == len(rows) and info.hits >= len(rows)
+
+
+def _conjugate_by_columns(parts):
+    # the column count the private conjugate replaced, kept as its oracle
+    cols = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for j in range(p):
+            cols[j] += 1
+    return tuple(cols)
+
+
+def test_built_partitions_match_validated():
+    # the partitions the package builds skip Partition's checks; each must
+    # be the partition the checked constructor makes from its parts
+    def same(lam):
+        ref = Partition(lam.parts)
+        return (lam.parts, lam.weight, lam.length) == (ref.parts, ref.weight, ref.length)
+
+    for n in range(1, 15):
+        for lam in enumerate_partitions(n):
+            assert same(lam) and same(lam.conjugate())
+            assert lam.conjugate().parts == _conjugate_by_columns(lam.parts)
+        for m in range(1, n + 1):
+            assert same(hook_partition(n, m))
+    assert Partition(()).conjugate() == Partition(())
 
 
 def test_content_multiset():
@@ -321,7 +338,8 @@ def test_kostka_nonzero_exactly_on_dominance():
 
 
 def test_input_validation():
-    for parts in ((1, 2), (2, 0), (-1,)):
+    # non-integer parts are refused, not truncated or parsed
+    for parts in ((1, 2), (2, 0), (-1,), (2.7, 1), ("3",), (1.0,)):
         with pytest.raises(InvalidPartition):
             Partition(parts)
     for call in (lambda: enumerate_partitions(0), lambda: hook_partition(3, 4),

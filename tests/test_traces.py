@@ -277,6 +277,31 @@ def test_sum_identity():
         assert verify_sum_identity(n)
 
 
+def _sum_identity_by_polys(n):
+    # the Poly sum verify_sum_identity replaced, kept as its oracle
+    lhs = Poly()
+    for lam in enumerate_partitions(n):
+        lhs = lhs + lam.dimension() ** 2 * traces.content_polynomial(lam)
+    return lhs == math.factorial(n) * Poly.from_roots([0] * n)
+
+
+def test_sum_identity_matches_poly_sum(monkeypatch):
+    for n in range(2, 15):
+        assert verify_sum_identity(n) is _sum_identity_by_polys(n) is True
+    # one dimension off by one breaks the identity on both paths
+    with monkeypatch.context() as patch:
+        dimension = Partition.dimension
+        patch.setattr(Partition, "dimension",
+                      lambda lam: dimension(lam) + (lam.parts == (3, 2, 1)))
+        assert verify_sum_identity(6) is _sum_identity_by_polys(6) is False
+    # so does one content polynomial off below its leading term, which
+    # leaves the sum of dim^2, the x^n coefficient, as it is
+    monkeypatch.setattr(traces, "content_polynomial",
+                        lambda lam: content_polynomial(lam)
+                        + Poly([0, 1] if lam.parts == (3, 2, 1) else []))
+    assert verify_sum_identity(6) is _sum_identity_by_polys(6) is False
+
+
 def test_partial_fraction_of_g_matches_table():
     # Eq of the table against direct residue extraction
     for lam, n in ((Partition((2, 1)), 3), (Partition((3, 1)), 4)):
