@@ -269,10 +269,10 @@ class PartialFraction:
     def __init__(self, residues):
         self.residues = {}
         for p, r in residues.items():
-            pole = rational(p)
+            pole = p if type(p) is int else rational(p)
             if type(pole) is not int:
                 raise NonIntegerPole("pole %r is not an integer" % (p,))
-            self.residues[pole] = rational(r)
+            self.residues[pole] = r if type(r) is int else rational(r)
 
     def numerator_over(self, den):
         """sum r_p * den/(x - p) over the poles with nonzero residue, one

@@ -22,7 +22,9 @@ the sparsest pivot row or reduce above the pivots, and `rref` rebuilt on
 `Echelon` plus back-substitution gave the same output more slowly.
 
 `MolienSeries` counts the invariants of a finite matrix group in each
-degree from the characteristic polynomials of its elements.
+degree from the power traces tr(g^k) of its elements, which the caller
+supplies (`poisson.close_group` reads them off its Cayley table), by
+Newton's identities.
 """
 
 import math
@@ -149,6 +151,70 @@ class Echelon:
         return False
 
 
+def _row_times(row, m):
+    """The row times the square matrix m, as the sum of x m[k] over the
+    nonzero entries x = row[k]: a sparse row reads few rows of m."""
+    out = None
+    for x, m_row in zip(row, m):
+        if x:
+            out = [x * y for y in m_row] if out is None \
+                else [a + x * y for a, y in zip(out, m_row)]
+    return [0] * len(row) if out is None else out
+
+
+class _RowTimes(dict):
+    """Row id -> the id of row g, for one square matrix g, over the
+    distinct rows `rows` (id = position, shared with other generators
+    and indexed by `ids`); each image is computed when first asked for,
+    and put under the rule of `rational` unless every generator is
+    `integral`."""
+
+    __slots__ = ("g", "integral", "rows", "ids")
+
+    def __init__(self, g, integral, rows, ids):
+        super().__init__()
+        self.g = g
+        self.integral = integral
+        self.rows = rows
+        self.ids = ids
+
+    def __missing__(self, r):
+        image = _row_times(self.rows[r], self.g)
+        image = tuple(image) if self.integral else tuple(map(rational, image))
+        i = self[r] = self.ids.setdefault(image, len(self.rows))
+        if i == len(self.rows):
+            self.rows.append(image)
+        return i
+
+
+def _power_traces(elements, table, words):
+    """(tr g, tr g^2, ..., tr g^dim) for each of `elements` (identity
+    first), from the Cayley table and the words of
+    `poisson.close_group`.
+
+    g^k = g^(k-1) g is a walk along g's word from g^(k-1), so the powers
+    of g, up to its order m, are m walks; each power g^t of g reads its
+    own power traces off the same cycle, as tr g^(tk mod m)."""
+    dim = len(elements[0])
+    traces = [sum(g[i][i] for i in range(dim)) for g in elements]
+    out = [None] * len(elements)
+    out[0] = (dim,) * dim
+    for i, word in enumerate(words):
+        if out[i] is not None:
+            continue
+        cycle = [0]
+        x = i
+        while x:
+            cycle.append(x)
+            for s in word:
+                x = table[x][s]
+        m = len(cycle)
+        for t in range(1, m):
+            if out[cycle[t]] is None:
+                out[cycle[t]] = tuple(traces[cycle[t * k % m]] for k in range(1, dim + 1))
+    return out
+
+
 class MolienSeries:
     """The dimensions of the invariants of a finite matrix group G in each
     degree, by Molien's formula: (1/|G|) sum over g of h_d(g), where
@@ -156,22 +222,23 @@ class MolienSeries:
     coefficient of 1/det(1 - t g), so that
     h_d = sum over 1 <= j <= min(d, n) of (-1)^(j+1) e_j(g) h_(d-j).
 
-    e_k(g) comes from the power traces p_i = tr(g^i), i <= k, by Newton's
-    identities, and degree d reads e_k for k <= min(d, n) only: the k-th
-    power of each element, on sparse rows, is taken when a degree first
-    needs it.  The elements are grouped by the e_k read so far, and the
-    h series of each group is built once."""
+    It is built from the power traces p_i = tr(g^i), i = 1..n, of each
+    element; e_k(g) comes from them by Newton's identities,
+    k e_k = sum over i of (-1)^(i-1) e_(k-i) p_i.  Elements with the
+    same power traces have the same characteristic polynomial, so the h
+    series of each such class is built once."""
 
-    __slots__ = ("order", "rows", "powers", "traces", "esym", "classes", "series", "counts")
+    __slots__ = ("order", "classes", "counts")
 
-    def __init__(self, group):
-        self.order = len(group)
-        self.rows = [[[(j, x) for j, x in enumerate(row) if x] for row in g] for g in group]
-        self.powers = [[{i: 1} for i in range(len(g))] for g in group]
-        self.traces = [[] for _ in group]
-        self.esym = [[1] for _ in group]
-        self.classes = Counter({(): self.order})
-        self.series = {(): [1]}
+    def __init__(self, power_traces):
+        self.order = len(power_traces)
+        self.classes = []  # (size, (-1)^(j+1) e_j for j = 1..n, h series so far)
+        for p, size in Counter(power_traces).items():
+            e = [1]
+            for k in range(1, len(p) + 1):
+                e.append(quotient(sum(e[k - i] * p[i - 1] if i % 2 else -e[k - i] * p[i - 1]
+                                      for i in range(1, k + 1)), k))
+            self.classes.append((size, [x if j % 2 else -x for j, x in enumerate(e) if j], [1]))
         self.counts = []
 
     def count(self, degree):
@@ -179,39 +246,14 @@ class MolienSeries:
         integer when the matrices form a group."""
         while len(self.counts) <= degree:
             d = len(self.counts)
-            if len(self.traces[0]) < min(d, len(self.rows[0])):
-                self._next_power()
-            self.counts.append(quotient(sum(m * self._h(e, d) for e, m in self.classes.items()),
-                                        self.order))
+            total = 0
+            for size, c, series in self.classes:
+                if d:
+                    series.append(sum(c[j - 1] * series[d - j]
+                                      for j in range(1, min(d, len(c)) + 1)))
+                total += size * series[d]
+            self.counts.append(quotient(total, self.order))
         return self.counts[degree]
-
-    def _next_power(self):
-        """g^k = g^(k-1) g for every element, and its e_k from
-        k e_k = sum over i of (-1)^(i-1) e_(k-i) p_i."""
-        for rows, power, p, e in zip(self.rows, self.powers, self.traces, self.esym):
-            for i, prow in enumerate(power):
-                out = {}
-                for j, x in prow.items():
-                    for c, y in rows[j]:
-                        out[c] = out.get(c, 0) + x * y
-                power[i] = out
-            p.append(sum(prow.get(i, 0) for i, prow in enumerate(power)))
-            k = len(p)
-            e.append(quotient(sum(e[k - i] * p[i - 1] if i % 2 else -e[k - i] * p[i - 1]
-                                  for i in range(1, k + 1)), k))
-        self.classes = Counter(tuple(e[1:]) for e in self.esym)
-
-    def _h(self, e, d):
-        """h_d of the group of elements whose e_k are `e`; a group first
-        seen in this degree takes h_(<d) from that of e without its last
-        entry."""
-        series = self.series.get(e)
-        if series is None:
-            series = self.series[e] = list(self.series[e[:-1]])
-        for k in range(len(series), d + 1):
-            series.append(sum((-1) ** (j + 1) * e[j - 1] * series[k - j]
-                              for j in range(1, min(k, len(e)) + 1)))
-        return series[d]
 
 
 def nullspace(m, ncols):

@@ -1,7 +1,9 @@
 """Finite symplectic group actions and 0-th Poisson homology at desk scale.
 
-A group of exact rational symplectic matrices acts on polynomials.  The
-degree-d invariants number Molien's count (`linalg.MolienSeries`), and
+A group of exact rational symplectic matrices acts on polynomials.  Its
+closure records the Cayley table, off which the power traces tr(g^k)
+are read with no matrix power taken.  The degree-d invariants number
+Molien's count (`linalg.MolienSeries`, on those power traces), and
 their basis is built from products of lower-degree invariants: the
 products g b of each generator g with the basis of degree d - deg g go
 into an incremental echelon, which stops once its rank is that count.
@@ -79,7 +81,7 @@ def _check_degree(degree):
 
 
 def _freeze(m):
-    return tuple(tuple(rational(x) for x in row) for row in m)
+    return tuple(tuple(x if type(x) is int else rational(x) for x in row) for row in m)
 
 
 def standard_form(d):
@@ -93,28 +95,32 @@ def standard_form(d):
 
 
 def _is_symplectic(g, j):
-    return _freeze(linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), j), g)) == j
+    """g^T J g = J, exactly (an integral Fraction equals its int): row a
+    of g^T J g is column a of g times J g."""
+    jg = [linalg._row_times(row, g) for row in j]
+    return all(linalg._row_times(col, jg) == list(row) for col, row in zip(zip(*g), j))
 
 
 class SymplecticAction:
     """A finite group of symplectic matrices: its form, the form's
-    inverse, its elements, the generators it was closed from, and its
-    Molien count (`linalg.MolienSeries`, built when first asked for).
-    It keeps no monomial images: each pass that substitutes builds its
-    own `_Substitution`s and drops them when it is done."""
+    inverse, its elements, the generators it was closed from, each
+    element's power traces (tr g^k, k = 1..dim) and its Molien count
+    (`linalg.MolienSeries`, built when first asked for).  It keeps no
+    Cayley table and no monomial images."""
 
-    def __init__(self, dim, form, form_inverse, elements, generators):
+    def __init__(self, dim, form, form_inverse, elements, generators, power_traces):
         self.dim = dim
         self.form = form
         self.form_inverse = form_inverse
         self.elements = elements
         self.generators = generators
+        self.power_traces = power_traces
         self._molien = None
 
     def molien(self, degree):
         """The dimension of the degree-d invariants, by Molien's formula."""
         if self._molien is None:
-            self._molien = linalg.MolienSeries(self.elements)
+            self._molien = linalg.MolienSeries(self.power_traces)
         return self._molien.count(degree)
 
     @property
@@ -130,6 +136,14 @@ def close_group(generators, form, cap=10000):
     generators symplectic, exactly: then g^T J g = J forces det g = +-1,
     so the closure is a group.  Closure past cap signals an infinite or
     mis-entered group.
+
+    The search records the Cayley table, table[i][s] = the index of
+    elements[i] gens[s], and each element's word (its parent's word and
+    the generator s that reached it).  A product is built row by row:
+    the rows of the elements form a small set (S_6's 720 elements have
+    92), each held as an id, with a memo of row times g per generator
+    (`linalg._RowTimes`).  The elements are returned sorted, with the
+    power traces read off the table (`linalg._power_traces`).
     """
     form = _freeze(form)
     n = len(form)
@@ -147,22 +161,33 @@ def close_group(generators, form, cap=10000):
             raise ShapeMismatch("generator size does not match the form")
         if not _is_symplectic(g, form):
             raise NotSymplectic("generator fails g^T J g = J: %r" % (g,))
-    ident = _freeze([[1 if i == k else 0 for k in range(n)] for i in range(n)])
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = _freeze(linalg.mat_mul(a, g))
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-                    if len(seen) > cap:
-                        raise OrderCapExceeded("group order exceeds cap %d" % cap)
-        frontier = nxt
+    integral = all(type(x) is int for g in gens for row in g for x in row)
+    rows = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    ids = {r: i for i, r in enumerate(rows)}
+    memos = [linalg._RowTimes(g, integral, rows, ids) for g in gens]
+    elements = [tuple(range(n))]  # each element as the ids of its rows
+    index = {elements[0]: 0}
+    table = []
+    words = [()]
+    # `elements` grows while it is read: it is the queue of the search
+    for i, a in enumerate(elements):
+        row = []
+        for s, memo in enumerate(memos):
+            b = tuple(map(memo.__getitem__, a))
+            j = index.get(b)
+            if j is None:
+                j = index[b] = len(elements)
+                elements.append(b)
+                words.append(words[i] + (s,))
+                if len(elements) > cap:
+                    raise OrderCapExceeded("group order exceeds cap %d" % cap)
+            row.append(j)
+        table.append(row)
+    elements = [tuple(rows[r] for r in a) for a in elements]
+    pairs = sorted(zip(elements, linalg._power_traces(elements, table, words)))
     return SymplecticAction(dim=n, form=form, form_inverse=form_inverse,
-                            elements=sorted(seen), generators=gens)
+                            elements=[g for g, _ in pairs], generators=gens,
+                            power_traces=[p for _, p in pairs])
 
 
 def symmetric_group_action(n):

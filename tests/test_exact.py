@@ -192,6 +192,26 @@ def test_partial_fraction_rejects_non_integer_pole():
     assert all(type(p) is int for p in pf.residues)
 
 
+def test_partial_fraction_sends_only_non_ints_through_rational(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return rational(x)
+
+    monkeypatch.setattr(exact, "rational", counted)
+    pf = PartialFraction({0: 1, -1: -2, -2: 1})
+    assert pf.residues == {0: 1, -1: -2, -2: 1}
+    assert calls == []
+    pf = PartialFraction({-1: Fraction(1, 2), Fraction(6, 3): Fraction(4, 2)})
+    assert pf.residues == {-1: Fraction(1, 2), 2: 2}
+    assert type(pf.residues[2]) is int
+    assert calls == [Fraction(1, 2), Fraction(2), Fraction(2)]
+    # a Fraction pole that is not an integer is still refused
+    with pytest.raises(NonIntegerPole, match="Fraction\\(1, 2\\) is not an integer"):
+        PartialFraction({Fraction(1, 2): 1})
+
+
 def _per_term_sum(pf):
     """The per-pole RationalFunction sum (one gcd per term) that the
     reassembly over numerator_over replaced, kept as its oracle."""

@@ -12,7 +12,9 @@ classify_n3_reject_1e12 (|f(0)| ~ 1e12, no integer root) before integer
 roots came from bisection instead of trial division.  The S_5 case
 (four generators on eight variables, tests/golden/s5.json) was recorded
 before the invariant bases came from products of lower-degree
-invariants.  A refactor that changes any byte of a report fails here.
+invariants, and the S_7 case (six generators on twelve variables,
+tests/golden/s7.json, 5040 elements) before the closure recorded its
+Cayley table and Molien's count read its power traces off it.  A refactor that changes any byte of a report fails here.
 """
 
 import json

@@ -950,12 +950,16 @@ def _s5():
     return symmetric_group_action(5)
 
 
+def _s6():
+    return symmetric_group_action(6)
+
+
 # group and the degrees through which Molien's count is read against the
 # oracle `_molien_coefficients`
 MOLIEN_COUNT_CASES = dict(
     [("molien_" + name, (case[0], 12)) for name, case in MOLIEN_ACTIONS.items()]
     + [("afls_" + name, (case[0], 12)) for name, case in AFLS_CASES.items()]
-    + [("s5", (_s5, 6))])
+    + [("s5", (_s5, 6)), ("s6", (_s6, 6))])
 
 
 @pytest.mark.parametrize("name", sorted(MOLIEN_COUNT_CASES))
@@ -978,13 +982,94 @@ def test_molien_count_is_the_nullspace_size(name):
         == [len(invariant_basis(action, d)) for d in range(top + 1)]
 
 
-def test_molien_count_reads_only_the_powers_it_needs():
-    # degree d needs tr(g^k) for k <= min(d, dim) only
-    action = s4()
-    assert action.molien(2) == 3
-    assert len(action._molien.traces[0]) == 2
-    assert action.molien(9) == 92
-    assert len(action._molien.traces[0]) == action.dim
+def _close_group_dense(generators, form, cap=10000):
+    """The sorted elements and the generators of the breadth-first
+    closure that `close_group` replaced: one dense product
+    `linalg.mat_mul` per element and generator, each frozen under the
+    rule of `rational`, kept as its oracle."""
+    gens = [poisson._freeze(g) for g in generators]
+    n = len(form)
+    ident = poisson._freeze([[1 if i == k else 0 for k in range(n)] for i in range(n)])
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = poisson._freeze(linalg.mat_mul(a, g))
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    if len(seen) > cap:
+                        raise OrderCapExceeded("group order exceeds cap %d" % cap)
+        frontier = nxt
+    return sorted(seen), gens
+
+
+# every group Molien's count is checked on, the two with Fraction
+# entries, and S_6
+CLOSURE_CASES = dict(
+    [(name, case[0]) for name, case in MOLIEN_COUNT_CASES.items()]
+    + [("conjugated_s3", _conjugated_s3),
+       ("conjugated_z3", lambda: close_group([[[0, -4], [Fraction(1, 4), -1]]], J2)),
+       ("s6", _s6)])
+
+
+def _closed(make, monkeypatch):
+    """The action `make` builds, with the arguments it passed to
+    `close_group`."""
+    calls = []
+    real = poisson.close_group
+
+    def recording(generators, form, cap=10000):
+        action = real(generators, form, cap)
+        calls.append(((generators, form, cap), action))
+        return action
+
+    monkeypatch.setattr(poisson, "close_group", recording)
+    monkeypatch.setitem(globals(), "close_group", recording)
+    make()
+    (args, action), = calls
+    return args, action
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_close_group_matches_dense_closure(name, monkeypatch):
+    # the same elements in the same order, with the same scalar types
+    # (repr tells 2 from Fraction(2, 1)), and the same generators
+    args, action = _closed(CLOSURE_CASES[name], monkeypatch)
+    elements, gens = _close_group_dense(*args)
+    assert action.elements == elements
+    assert repr(action.elements) == repr(elements)
+    assert action.generators == gens
+    assert repr(action.generators) == repr(gens)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_power_traces_match_matrix_powers(name):
+    action = CLOSURE_CASES[name]()
+    assert len(action.power_traces) == action.order
+    for g, traces in zip(action.elements, action.power_traces):
+        assert list(traces) == _matrix_power_traces(g, action.dim)
+
+
+@pytest.mark.parametrize("gens, cap, raises", [
+    ([[[1, 1], [0, 1]]], 50, True),
+    ([[[1, 1], [0, 1]]], 1, True),
+    ([[[0, -1], [1, -1]]], 3, False),
+    ([[[0, -1], [1, -1]]], 2, True),
+    ([], 0, False),
+])
+def test_close_group_cap_matches_dense_closure(gens, cap, raises):
+    # the cap fires where the dense closure's did: once the search has
+    # found more than cap elements (the identity, found first, is never
+    # checked against it)
+    for close in (close_group, _close_group_dense):
+        if raises:
+            with pytest.raises(OrderCapExceeded, match="cap %d" % cap):
+                close(gens, J2, cap=cap)
+        else:
+            close(gens, J2, cap=cap)
 
 
 PRODUCT_SPAN_CASES = {"z3": (order_three, 10), "z4": (order_four, 10),
