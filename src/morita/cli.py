@@ -221,14 +221,14 @@ _RATIONAL_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_group_file(path):
-    """Read a symplectic group action description from JSON.
+    """Read a symplectic group action description from UTF-8 JSON.
 
     Expected shape: {"dim": 2d, "form": [[..]], "generators": [[[..]]]}
     with entries given as integers or exact "p/q" strings (q nonzero).
     """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
     except (OSError, ValueError) as e:  # ValueError covers JSON and encoding errors
         raise MalformedFile("cannot read group file: %s" % e)
 

@@ -54,6 +54,11 @@ class OutOfRange(ValueError):
     """An integer argument outside the range the function is defined on."""
 
 
+def _check_degree(degree):
+    if degree < 0:
+        raise OutOfRange("degree must be nonnegative, got %d" % degree)
+
+
 def rational(x):
     """x as an exact scalar: an int when x is integral, else a Fraction.
 

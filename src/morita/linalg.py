@@ -28,11 +28,9 @@ Newton's identities.
 """
 
 import math
-from collections import Counter
 from itertools import compress, count
-from operator import mul
 
-from .exact import quotient, rational
+from .exact import _check_degree, quotient, rational
 
 
 class SingularMatrix(ValueError):
@@ -162,6 +160,18 @@ def _row_times(row, m):
     return [0] * len(row) if out is None else out
 
 
+def _minus_if_inverse(m):
+    """-m when m m = -I, so that -m is the inverse of m, else None.  Each
+    row of m m is a sparse `_row_times` product.  When the entries of m
+    follow the rule of `rational`, so do those of -m, as those of
+    `invert(m)` do."""
+    n = len(m)
+    for i, row in enumerate(m):
+        if _row_times(row, m) != [-(i == k) for k in range(n)]:
+            return None
+    return [[-x for x in row] for row in m]
+
+
 class _RowTimes(dict):
     """Row id -> the id of row g, for one square matrix g, over the
     distinct rows `rows` (id = position, shared with other generators
@@ -226,14 +236,18 @@ class MolienSeries:
     element; e_k(g) comes from them by Newton's identities,
     k e_k = sum over i of (-1)^(i-1) e_(k-i) p_i.  Elements with the
     same power traces have the same characteristic polynomial, so the h
-    series of each such class is built once."""
+    series of each such class is built once; the classes are counted in
+    a plain dict."""
 
     __slots__ = ("order", "classes", "counts")
 
     def __init__(self, power_traces):
         self.order = len(power_traces)
+        sizes = {}
+        for p in power_traces:
+            sizes[p] = sizes.get(p, 0) + 1
         self.classes = []  # (size, (-1)^(j+1) e_j for j = 1..n, h series so far)
-        for p, size in Counter(power_traces).items():
+        for p, size in sizes.items():
             e = [1]
             for k in range(1, len(p) + 1):
                 e.append(quotient(sum(e[k - i] * p[i - 1] if i % 2 else -e[k - i] * p[i - 1]
@@ -243,7 +257,9 @@ class MolienSeries:
 
     def count(self, degree):
         """The dimension of the degree-d invariants: a nonnegative
-        integer when the matrices form a group."""
+        integer when the matrices form a group; raises OutOfRange for a
+        negative degree."""
+        _check_degree(degree)
         while len(self.counts) <= degree:
             d = len(self.counts)
             total = 0
@@ -277,11 +293,6 @@ def invert(m):
         raise SingularMatrix("matrix is singular over Q")
     return [[quotient(row.get(j, 0), row[i]) for j in range(n, 2 * n)]
             for i, row in enumerate(red[:n])]
-
-
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[rational(sum(map(mul, row, col))) for col in cols] for row in a]
 
 
 def transpose(a):

@@ -53,7 +53,7 @@ import math
 from itertools import product
 
 from . import linalg
-from .exact import OutOfRange, rational
+from .exact import OutOfRange, _check_degree, rational
 from .polynomials import (MultiPoly, ShapeMismatch, _Packing, _Substitution,
                           _add_packed_product, _add_product, _exact_nonzero, monomials)
 
@@ -73,11 +73,6 @@ class NegativeDimension(AssertionError):
 class InvariantCountMismatch(AssertionError):
     """An invariant basis disagrees with Molien's count: an internal bug,
     not bad input."""
-
-
-def _check_degree(degree):
-    if degree < 0:
-        raise OutOfRange("degree must be nonnegative, got %d" % degree)
 
 
 def _freeze(m):
@@ -118,7 +113,8 @@ class SymplecticAction:
         self._molien = None
 
     def molien(self, degree):
-        """The dimension of the degree-d invariants, by Molien's formula."""
+        """The dimension of the degree-d invariants, by Molien's formula;
+        raises OutOfRange for a negative degree."""
         if self._molien is None:
             self._molien = linalg.MolienSeries(self.power_traces)
         return self._molien.count(degree)
@@ -135,7 +131,9 @@ def close_group(generators, form, cap=10000):
     invertible (inverted once here, for every bracket), and the
     generators symplectic, exactly: then g^T J g = J forces det g = +-1,
     so the closure is a group.  Closure past cap signals an infinite or
-    mis-entered group.
+    mis-entered group.  A skew J with J^2 = -I (J J^T = I, as for the
+    block form) has inverse -J (`linalg._minus_if_inverse`), read with
+    no elimination; any other form goes through `linalg.invert`.
 
     The search records the Cayley table, table[i][s] = the index of
     elements[i] gens[s], and each element's word (its parent's word and
@@ -151,10 +149,12 @@ def close_group(generators, form, cap=10000):
         raise ShapeMismatch("form is not square")
     if any(form[i][k] != -form[k][i] for i in range(n) for k in range(i, n)):
         raise NotSymplectic("form fails J^T = -J: %r" % (form,))
-    try:
-        form_inverse = linalg.invert(form)
-    except linalg.SingularMatrix:
-        raise NotSymplectic("form is degenerate: %r" % (form,)) from None
+    form_inverse = linalg._minus_if_inverse(form)
+    if form_inverse is None:
+        try:
+            form_inverse = linalg.invert(form)
+        except linalg.SingularMatrix:
+            raise NotSymplectic("form is degenerate: %r" % (form,)) from None
     gens = [_freeze(g) for g in generators]
     for g in gens:
         if len(g) != n or any(len(row) != n for row in g):

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import importlib.util
 import io
@@ -654,6 +655,42 @@ def test_hp0_command(tmp_path, capsys):
 def test_hp0_bad_file_exit_two(tmp_path):
     bad = tmp_path / "nope.json"
     assert run(["hp0", "--group", str(bad), "--max-degree", "2"]) == 2
+
+
+def _z3_text():
+    with open(os.path.join(_GOLDEN, "z3.json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: codecs.BOM_UTF8 + text.encode("utf-8"),
+    lambda text: text.encode("utf-8").replace(b"generators", b"generators\xff"),
+    lambda text: text.encode("utf-16"),
+], ids=["utf8_bom", "invalid_utf8", "utf16"])
+def test_hp0_group_file_not_plain_utf8_exit_two(tmp_path, capsys, encode):
+    # the file is decoded as UTF-8, whatever the locale: a byte order
+    # mark, a byte no UTF-8 text holds, or UTF-16 is an input error
+    path = tmp_path / "group.json"
+    path.write_bytes(encode(_z3_text()))
+    assert run(["hp0", "--group", str(path), "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read group file")
+
+
+def test_hp0_reads_the_group_file_with_no_default_encoding():
+    # a fresh interpreter where an open() that falls back on the locale's
+    # encoding is an error: the golden S_3 request still gives its bytes
+    src = os.path.abspath(os.path.join(_GOLDEN, os.pardir, os.pardir, "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-m", "morita.cli", "hp0",
+                           "--group", os.path.join(_GOLDEN, "s3.json"), "--max-degree", "4"],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(_GOLDEN, "hp0_s3_d4.out"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_hp0_form_not_skew_exit_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_product import mat_mul
 from euclid_oracle import Reduced, monic, poly_gcd
 from morita import exact, linalg
 from morita.classify import KTheoryVector, build_f
@@ -632,7 +633,7 @@ def test_scalar_rule_linalg(rows, cols, data):
     except linalg.SingularMatrix:
         assume(False)
     _check_scalars(x for row in inverse for x in row)
-    _check_scalars(x for row in linalg.mat_mul(inverse, square) for x in row)
+    _check_scalars(x for row in mat_mul(inverse, square) for x in row)
 
 
 @settings(max_examples=100, deadline=None)

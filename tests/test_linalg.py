@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_product import mat_mul
 from morita import linalg
 from morita.classify import hook_matrix
 from morita.cli import parse_group_file
@@ -195,8 +196,8 @@ def test_echelon_matches_rref_row_by_row(m, sparse):
 
 
 def _triple_loop_product(a, b):
-    """The matrix product `linalg.mat_mul` computed before it summed over
-    zipped columns, kept as the oracle."""
+    """The matrix product `dense_product.mat_mul` computed before it
+    summed over zipped columns, kept as the oracle."""
     return [[rational(sum(a[i][k] * b[k][j] for k in range(len(b))))
              for j in range(len(b[0]))] for i in range(len(a))]
 
@@ -209,7 +210,7 @@ def test_mat_mul_matches_triple_loop(rows, inner, cols, data):
                            min_size=rows, max_size=rows))
     b = data.draw(st.lists(st.lists(_SCALAR, min_size=cols, max_size=cols),
                            min_size=inner, max_size=inner))
-    product = linalg.mat_mul(a, b)
+    product = mat_mul(a, b)
     assert product == _triple_loop_product(a, b)
     assert len(product) == rows and all(len(row) == cols for row in product)
     # ints where integral, Fractions elsewhere
@@ -272,7 +273,7 @@ def _conjugated_s3_file(tmp_path):
     a_inv_t = linalg.transpose(linalg.invert(a))
     p = [row + [0, 0] for row in a] + [[0, 0] + row for row in a_inv_t]
     p_inv = linalg.invert(p)
-    gens = [linalg.mat_mul(linalg.mat_mul(p, g), p_inv) for g in s3["generators"]]
+    gens = [mat_mul(mat_mul(p, g), p_inv) for g in s3["generators"]]
     path = tmp_path / "s3_conjugated.json"
     path.write_text(json.dumps({
         "dim": 4, "form": s3["form"],

@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 import morita
+from dense_product import mat_mul
 from morita import linalg, poisson, polynomials
+from morita.cli import parse_group_file
 from morita.exact import quotient
 from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
                             OutOfRange, ShapeMismatch, bracket,
@@ -314,7 +316,7 @@ def _matrix_power_traces(g, top):
     out = []
     for _ in range(top):
         out.append(sum(power[i][i] for i in range(len(power))))
-        power = linalg.mat_mul(power, g)
+        power = mat_mul(power, g)
     return out
 
 
@@ -411,7 +413,7 @@ def test_one_basis_per_degree(monkeypatch):
         assert len(duality_check(action, graded)["rows"]) == graded.max_degree + 1
 
 
-def test_form_inverted_once_per_action(monkeypatch):
+def test_form_inverted_only_when_its_square_is_not_minus_one(monkeypatch):
     calls = []
     original = linalg.invert
 
@@ -419,17 +421,80 @@ def test_form_inverted_once_per_action(monkeypatch):
         calls.append(m)
         return original(m)
 
-    actions = ((order_three(), 6), (symmetric_group_action(3), 3))
     monkeypatch.setattr(linalg, "invert", counted)
-    # close_group inverts the form, and hp0_dims uses that inverse
-    for action, cutoff in actions:
+    # J^2 = -I: close_group reads J^-1 = -J with no linalg.invert call,
+    # and hp0_dims uses that inverse
+    for action, cutoff in ((order_three(), 6), (symmetric_group_action(3), 3)):
         calls.clear()
         hp0_dims(close_group(action.generators, action.form), cutoff)
-        assert calls == [action.form]
+        assert calls == []
+    # J = [[0, 1/3], [-1/3, 0]] has J^2 = -I/9: inverted once, in close_group
+    calls.clear()
+    action = _fractional_form()
+    hp0_dims(action, 4)
+    assert calls == [action.form]
     # a direct call on the same action reuses its inverse
     calls.clear()
-    assert bracket_span_dim(actions[0][0], 3) == 2
+    assert bracket_span_dim(action, 3) == 2
     assert calls == []
+
+
+def _rotated_form():
+    # Q J Q^T for the block J on 4 coordinates and the rational rotation
+    # Q = [[3/5, -4/5], [4/5, 3/5]] + I: skew, J^2 = -I, Fraction entries
+    q = [[Fraction(3, 5), Fraction(-4, 5), 0, 0], [Fraction(4, 5), Fraction(3, 5), 0, 0],
+         [0, 0, 1, 0], [0, 0, 0, 1]]
+    return mat_mul(mat_mul(q, standard_form(2)), linalg.transpose(q))
+
+
+def _golden_forms():
+    forms = {}
+    for path in sorted(pathlib.Path(__file__).parent.glob("golden/*.json")):
+        if path.name != "cases.json":
+            forms["golden_" + path.stem] = parse_group_file(str(path))[0]
+    return forms
+
+
+MINUS_ONE_FORMS = dict(
+    [("standard_%d" % d, standard_form(d)) for d in range(1, 7)]
+    + list(_golden_forms().items())
+    # the block form on 6 coordinates, its coordinates permuted
+    + [("permuted", [[standard_form(3)[a][b] for b in (4, 0, 5, 2, 1, 3)]
+                     for a in (4, 0, 5, 2, 1, 3)]),
+       ("rotated", _rotated_form())])
+
+
+def _types(m):
+    return [type(m)] + [list(map(type, row)) for row in m]
+
+
+@pytest.mark.parametrize("name", sorted(MINUS_ONE_FORMS) + ["fractional_form"])
+def test_form_inverse_matches_invert(name):
+    form = _fractional_form().form if name == "fractional_form" else MINUS_ONE_FORMS[name]
+    expected = linalg.invert(form)
+    minus = linalg._minus_if_inverse(poisson._freeze(form))
+    if name == "fractional_form":
+        assert minus is None
+    else:
+        assert minus == expected and _types(minus) == _types(expected)
+    # close_group keeps whichever it took, entry for entry with invert's types
+    inverse = close_group([], form).form_inverse
+    assert inverse == expected and _types(inverse) == _types(expected)
+
+
+def test_molien_refuses_a_negative_degree():
+    # before and after a count is read: a negative degree once returned
+    # the last count read (3, after molien(2) on S_3), or IndexError
+    read_first = symmetric_group_action(3)
+    assert read_first.molien(2) == 3
+    with pytest.raises(OutOfRange):
+        read_first.molien(-1)
+    fresh = symmetric_group_action(3)
+    with pytest.raises(OutOfRange):
+        fresh.molien(-1)
+    assert fresh.molien(2) == 3
+    with pytest.raises(OutOfRange):
+        linalg.MolienSeries(fresh.power_traces).count(-2)
 
 
 def reynolds(action, p):
@@ -510,7 +575,7 @@ def test_substitute_matches_per_call_substitution():
 def _pairing_poly(action, g):
     # (u, g v) = sum of (J g)[a][c] u_a v_c in the 2*dim variables (u, then v)
     d = action.dim
-    jg = linalg.mat_mul(action.form, g)
+    jg = mat_mul(action.form, g)
     return MultiPoly(2 * d, {polynomials._unit(2 * d, a, d + c): jg[a][c]
                              for a in range(d) for c in range(d)})
 
@@ -601,14 +666,12 @@ def test_functional_matrix_matches_per_monomial(make, degrees):
 
 
 def test_functional_matrix_matches_per_monomial_with_fractions(tmp_path):
-    from morita.cli import parse_group_file
     from test_linalg import _conjugated_s3_file
     form, gens = parse_group_file(_conjugated_s3_file(tmp_path))
     _assert_functional_matrix_matches(close_group(gens, form), range(3))
 
 
 def _conjugated_s3():
-    from morita.cli import parse_group_file
     from test_linalg import _conjugated_s3_file
     with tempfile.TemporaryDirectory() as tmp:
         form, gens = parse_group_file(_conjugated_s3_file(pathlib.Path(tmp)))
@@ -765,7 +828,7 @@ def _afls_count(action):
     for g in action.elements:
         if g in seen:
             continue
-        seen |= {poisson._freeze(linalg.mat_mul(linalg.mat_mul(h, g), inverse[h]))
+        seen |= {poisson._freeze(mat_mul(mat_mul(h, g), inverse[h]))
                  for h in action.elements}
         minus_one = [[x - int(i == j) for j, x in enumerate(row)]
                      for i, row in enumerate(g)]
@@ -985,7 +1048,7 @@ def test_molien_count_is_the_nullspace_size(name):
 def _close_group_dense(generators, form, cap=10000):
     """The sorted elements and the generators of the breadth-first
     closure that `close_group` replaced: one dense product
-    `linalg.mat_mul` per element and generator, each frozen under the
+    `dense_product.mat_mul` per element and generator, each frozen under the
     rule of `rational`, kept as its oracle."""
     gens = [poisson._freeze(g) for g in generators]
     n = len(form)
@@ -996,7 +1059,7 @@ def _close_group_dense(generators, form, cap=10000):
         nxt = []
         for a in frontier:
             for g in gens:
-                b = poisson._freeze(linalg.mat_mul(a, g))
+                b = poisson._freeze(mat_mul(a, g))
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
