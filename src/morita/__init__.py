@@ -14,8 +14,8 @@ from .classify import (KTheoryVector, Relation, Rejection, hook_matrix,
                        remark_identity_check, search_relations,
                        iso_obstruction)
 from .poisson import (SymplecticAction, MultiPoly, GradedDims, close_group,
-                      symmetric_group_action, standard_form, invariant_basis,
-                      bracket, bracket_span_dim, hp0_dims,
-                      functional_solutions_dim, duality_check)
+                      symmetric_group_action, standard_form, bracket,
+                      bracket_span_dim, hp0_dims, functional_solutions_dim,
+                      duality_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

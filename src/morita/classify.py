@@ -178,30 +178,25 @@ def build_f(n, v):
 def derive_relation(n, v):
     """Relations compatible with the data vector, or a Rejection.
 
-    Extracts the integer roots of f; accepts each reading of the sorted
-    root multiset as an arithmetic progression with common difference
-    +1 or -1, emitting one relation per reading.  For n = 2 a single
-    root determines no difference and both signs are emitted.
-
-    For n >= 3 that accepts exactly when the monic f is
+    The data is accepted when the sorted integer roots of f read as an
+    arithmetic progression with common difference +1 or -1, with one
+    relation per reading; for n = 2 the single root reads both ways.
+    That holds exactly when the monic f is
     f_r = prod_{i=0}^{n-2} (x - r - i) for an integer r, whose x^(n-2)
     coefficient is -((n-1) r + (n-1)(n-2)/2): r is read off f and one
-    comparison accepts, so for n >= 3 the roots are searched for only to
-    witness a rejection.
+    comparison accepts, for every n >= 2 (for n = 2, f = x - r), so the
+    roots are searched for only to witness a rejection.
     """
     f, a = build_f(n, v)
-    if n >= 3:
-        r, rest = divmod(-f.coeffs[n - 2] - (n - 1) * (n - 2) // 2, n - 1)
-        if not rest and f == Poly.from_roots(range(r, r + n - 1)):
-            s = _shift(n, a, v)
-            return {Relation(1, s), Relation(-1, s)}
+    r, rest = divmod(-f.coeffs[n - 2] - (n - 1) * (n - 2) // 2, n - 1)
+    if not rest and f == Poly.from_roots(range(r, r + n - 1)):
+        s = _shift(n, a, v)
+        return {Relation(1, s), Relation(-1, s)}
     roots, remainder = rational_roots(f)
     if remainder.degree > 0:
         return Rejection("NonIntegerRoots",
                          {"roots_found": roots, "remainder": remainder.to_json()})
-    s = _shift(n, a, v)
-    if n == 2:
-        return {Relation(1, s), Relation(-1, s)}
+    _shift(n, a, v)  # the n(n-1) divisibility check
     diffs = sorted(set(roots[i + 1] - roots[i] for i in range(len(roots) - 1)))
     if len(diffs) > 1:
         return Rejection("NotArithmeticProgression",

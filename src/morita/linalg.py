@@ -274,14 +274,13 @@ class MolienSeries:
 
 def nullspace(m, ncols):
     """Basis of the right nullspace of m over the columns 0..ncols-1: for
-    each free column, the dense primitive integer vector that is positive
-    there and zero at the other free columns."""
+    each free column, the primitive integer row (a map column -> nonzero
+    entry) that is positive there and zero at the other free columns."""
     rows, pivots = rref(m)
     free = sorted(set(range(ncols)).difference(pivots))
-    basis = (_primitive({fc: 1} | {pc: quotient(-row[fc], row[pc])
-                                   for row, pc in zip(rows, pivots) if fc in row})
-             for fc in free)
-    return [[v.get(j, 0) for j in range(ncols)] for v in basis]
+    return [_primitive({fc: 1} | {pc: quotient(-row[fc], row[pc])
+                                  for row, pc in zip(rows, pivots) if fc in row})
+            for fc in free]
 
 
 def invert(m):

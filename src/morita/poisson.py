@@ -10,13 +10,12 @@ into an incremental echelon, which stops once its rank is that count.
 Only in degrees where the products fall short (new generators exist,
 and never above |G|, by Noether's bound) is the basis the common fixed
 space of the generators on the degree-d monomials, the nullspace of the
-stacked Sym^d(g) - I, whose vectors join the same echelon to reach
-that count; the basis is its pivot rows.  Bracket
-spans are measured by exact rank on invariant coordinates, and the
-graded dimensions of the quotient of invariants by brackets are
-cross-checked against the dual picture: a polynomial P of degree n
-pairs with the quotient iff sum over g of (u, g v) P(u + g v) vanishes
-identically in u, v.
+stacked Sym^d(g) - I, whose rows join the same echelon to reach that
+count; the basis is its pivot rows.  Bracket spans are measured by
+exact rank on invariant coordinates, and the graded dimensions of the
+quotient of invariants by brackets are cross-checked against the dual
+picture: a polynomial P of degree n pairs with the quotient iff sum
+over g of (u, g v) P(u + g v) vanishes identically in u, v.
 The Reynolds operator (the group average) lives in the tests, as the
 reference the invariant bases are compared against.
 
@@ -28,8 +27,9 @@ action is a plain value and keeps no images.  Each pass that needs
 them builds its own substitutions and drops them when it returns: the
 invariance rows of degree d, the generators' images of degrees 1..d;
 the orbit sums of the dual, every element's images of degrees 0..top,
-one element at a time.  The bases, their products and brackets stay
-packed too, on one packing for the bases of an `hp0_dims` run.  A
+one element at a time.  An `hp0_dims` run packs on one packing: the
+invariance rows and the nullspace rows of each fallback degree, the
+bases, their products and brackets.  No `MultiPoly` is built.  A
 bracket span takes each basis row's gradient once, from its packed
 terms, and sums -J^-1[a][b] d_a p d_b q straight into one term map.
 
@@ -206,9 +206,9 @@ def symmetric_group_action(n):
         if i < d - 1:
             m[i + 1][i] = 1
         gens.append(m)
-    # diag(m, m^-T) on h + h*
+    # diag(m, m^-T) on h + h*, where m^-T = m^T since m^2 = I
     big = [[row + [0] * d for row in m]
-           + [[0] * d + row for row in linalg.transpose(linalg.invert(m))]
+           + [[0] * d + row for row in linalg.transpose(m)]
            for m in gens]
     return close_group(big, standard_form(d), cap=math.factorial(n) + 1)
 
@@ -237,18 +237,16 @@ def _bracket_terms(dp, dq, j_inv):
     return out
 
 
-def _invariance_rows(action, monos):
+def _invariance_rows(action, packing, packed):
     """Nonzero rows of Sym^d(g) - I stacked over the generators g, as maps
-    column -> entry over the degree-d monomials `monos`.  A polynomial
-    fixed by every generator is fixed by the group they generate.  Each
-    generator's images are built here, from degree 1, on a packing for
-    degree d."""
-    packing = _Packing(action.dim, sum(monos[0]) if monos else 0)
-    packed = list(map(packing.pack, monos))
+    column -> entry, where column c is the degree-d monomial packed[c]
+    on the caller's `packing`.  A polynomial fixed by every generator is
+    fixed by the group they generate.  Each generator's images are built
+    here, from degree 1."""
     index = {e: r for r, e in enumerate(packed)}
     rows = []
     for g in action.generators:
-        block = [{} for _ in monos]
+        block = [{} for _ in packed]
         for c, img in enumerate(_Substitution(g, packing).images(packed)):
             for e, x in img.items():
                 block[index[e]][c] = x
@@ -261,14 +259,14 @@ def _invariance_rows(action, monos):
     return rows
 
 
-def invariant_basis(action, degree):
-    """A basis of the degree-d invariants: the common fixed space of the
-    generators on the degree-d monomials."""
+def invariant_basis(action, degree, packing):
+    """A basis of the degree-d invariants, the common fixed space of the
+    generators on the degree-d monomials: primitive integer rows, as maps
+    packed monomial -> entry on `packing` (which has room for degree d)."""
     _check_degree(degree)
-    monos = monomials(action.dim, degree)
-    null = linalg.nullspace(_invariance_rows(action, monos), len(monos))
-    return [MultiPoly._raw(action.dim, {e: x for e, x in zip(monos, v) if x})
-            for v in null]
+    packed = [packing.pack(e) for e in monomials(action.dim, degree)]
+    null = linalg.nullspace(_invariance_rows(action, packing, packed), len(packed))
+    return [{packed[c]: x for c, x in v.items()} for v in null]
 
 
 def _invariant_bases(action, top):
@@ -279,10 +277,10 @@ def _invariant_bases(action, top):
     of each generator g (an invariant that the products of its degree
     could not build) with each b in the basis of degree d - deg g go one
     at a time into an echelon, which stops once its rank is the Molien
-    count.  Where they fall short the vectors of the nullspace basis,
-    `invariant_basis`, go into the same echelon, which must then reach
-    the count, and those that raise its rank join the generators.  A
-    degree whose count is 0 takes no work."""
+    count.  Where they fall short the rows of the nullspace basis,
+    `invariant_basis` on the same packing, go into the same echelon,
+    which must then reach the count, and those that raise its rank join
+    the generators.  A degree whose count is 0 takes no work."""
     packing = _Packing(action.dim, top)
     bases = [[{0: 1}]]
     generators = []  # (degree, packed terms), by degree
@@ -296,8 +294,8 @@ def _invariant_bases(action, top):
                 if echelon.add(row) and echelon.rank == size:
                     break
         if echelon.rank < size:
-            rows = [packing.terms(p.terms) for p in invariant_basis(action, d)]
-            generators += [(d, row) for row in rows if echelon.add(row)]
+            generators += [(d, row) for row in invariant_basis(action, d, packing)
+                           if echelon.add(row)]
             if echelon.rank != size:
                 raise InvariantCountMismatch("degree %d: %d invariants, Molien count %s"
                                              % (d, echelon.rank, size))

@@ -9,7 +9,9 @@ it back), so that multiplying monomials adds ints
 off the int (`_Packing.gradient`).  `_Substitution` builds the monomial
 images x^e -> (M x)^e of a square matrix on packed exponents, a degree
 at a time; `MultiPoly.substitute` packs its terms on a packing for its
-own degree and unpacks the result.
+own degree and unpacks the result.  The hp0 pipeline in `poisson` works
+on packed term maps throughout and builds no `MultiPoly`; in the package
+`MultiPoly` serves `poisson.bracket`.
 """
 
 from functools import lru_cache
@@ -166,10 +168,11 @@ class _Packing:
     bits, with room for entries up to `top` (the total degree of every
     product taken).  Adding exponents adds the ints, and the ints are
     ordered as the tuples are, so an echelon on packed columns picks the
-    same leading monomials.  A packing serves one pass: the invariant
-    bases of an `hp0` run with their products and the gradients of its
-    brackets, one degree of invariance rows, the orbit sums of a dual
-    check, or one `MultiPoly.substitute`."""
+    same leading monomials.  A packing serves one pass: an `hp0` run,
+    from the invariance and nullspace rows of each degree the products
+    fall short in to the bases, their products and the gradients of its
+    brackets; the orbit sums of a dual check; or one
+    `MultiPoly.substitute`."""
 
     __slots__ = ("units", "shifts", "mask")
 
@@ -185,9 +188,6 @@ class _Packing:
     def unpack(self, k):
         mask = self.mask
         return tuple(k >> s & mask for s in self.shifts)
-
-    def terms(self, terms):
-        return {self.pack(e): c for e, c in terms.items()}
 
     def gradient(self, terms):
         """The packed term maps of the partial derivatives of the packed

@@ -43,7 +43,7 @@ def test_traced_worker_reaches_ready():
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, os.path.join(BENCH, "worker.py"), ROOT, "1"],
-                          input="", capture_output=True, text=True, timeout=60,
-                          cwd=BENCH, env=env)
+                          input="", capture_output=True, text=True, encoding="utf-8",
+                          timeout=60, cwd=BENCH, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["ready"] is True

@@ -307,7 +307,7 @@ def test_run_builds_one_parser():
             "code = cli.run(['classify', '--n', '3', '--nvec', '3,-2']); "
             "print(code, 'argparse' in sys.modules)" % src)
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
 
@@ -320,7 +320,7 @@ def test_classify_does_not_import_dataclasses():
     # requests import no dataclasses (with its inspect chain, a cost of
     # every process beyond what cli itself imports)
     src = os.path.join(os.path.dirname(_GOLDEN), os.pardir, "src")
-    with open(os.path.join(_GOLDEN, "cases.json")) as fh:
+    with open(os.path.join(_GOLDEN, "cases.json"), encoding="utf-8") as fh:
         cases = [c for c in json.load(fh).values() if c["argv"][0] == "classify"]
     assert cases
     code = ("import io, sys; sys.path.insert(0, %r); from morita import cli; "
@@ -328,7 +328,7 @@ def test_classify_does_not_import_dataclasses():
             "sys.stdout = sys.__stdout__; print(codes, 'dataclasses' in sys.modules)"
             % (os.path.abspath(src), [c["argv"] for c in cases]))
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "%s False" % [c["exit"] for c in cases]
 
@@ -342,7 +342,7 @@ def test_classify_rejects_a_huge_constant_term_promptly():
             "sys.exit(cli.main())" % os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-I", "-c", code, "classify", "--n", "3",
                            "--nvec=166666666666666666,1"],
-                          capture_output=True, text=True, timeout=20)
+                          capture_output=True, text=True, encoding="utf-8", timeout=20)
     assert proc.returncode == 1, proc.stderr
     rejection = json.loads(proc.stdout)["payload"]["rejection"]
     assert rejection["reason"] == "NonIntegerRoots"
@@ -446,7 +446,7 @@ _ORACLE_FORM = {("classify", "--n", "3", "--nvec", "-1,2"):
 @pytest.mark.parametrize("source", ["golden", "tables", "classify", "hp0", "edge"])
 def test_parser_matches_argparse_oracle(source):
     if source == "golden":
-        with open(os.path.join(_GOLDEN, "cases.json")) as fh:
+        with open(os.path.join(_GOLDEN, "cases.json"), encoding="utf-8") as fh:
             argvs = [case["argv"] for case in json.load(fh).values()]
     elif source == "edge":
         argvs = _EDGE_ARGVS
@@ -466,7 +466,7 @@ def test_parser_matches_argparse_oracle(source):
 
 def _write_group(tmp_path, data):
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
 
@@ -504,7 +504,7 @@ def test_parse_group_file_malformed(tmp_path):
     with pytest.raises(MalformedFile):
         parse_group_file(ragged)
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(MalformedFile):
         parse_group_file(str(bad))
     floats = _write_group(tmp_path, {"dim": 2, "form": [[0, 0.5], [-0.5, 0]],
@@ -567,7 +567,7 @@ def test_parse_group_file_fuzz(data):
     # raises one of its two input errors
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "group.json")
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
         try:
             form, gens = parse_group_file(path)

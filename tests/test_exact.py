@@ -626,7 +626,7 @@ def test_scalar_rule_linalg(rows, cols, data):
                            min_size=rows, max_size=rows))
     red, _ = linalg.rref(m)
     _check_scalars(x for row in red for x in row.values())
-    _check_scalars(x for v in linalg.nullspace(m, cols) for x in v)
+    _check_scalars(x for v in linalg.nullspace(m, cols) for x in v.values())
     square = [row[:rows] + [0] * (rows - len(row)) for row in m]
     try:
         inverse = linalg.invert(square)

@@ -26,7 +26,7 @@ from morita.cli import run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
-with open(os.path.join(GOLDEN, "cases.json")) as _fh:
+with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _fh:
     CASES = json.load(_fh)
 
 
@@ -36,6 +36,6 @@ def test_golden_output(name, capsys):
     argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a
             for a in case["argv"]]
     code = run(argv)
-    with open(os.path.join(GOLDEN, name + ".out"), newline="") as fh:
+    with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8", newline="") as fh:
         expected = fh.read()
     assert (code, capsys.readouterr().out) == (case["exit"], expected)

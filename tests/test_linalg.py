@@ -24,6 +24,7 @@ from morita.exact import quotient, rational
 from morita.poisson import (_functional_matrix, _invariance_rows, close_group,
                             hp0_dims, monomials, standard_form,
                             symmetric_group_action)
+from morita.polynomials import _Packing
 
 
 def _fraction_rref(m):
@@ -112,7 +113,9 @@ def _check_kernel(m, cols):
             assert not any(row)
     assert _rank(m) == len(expected_pivots)
 
-    null = linalg.nullspace(m, cols)
+    sparse_null = linalg.nullspace(m, cols)
+    assert all(x for v in sparse_null for x in v.values())
+    null = _dense(sparse_null, cols)
     expected_null = _fraction_nullspace(dense_m, cols)
     assert len(null) == len(expected_null) == cols - len(expected_pivots)
     for v in null:
@@ -223,7 +226,15 @@ def test_rref_accepts_tuples_and_fractions():
     assert (_dense(rows, 2, len(m)), pivots) == ([[1, 6], [0, 0]], [0])
     assert rows == [{0: 1, 1: 6}]
     assert linalg.rref([]) == ([], [])
-    assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
+    assert linalg.nullspace([], 2) == [{0: 1}, {1: 1}]
+
+
+def _degree_rows(action, degree):
+    """`_invariance_rows` of the degree-d monomials, packed on a packing
+    for degree d, and the number of their columns."""
+    packing = _Packing(action.dim, degree)
+    packed = [packing.pack(e) for e in monomials(action.dim, degree)]
+    return _invariance_rows(action, packing, packed), len(packed)
 
 
 def _plus_minus():
@@ -243,8 +254,7 @@ def _order_three():
 def test_kernel_on_invariance_rows(make, degrees):
     action = make()
     for d in degrees:
-        monos = monomials(action.dim, d)
-        _check_kernel(_invariance_rows(action, monos), len(monos))
+        _check_kernel(*_degree_rows(action, d))
 
 
 @pytest.mark.parametrize("make, degrees", [
@@ -267,7 +277,8 @@ def test_kernel_on_hook_matrices():
 def _conjugated_s3_file(tmp_path):
     """S_3 on h + h* conjugated by diag(A, A^-T), A = [[2, 1], [0, 1/3]]:
     a group file whose generators have "p/q" entries."""
-    with open(os.path.join(os.path.dirname(__file__), "golden", "s3.json")) as fh:
+    with open(os.path.join(os.path.dirname(__file__), "golden", "s3.json"),
+              encoding="utf-8") as fh:
         s3 = json.load(fh)
     a = [[2, 1], [0, Fraction(1, 3)]]
     a_inv_t = linalg.transpose(linalg.invert(a))
@@ -277,7 +288,8 @@ def _conjugated_s3_file(tmp_path):
     path = tmp_path / "s3_conjugated.json"
     path.write_text(json.dumps({
         "dim": 4, "form": s3["form"],
-        "generators": [[[str(x) for x in row] for row in g] for g in gens]}))
+        "generators": [[[str(x) for x in row] for row in g] for g in gens]}),
+        encoding="utf-8")
     return str(path)
 
 
@@ -287,8 +299,7 @@ def test_kernel_on_group_file_with_fractions(tmp_path):
     action = close_group(gens, form)
     assert action.order == 6
     for d in range(5):
-        monos = monomials(action.dim, d)
-        _check_kernel(_invariance_rows(action, monos), len(monos))
+        _check_kernel(*_degree_rows(action, d))
     for d in range(3):
         matrix, p_monos = _functional_matrix(action, d)
         _check_kernel(matrix, len(p_monos))
@@ -304,5 +315,4 @@ def test_kernel_on_fractional_form():
     _check_invert(form)
     assert action.form_inverse == [[0, -3], [3, 0]]
     for d in range(5):
-        monos = monomials(action.dim, d)
-        _check_kernel(_invariance_rows(action, monos), len(monos))
+        _check_kernel(*_degree_rows(action, d))

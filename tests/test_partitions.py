@@ -370,5 +370,5 @@ def test_partition_validation_survives_optimize():
             "except OutOfRange:\n    pass\n"
             "else:\n    raise SystemExit('symmetric_group_action(1) was accepted')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr

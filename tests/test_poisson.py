@@ -21,9 +21,17 @@ from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
                             functional_solutions_dim, hp0_dims,
                             invariant_basis, monomials,
                             standard_form, symmetric_group_action)
-from test_linalg import _dense, _rank
+from test_linalg import _degree_rows, _dense, _rank
 
 J2 = standard_form(1)
+
+
+def _basis(action, degree):
+    """`invariant_basis` on a packing for degree d, its packed rows
+    unpacked into `MultiPoly`s for the oracles."""
+    packing = polynomials._Packing(action.dim, degree)
+    return [MultiPoly._raw(action.dim, {packing.unpack(k): x for k, x in row.items()})
+            for row in invariant_basis(action, degree, packing)]
 
 
 def plus_minus():
@@ -130,16 +138,16 @@ def test_symmetric_group_action_order():
 
 def test_invariant_basis_dims():
     pm = plus_minus()
-    assert len(invariant_basis(pm, 2)) == 3
-    assert len(invariant_basis(pm, 1)) == 0
+    assert len(_basis(pm, 2)) == 3
+    assert len(_basis(pm, 1)) == 0
     for d in range(0, 5):
-        assert len(invariant_basis(trivial(), d)) == d + 1
+        assert len(_basis(trivial(), d)) == d + 1
 
 
 def test_invariant_basis_is_invariant():
     for action in (plus_minus(), order_three()):
         for d in range(0, 5):
-            for p in invariant_basis(action, d):
+            for p in _basis(action, d):
                 for g in action.elements:
                     assert p.substitute(g) == p
 
@@ -192,8 +200,8 @@ def test_bracket_grading():
 
 def test_bracket_of_invariants_equivariance():
     action = order_three()
-    for p in invariant_basis(action, 3):
-        for q in invariant_basis(action, 3):
+    for p in _basis(action, 3):
+        for q in _basis(action, 3):
             br = bracket(p, q, action.form)
             for g in action.elements:
                 assert bracket(p.substitute(g), q.substitute(g), action.form) \
@@ -244,7 +252,7 @@ def _invariant_solutions_dim(action, degree):
     invariant P: the rank of the functional rows together with the
     invariance rows of the degree-n monomials."""
     matrix, p_monos = poisson._functional_matrix(action, degree)
-    return len(p_monos) - _rank(matrix + poisson._invariance_rows(action, p_monos))
+    return len(p_monos) - _rank(matrix + _degree_rows(action, degree)[0])
 
 
 def test_invariant_restricted_count_bounded():
@@ -267,7 +275,7 @@ def test_solution_space_group_stable():
             continue
         null = linalg.nullspace(matrix, len(p_monos))
         for v in null:
-            p = MultiPoly(action.dim, dict(zip(p_monos, v)))
+            p = MultiPoly(action.dim, {p_monos[c]: x for c, x in v.items()})
             for h in action.elements:
                 moved = p.substitute(h)
                 w = [moved.terms.get(e, Fraction(0)) for e in p_monos]
@@ -304,10 +312,11 @@ def test_poisson_input_validation():
     with pytest.raises(OutOfRange):
         symmetric_group_action(1)
     action = plus_minus()
-    for call in (invariant_basis, bracket_span_dim, hp0_dims,
-                 functional_solutions_dim):
+    for call in (bracket_span_dim, hp0_dims, functional_solutions_dim):
         with pytest.raises(OutOfRange):
             call(action, -1)
+    with pytest.raises(OutOfRange):
+        invariant_basis(action, -1, polynomials._Packing(action.dim, 1))
 
 
 def _matrix_power_traces(g, top):
@@ -348,7 +357,7 @@ def test_invariant_dims_match_molien(name):
     action = make()
     molien = _molien_coefficients(action, 6)
     assert molien == expected
-    assert [len(invariant_basis(action, d)) for d in range(7)] == expected
+    assert [len(_basis(action, d)) for d in range(7)] == expected
 
 
 @pytest.mark.parametrize("name", sorted(MOLIEN_ACTIONS))
@@ -357,7 +366,7 @@ def test_invariant_basis_spans_reynolds_image(name):
     for d in range(7):
         monos = monomials(action.dim, d)
         basis = [[p.terms.get(e, Fraction(0)) for e in monos]
-                 for p in invariant_basis(action, d)]
+                 for p in _basis(action, d)]
         averages = [reynolds(action, MultiPoly.monomial(action.dim, e))
                     for e in monos]
         averaged = [[p.terms.get(e, Fraction(0)) for e in monos] for p in averages]
@@ -389,9 +398,9 @@ def test_one_basis_per_degree(monkeypatch):
         built.extend(range(len(out[1])))
         return out
 
-    def counted(action, degree):
+    def counted(action, degree, packing):
         nullspace.append(degree)
-        return original(action, degree)
+        return original(action, degree, packing)
 
     def refuse(action, max_degree):
         raise AssertionError("hp0_dims called")
@@ -548,7 +557,7 @@ def test_invariance_rows_match_per_monomial_substitution(make, degrees):
     action = make()
     for d in degrees:
         monos = monomials(action.dim, d)
-        assert _dense(poisson._invariance_rows(action, monos), len(monos)) \
+        assert _dense(*_degree_rows(action, d)) \
             == _invariance_rows_per_monomial(action, monos)
 
 
@@ -634,7 +643,7 @@ def _functional_matrix_per_monomial(action, degree):
 def _invariant_leading_monomials(action, degree):
     # the leading monomials of the echelon form of the degree-d
     # invariants, which the orbit sums of degree d span
-    return set(linalg.rref([p.terms for p in invariant_basis(action, degree)])[1])
+    return set(linalg.rref([p.terms for p in _basis(action, degree)])[1])
 
 
 def _assert_functional_matrix_matches(action, degrees):
@@ -690,7 +699,7 @@ def test_invariance_rows_with_fractions_match_per_monomial(make):
     fractions = 0
     for d in range(5):
         monos = monomials(action.dim, d)
-        rows = _dense(poisson._invariance_rows(action, monos), len(monos))
+        rows = _dense(*_degree_rows(action, d))
         assert rows == _invariance_rows_per_monomial(action, monos)
         assert all(type(x) is int or x.denominator != 1 for row in rows for x in row)
         fractions += sum(type(x) is Fraction for row in rows for x in row)
@@ -702,11 +711,12 @@ def test_invariance_rows_stay_sparse():
     # invariance rows and a dense rref the basis peaked at 10.0 MB of
     # Python allocations; the sparse rows need 1.6 MB
     action = symmetric_group_action(4)
+    packing = polynomials._Packing(action.dim, 6)
     for k in range(6):
-        invariant_basis(action, k)
+        invariant_basis(action, k, packing)
     tracemalloc.start()
     try:
-        basis = invariant_basis(action, 6)
+        basis = invariant_basis(action, 6, packing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -740,9 +750,7 @@ def test_images_in_any_degree_order():
         action = make()
         kept = set(vars(action))
         for d in list(range(top, -1, -1)) + list(range(top + 1)):
-            monos = monomials(action.dim, d)
-            assert poisson._invariance_rows(action, monos) \
-                == poisson._invariance_rows(make(), monos)
+            assert _degree_rows(action, d) == _degree_rows(make(), d)
         sums = poisson.orbit_sums(action, 4)
         for d in (3, 1, 2, 0, 3):
             assert poisson._functional_matrix(action, d) \
@@ -781,9 +789,9 @@ def test_dual_check_builds_each_image_once(monkeypatch, capsys):
     nullspace = []
     original = poisson.invariant_basis
 
-    def counted(action, degree):
+    def counted(action, degree, packing):
         nullspace.append(degree)
-        return original(action, degree)
+        return original(action, degree, packing)
 
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
@@ -919,7 +927,7 @@ def test_bracket_span_matches_full_rank(name):
     # nullspace bases
     make, cutoff = BRACKET_SPAN_CASES[name]
     action = make()
-    null = [invariant_basis(action, k) for k in range(cutoff + 2)]
+    null = [_basis(action, k) for k in range(cutoff + 2)]
     bases = poisson._invariant_bases(action, cutoff + 1)
     for d in range(cutoff + 1):
         assert bracket_span_dim(action, d, bases) \
@@ -951,7 +959,8 @@ def test_dual_solutions_reynolds_rank(make, cutoff):
     for d in range(cutoff + 1):
         matrix, p_monos = poisson._functional_matrix(action, d)
         null = linalg.nullspace(matrix, len(p_monos))
-        images = [reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, v))))
+        images = [reynolds(action, MultiPoly(action.dim, {p_monos[c]: x
+                                                          for c, x in v.items()}))
                   for v in null]
         rank = _rank([[p.terms.get(e, 0) for e in p_monos] for p in images])
         assert rank == _invariant_solutions_dim(action, d) == graded.dims[d]
@@ -962,7 +971,8 @@ def test_s3_degree_two_solution_is_not_invariant():
     matrix, p_monos = poisson._functional_matrix(action, 2)
     null = linalg.nullspace(matrix, len(p_monos))
     assert len(null) == functional_solutions_dim(action, 2) == 1
-    assert reynolds(action, MultiPoly(action.dim, dict(zip(p_monos, null[0])))).is_zero()
+    p = MultiPoly(action.dim, {p_monos[c]: x for c, x in null[0].items()})
+    assert reynolds(action, p).is_zero()
 
 
 def _full_solutions_dim(action, degree, invariant_only=False):
@@ -970,7 +980,7 @@ def _full_solutions_dim(action, degree, invariant_only=False):
     rows, p_monos = _full_functional_matrix(action, degree)
     rows = list(rows.values())
     if invariant_only:
-        rows += poisson._invariance_rows(action, p_monos)
+        rows += _degree_rows(action, degree)[0]
     return len(p_monos) - _rank(rows)
 
 
@@ -1042,7 +1052,7 @@ def test_molien_count_is_the_nullspace_size(name):
         else (AFLS_CASES[name][0], AFLS_CASES[name][1] + 1)
     action = make()
     assert [action.molien(d) for d in range(top + 1)] \
-        == [len(invariant_basis(action, d)) for d in range(top + 1)]
+        == [len(_basis(action, d)) for d in range(top + 1)]
 
 
 def _close_group_dense(generators, form, cap=10000):
@@ -1148,7 +1158,7 @@ def test_product_bases_span_the_invariants(name):
     action = make()
     packing, products = poisson._invariant_bases(action, top)
     for d, basis in enumerate(products):
-        null = [packing.terms(p.terms) for p in invariant_basis(action, d)]
+        null = invariant_basis(action, d, packing)
         assert len(basis) == len(null) == action.molien(d)
         assert _rank(basis + null) == len(null)
         assert len({min(row) for row in basis}) == len(basis)
@@ -1174,17 +1184,19 @@ def test_packed_gradient_matches_diff(top):
                               for _ in range(rng.randint(0, 6))]
             p = MultiPoly(nvars, {e: rng.choice([1, -2, 5, Fraction(3, 4)])
                                   for e in exps})
-            assert packing.gradient(packing.terms(p.terms)) \
-                == [packing.terms(p.diff(a).terms) for a in range(nvars)]
+            assert packing.gradient({packing.pack(e): c for e, c in p.terms.items()}) \
+                == [{packing.pack(e): c for e, c in p.diff(a).terms.items()}
+                    for a in range(nvars)]
             assert all(packing.unpack(packing.pack(e)) == e for e in exps)
 
 
 def test_one_packing_per_run(monkeypatch):
     # hp0_dims packs its bases once for all their degrees, and each
-    # nullspace basis of degree d packs its own invariance rows for d; a
-    # bracket span given the bases packs nothing and builds one echelon,
-    # that of the brackets
-    packings, echelons, nullspace = [], [], []
+    # nullspace basis of degree d (degrees 2 and 3 for Z/3 and S_3, 1 for
+    # the trivial group: `test_one_basis_per_degree`) packs its
+    # invariance rows on that same packing; a bracket span given the
+    # bases packs nothing and builds one echelon, that of the brackets
+    packings, echelons = [], []
 
     class Packing(polynomials._Packing):
         __slots__ = ()
@@ -1200,21 +1212,13 @@ def test_one_packing_per_run(monkeypatch):
             echelons.append(1)
             super().__init__()
 
-    original = poisson.invariant_basis
-
-    def counted(action, degree):
-        nullspace.append(degree)
-        return original(action, degree)
-
     monkeypatch.setattr(poisson, "_Packing", Packing)
     monkeypatch.setattr(linalg, "Echelon", Echelon)
-    monkeypatch.setattr(poisson, "invariant_basis", counted)
     for action, cutoff, top in ((order_three(), 6, 6), (s3(), 5, 5), (trivial(), 3, 4),
                                 (order_three(), 0, 1)):
         packings.clear()
-        nullspace.clear()
         hp0_dims(action, cutoff)
-        assert packings == [top] + nullspace
+        assert packings == [top]
         bases = poisson._invariant_bases(action, cutoff + 1)
         packings.clear()
         for d in range(cutoff + 1):
@@ -1227,7 +1231,7 @@ def _nullspace_hp0_dims(action, cutoff):
     """The dims as `hp0_dims` took them before the product bases: every
     basis a nullspace one, degrees 0..cutoff + 1, and every bracket span
     the full-rank one."""
-    bases = [invariant_basis(action, k) for k in range(cutoff + 2)]
+    bases = [_basis(action, k) for k in range(cutoff + 2)]
     return {n: len(bases[n]) - _full_rank_bracket_span_dim(action, n, bases)
             for n in range(cutoff + 1)}
 
@@ -1247,9 +1251,9 @@ def test_new_generators_only_up_to_the_noether_bound(name, monkeypatch):
     nullspace = []
     original = poisson.invariant_basis
 
-    def counted(action, degree):
+    def counted(action, degree, packing):
         nullspace.append(degree)
-        return original(action, degree)
+        return original(action, degree, packing)
 
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     hp0_dims(action, cutoff)
@@ -1278,3 +1282,125 @@ def test_molien_mismatch_is_an_internal_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: degree 3: 4 invariants, Molien count 5")
+
+
+def test_negative_dimension_is_an_internal_error(monkeypatch, capsys):
+    # a bracket span larger than the invariants it lies in is a bug in the
+    # program, like a Molien mismatch: an AssertionError subclass, not a
+    # ValueError, so the CLI exits 1 with "internal error", never 2
+    from morita.cli import run
+    assert issubclass(poisson.NegativeDimension, AssertionError)
+    assert not issubclass(poisson.NegativeDimension, ValueError)
+    original = poisson.bracket_span_dim
+
+    def too_large(action, degree, bases=None):
+        if degree == 2:
+            return len(bases[1][degree]) + 1
+        return original(action, degree, bases)
+
+    monkeypatch.setattr(poisson, "bracket_span_dim", too_large)
+    with pytest.raises(poisson.NegativeDimension,
+                       match="degree 2: bracket span exceeds invariants"):
+        hp0_dims(s3(), 3)
+    group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
+    capsys.readouterr()
+    assert run(["hp0", "--group", group, "--max-degree", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: degree 2: bracket span exceeds invariants")
+
+
+def _symmetric_group_inverting(n):
+    """`symmetric_group_action` as it was built before it used that each
+    simple reflection m is an involution: the h* block (m^-1)^T taken by
+    `linalg.invert`, kept as the oracle."""
+    d = n - 1
+    gens = []
+    for i in range(d):
+        m = [[int(a == b) for b in range(d)] for a in range(d)]
+        m[i][i] = -1
+        if i > 0:
+            m[i - 1][i] = 1
+        if i < d - 1:
+            m[i + 1][i] = 1
+        gens.append([row + [0] * d for row in m]
+                    + [[0] * d + row for row in linalg.transpose(linalg.invert(m))])
+    return close_group(gens, standard_form(d), cap=math.factorial(n) + 1)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_symmetric_group_action_matches_inverted_dual_block(n):
+    # the same generators, elements and power traces, with the same
+    # scalar types (repr tells 2 from Fraction(2, 1))
+    action, oracle = symmetric_group_action(n), _symmetric_group_inverting(n)
+    for name in ("form", "form_inverse", "generators", "elements", "power_traces"):
+        assert getattr(action, name) == getattr(oracle, name), name
+        assert repr(getattr(action, name)) == repr(getattr(oracle, name)), name
+
+
+def _multipoly_invariant_basis(action, degree):
+    """`invariant_basis` as it was before its rows stayed packed, kept as
+    the oracle: the invariance rows on a packing for degree d, the
+    nullspace laid out dense over the degree-d monomials, and one
+    `MultiPoly` per vector."""
+    monos = monomials(action.dim, degree)
+    null = _dense(linalg.nullspace(*_degree_rows(action, degree)), len(monos))
+    return [MultiPoly._raw(action.dim, {e: x for e, x in zip(monos, v) if x})
+            for v in null]
+
+
+# every group the fallback runs on in the AFLS cases, and the two with
+# Fraction entries (in the form, or in the generators)
+FALLBACK_CASES = dict([(name, case[0]) for name, case in AFLS_CASES.items()]
+                      + [("fractional_form", _fractional_form),
+                         ("conjugated_s3", _conjugated_s3)])
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_packed_basis_matches_the_multipoly_basis(name):
+    # the packed rows, on the packing of a run through degree 6 and
+    # unpacked, are the oracle's polynomials in the same order, with the
+    # same scalar types
+    action = FALLBACK_CASES[name]()
+    packing = polynomials._Packing(action.dim, 6)
+    for d in range(7):
+        rows = [sorted((packing.unpack(k), x) for k, x in row.items())
+                for row in invariant_basis(action, d, packing)]
+        expected = [sorted(p.terms.items()) for p in _multipoly_invariant_basis(action, d)]
+        assert rows == expected
+        assert repr(rows) == repr(expected)
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_hp0_dims_packs_once_and_builds_no_multipoly(name, monkeypatch):
+    # one hp0_dims call, nullspace fallbacks included, constructs one
+    # `_Packing` and no `MultiPoly`
+    action = FALLBACK_CASES[name]()
+    cutoff = AFLS_CASES[name][1] if name in AFLS_CASES else 6
+    built, nullspace = [], []
+    packing_init, init = polynomials._Packing.__init__, MultiPoly.__init__
+    raw, original = MultiPoly._raw.__func__, poisson.invariant_basis
+
+    def counted_packing(packing, nvars, top):
+        built.append("_Packing")
+        packing_init(packing, nvars, top)
+
+    def counted_init(p, *args, **kwargs):
+        built.append("MultiPoly")
+        init(p, *args, **kwargs)
+
+    def counted_raw(cls, nvars, terms):
+        built.append("MultiPoly._raw")
+        return raw(cls, nvars, terms)
+
+    def counted(action, degree, packing):
+        nullspace.append(degree)
+        return original(action, degree, packing)
+
+    monkeypatch.setattr(polynomials._Packing, "__init__", counted_packing)
+    monkeypatch.setattr(MultiPoly, "__init__", counted_init)
+    monkeypatch.setattr(MultiPoly, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    hp0_dims(action, cutoff)
+    assert built == ["_Packing"]
+    assert nullspace

@@ -184,7 +184,7 @@ def test_a_coefficient_path_builds_no_poly():
     # an earlier test; asserts are checked there even under python -O
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-I", "-c", _NO_POLY_ON_A_PATH % src],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
 
