@@ -13,9 +13,8 @@ from .classify import (KTheoryVector, Relation, Rejection, hook_matrix,
                        invert_hook_matrix, build_f, derive_relation,
                        remark_identity_check, search_relations,
                        iso_obstruction)
-from .poisson import (SymplecticAction, MultiPoly, GradedDims, close_group,
-                      symmetric_group_action, standard_form, bracket,
-                      bracket_span_dim, hp0_dims, functional_solutions_dim,
-                      duality_check)
+from .poisson import (SymplecticAction, GradedDims, close_group,
+                      symmetric_group_action, standard_form, bracket_span_dim,
+                      hp0_dims, functional_solutions_dim, duality_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,9 +34,9 @@ class DimensionOdd(ValueError):
     pass
 
 
-def _report(command, status, payload, diagnostics=()):
+def _report(command, status, payload):
     return {"command": command, "status": status, "payload": payload,
-            "diagnostics": list(diagnostics)}
+            "diagnostics": []}
 
 
 def _json_key(key):
@@ -249,7 +249,7 @@ def parse_group_file(path):
     if not isinstance(data, dict) or "dim" not in data or "form" not in data:
         raise MalformedFile("group file needs dim, form, generators")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim <= 0:
+    if type(dim) is not int or dim <= 0:
         raise MalformedFile("dim must be a positive integer")
     if dim % 2:
         raise DimensionOdd("symplectic dimension must be even, got %d" % dim)

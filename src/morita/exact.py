@@ -99,14 +99,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
-
-    @classmethod
     def from_roots(cls, roots):
         """Monic product of (x - r) over the given roots."""
         cs = [1]
@@ -123,11 +115,6 @@ class Poly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -154,7 +141,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = Poly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -171,7 +158,7 @@ class Poly:
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = Poly([other])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -194,7 +181,7 @@ class Poly:
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = Poly([other])
         if other.is_zero():
             raise ZeroDenominator("polynomial division by zero")
         rem = list(self.coeffs)
@@ -202,7 +189,7 @@ class Poly:
         if dd < dv:
             return Poly(), self
         quot = [0] * (dd - dv + 1)
-        lc = other.leading()
+        lc = other.coeffs[-1]
         for i in range(dd - dv, -1, -1):
             c = quotient(rem[i + dv], lc)
             quot[i] = c

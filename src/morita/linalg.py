@@ -292,7 +292,3 @@ def invert(m):
         raise SingularMatrix("matrix is singular over Q")
     return [[quotient(row.get(j, 0), row[i]) for j in range(n, 2 * n)]
             for i, row in enumerate(red[:n])]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]

@@ -146,17 +146,6 @@ def hook_partition(n, m):
 
 
 @lru_cache(maxsize=None)
-def _kostka(shape, content):
-    # number of SSYT of the given shape whose letter i appears content[i-1]
-    # times, counted by peeling horizontal strips from the top letter down
-    if not content:
-        return 1 if not shape else 0
-    weight = sum(shape) - content[-1]
-    return sum(_kostka(inner, content[:-1]) for inner in _strips(shape)
-               if sum(inner) == weight)
-
-
-@lru_cache(maxsize=None)
 def _ssyt_count(shape, k):
     # number of SSYT of the given shape with entries <= k, that is
     # s_shape(1^k), counted by peeling the horizontal strip of k's
@@ -179,10 +168,22 @@ def _strips(shape):
 
 
 def kostka(lam, sigma):
-    """Number of semistandard Young tableaux of shape lam, content sigma."""
+    """Number of semistandard Young tableaux of shape lam, content sigma,
+    counted by peeling the horizontal strip of each letter from the top
+    letter down: `ways` maps each shape left to its number of peelings."""
     if lam.weight != sigma.weight:
         raise WeightMismatch("shape and content must have equal weight")
-    return _kostka(lam.parts, sigma.parts)
+    ways = {lam.parts: 1}
+    weight = lam.weight
+    for count in reversed(sigma.parts):
+        weight -= count
+        left = {}
+        for shape, k in ways.items():
+            for inner in _strips(shape):
+                if sum(inner) == weight:
+                    left[inner] = left.get(inner, 0) + k
+        ways = left
+    return ways.get((), 0)
 
 
 def _schur_strips(lam, ks):

@@ -208,7 +208,7 @@ def symmetric_group_action(n):
         gens.append(m)
     # diag(m, m^-T) on h + h*, where m^-T = m^T since m^2 = I
     big = [[row + [0] * d for row in m]
-           + [[0] * d + row for row in linalg.transpose(m)]
+           + [[0] * d + list(col) for col in zip(*m)]
            for m in gens]
     return close_group(big, standard_form(d), cap=math.factorial(n) + 1)
 

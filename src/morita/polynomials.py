@@ -10,8 +10,10 @@ off the int (`_Packing.gradient`).  `_Substitution` builds the monomial
 images x^e -> (M x)^e of a square matrix on packed exponents, a degree
 at a time; `MultiPoly.substitute` packs its terms on a packing for its
 own degree and unpacks the result.  The hp0 pipeline in `poisson` works
-on packed term maps throughout and builds no `MultiPoly`; in the package
-`MultiPoly` serves `poisson.bracket`.
+on packed term maps throughout and builds no `MultiPoly`.  In the
+package `MultiPoly` serves only `poisson.bracket`, which only the tests
+call; neither is exported from `morita`, and they stay here because the
+benchmark traces `MultiPoly.substitute`.
 """
 
 from functools import lru_cache

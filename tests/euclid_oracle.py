@@ -16,7 +16,7 @@ from morita.exact import Poly, RationalFunction, ZeroDenominator, quotient
 def monic(p):
     if p.is_zero():
         return p
-    lc = p.leading()
+    lc = p.coeffs[-1]
     return Poly([quotient(c, lc) for c in p.coeffs])
 
 
@@ -38,15 +38,15 @@ class Reduced(RationalFunction):
 
     def __init__(self, num, den=Poly([1])):
         if not isinstance(num, Poly):
-            num = Poly.constant(num)
+            num = Poly([num])
         if not isinstance(den, Poly):
-            den = Poly.constant(den)
+            den = Poly([den])
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         g = poly_gcd(num, den)
         if not g.is_zero():
             num, den = divmod(num, g)[0], divmod(den, g)[0]
-        lc = den.leading()
+        lc = den.coeffs[-1]
         super().__init__(num * quotient(1, lc), monic(den))
 
     def __add__(self, other):
@@ -77,5 +77,5 @@ class Reduced(RationalFunction):
             return Reduced(other.num, other.den)
         if isinstance(other, Poly):
             return Reduced(other)
-        return Reduced(Poly.constant(other))
+        return Reduced(Poly([other]))
 

@@ -511,6 +511,13 @@ def test_parse_group_file_malformed(tmp_path):
                                      "generators": []})
     with pytest.raises(MalformedFile):
         parse_group_file(floats)
+    # a JSON boolean is no dimension, though Python's bool is an int
+    for dim in (True, False):
+        path = _write_group(tmp_path, {"dim": dim, "form": [[0, 1], [-1, 0]],
+                                       "generators": []})
+        with pytest.raises(MalformedFile, match="dim must be a positive integer"):
+            parse_group_file(path)
+        assert run(["hp0", "--group", path, "--max-degree", "1"]) == 2
 
 
 @pytest.mark.parametrize("generators", [5, None, {"g": [[1, 0], [0, 1]]}, "[]"])

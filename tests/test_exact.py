@@ -218,7 +218,7 @@ def _per_term_sum(pf):
     reassembly over numerator_over replaced, kept as its oracle."""
     total = Reduced(Poly())
     for p, r in pf.residues.items():
-        total = total + Reduced(Poly.constant(r), Poly([-p, 1]))
+        total = total + Reduced(Poly([r]), Poly([-p, 1]))
     return total
 
 
@@ -273,7 +273,7 @@ def _scan_rational_roots(p):
     cur = p
     while cur.degree >= 1 and cur.coeffs[0] == 0:
         roots.append(0)
-        cur = divmod(cur, Poly.x())[0]
+        cur = divmod(cur, Poly([0, 1]))[0]
     while cur.degree >= 1:
         c0 = abs(int(cur.coeffs[0]))
         found = None

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_product import mat_mul
+from dense_product import mat_mul, transpose
 from morita import linalg
 from morita.classify import hook_matrix
 from morita.cli import parse_group_file
@@ -281,7 +281,7 @@ def _conjugated_s3_file(tmp_path):
               encoding="utf-8") as fh:
         s3 = json.load(fh)
     a = [[2, 1], [0, Fraction(1, 3)]]
-    a_inv_t = linalg.transpose(linalg.invert(a))
+    a_inv_t = transpose(linalg.invert(a))
     p = [row + [0, 0] for row in a] + [[0, 0] + row for row in a_inv_t]
     p_inv = linalg.invert(p)
     gens = [mat_mul(mat_mul(p, g), p_inv) for g in s3["generators"]]

@@ -196,8 +196,7 @@ def test_horizontal_strips_match_recursive_oracle():
 def test_verify_routes_enumerates_each_shape_once(monkeypatch):
     # the Schur route reads s(1^k) for every k by peeling strips; with cold
     # caches each shape's strips are enumerated once, not once per k
-    for memo in (partitions._strips, partitions._ssyt_count, partitions._kostka,
-                 traces._a_coefficients_cached):
+    for memo in (partitions._strips, partitions._ssyt_count, traces._a_coefficients_cached):
         memo.cache_clear()
     shapes = []
 
@@ -319,7 +318,6 @@ def test_schur_strips_reads_no_kostka_number(monkeypatch):
         raise AssertionError("the tableau count read a Kostka number")
 
     monkeypatch.setattr(partitions, "kostka", no_kostka)
-    monkeypatch.setattr(partitions, "_kostka", no_kostka)
     partitions._ssyt_count.cache_clear()
     for lam in enumerate_partitions(6):
         assert _schur_strips(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]

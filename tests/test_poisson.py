@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import morita
-from dense_product import mat_mul
+from dense_product import mat_mul, transpose
 from morita import linalg, poisson, polynomials
 from morita.cli import parse_group_file
 from morita.exact import quotient
@@ -453,7 +453,7 @@ def _rotated_form():
     # Q = [[3/5, -4/5], [4/5, 3/5]] + I: skew, J^2 = -I, Fraction entries
     q = [[Fraction(3, 5), Fraction(-4, 5), 0, 0], [Fraction(4, 5), Fraction(3, 5), 0, 0],
          [0, 0, 1, 0], [0, 0, 0, 1]]
-    return mat_mul(mat_mul(q, standard_form(2)), linalg.transpose(q))
+    return mat_mul(mat_mul(q, standard_form(2)), transpose(q))
 
 
 def _golden_forms():
@@ -885,6 +885,66 @@ def test_hp0_permutation_action_vanishes():
     assert action.order == 6
     assert _afls_count(action) == 0
     assert hp0_dims(action, 5).dims == {d: 0 for d in range(6)}
+
+
+_BASIS_ENTRIES = (-1, 1, 2, Fraction(1, 2))
+
+
+def _change_of_basis(rng, form):
+    """P as a product of 2-4 factors drawn by `rng`, each with its entry
+    c from _BASIS_ENTRIES: an elementary matrix (I with c at (i, j), i
+    and j distinct or not) or a transvection x -> x + c (e_i, x) e_i of
+    the form, I + c e_i J[i].  A transvection keeps J; any other factor
+    may not."""
+    n = len(form)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(2, 4)):
+        c = rng.choice(_BASIS_ENTRIES)
+        i, j = rng.randrange(n), rng.randrange(n)
+        factor = [[int(a == b) for b in range(n)] for a in range(n)]
+        if rng.random() < 0.5:
+            factor[i][j] = c
+        else:
+            factor[i] = [x + c * y for x, y in zip(factor[i], form[i])]
+        p = mat_mul(p, factor)
+    return p
+
+
+def _conjugated(name):
+    """The AFLS_CASES group `name`, the same group in the coordinates of
+    a seeded change of basis P (generators P^-1 g P, form P^T J P), and
+    P^-1."""
+    action = AFLS_CASES[name][0]()
+    p = _change_of_basis(random.Random(name), action.form)
+    p_inv = linalg.invert(p)
+    gens = [mat_mul(mat_mul(p_inv, g), p) for g in action.generators]
+    moved = close_group(gens, mat_mul(mat_mul(transpose(p), action.form), p))
+    return action, moved, p_inv
+
+
+def test_change_of_basis_draws_both_paths():
+    # the draws are seeded, so check that they reach what the property
+    # test must cover: Fraction generators, and a form with J^2 != -I,
+    # whose inverse `close_group` takes from `linalg.invert`
+    moved = [_conjugated(name)[1] for name in sorted(AFLS_CASES)]
+    assert any(type(x) is Fraction for a in moved for g in a.generators
+               for row in g for x in row)
+    assert any(linalg._minus_if_inverse(a.form) is None for a in moved)
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_hp0_invariant_under_change_of_basis(name):
+    cutoff = AFLS_CASES[name][1]
+    action, moved, p_inv = _conjugated(name)
+    assert moved.order == action.order
+    # the bivector J^-1 changes as P^-1 J^-1 P^-T
+    assert moved.form_inverse \
+        == mat_mul(mat_mul(p_inv, action.form_inverse), transpose(p_inv))
+    assert [moved.molien(d) for d in range(cutoff + 1)] \
+        == [action.molien(d) for d in range(cutoff + 1)]
+    assert hp0_dims(moved, cutoff).dims == hp0_dims(action, cutoff).dims
+    for n in range(min(cutoff, 3 if name == "s4" else 4) + 1):
+        assert _invariant_solutions_dim(moved, n) == _invariant_solutions_dim(action, n)
 
 
 def _full_rank_bracket_span_dim(action, degree, bases):
@@ -1324,7 +1384,7 @@ def _symmetric_group_inverting(n):
         if i < d - 1:
             m[i + 1][i] = 1
         gens.append([row + [0] * d for row in m]
-                    + [[0] * d + row for row in linalg.transpose(linalg.invert(m))])
+                    + [[0] * d + row for row in transpose(linalg.invert(m))])
     return close_group(gens, standard_form(d), cap=math.factorial(n) + 1)
 
 
