@@ -247,7 +247,7 @@ def parse_group_file(path):
         return [[entry(x) for x in row] for row in m]
 
     if not isinstance(data, dict) or "dim" not in data or "form" not in data:
-        raise MalformedFile("group file needs dim, form, generators")
+        raise MalformedFile("group file needs dim and form")
     dim = data["dim"]
     if type(dim) is not int or dim <= 0:
         raise MalformedFile("dim must be a positive integer")
@@ -263,7 +263,7 @@ def parse_group_file(path):
 def _cmd_hp0(args):
     form, generators = parse_group_file(args.group)  # input errors exit 2 in run()
     action = poisson.close_group(generators, form)
-    graded = poisson.hp0_dims(action, args.max_degree)
+    graded = poisson.hp0_dims(action, args.max_degree, args.dual_check)
     payload = {"group_order": action.order, "graded": graded.to_json()}
     status = "pass"
     if args.dual_check:

@@ -23,13 +23,12 @@ Every substitution x -> M x goes through one kernel, `_Substitution`,
 on packed exponents (`polynomials._Packing`), where multiplying
 monomials adds ints: the image of x^e is the image of x^(e - e_i),
 taken from the degree below, times the linear form of row i of M.  An
-action is a plain value and keeps no images.  Each pass that needs
-them builds its own substitutions and drops them when it returns: the
-invariance rows of degree d, the generators' images of degrees 1..d;
-the orbit sums of the dual, every element's images of degrees 0..top,
-one element at a time.  An `hp0_dims` run packs on one packing: the
-invariance rows and the nullspace rows of each fallback degree, the
-bases, their products and brackets.  No `MultiPoly` is built.  A
+action is a plain value and keeps no images.  The pass that needs
+them, the invariance rows of degree d, builds the generators' images
+of degrees 1..d and drops them when it returns.  An `hp0_dims` run
+packs on one packing: the invariance rows and the nullspace rows of
+each fallback degree, the bases, their products and brackets, and with
+a dual check the brackets of the dual.  No `MultiPoly` is built.  A
 bracket span takes each basis row's gradient once, from its packed
 terms, and sums -J^-1[a][b] d_a p d_b q straight into one term map.
 
@@ -40,17 +39,26 @@ on which restriction to their leading monomials is injective (the rows
 are in echelon form): a bracket is read only at those len(basis)
 monomials, and its span is full once its rank reaches len(basis).
 
-The dual substitutes nothing into the doubled variables (u, v): its sum
-over g of (u, g v) P(u + g v) is the sum over g of Q_P(u, g v), where
-Q_P(u, w) = (u, w) P(u + w) is expanded by binomials, so the w^b part of
-Q_P pairs with the orbit sum T(b) = sum over g of (g v)^b.  Each u^a
-block is then invariant in v and is read only at the leading monomials
-of the echelon form of the orbit sums of its degree, which span the
-invariants of that degree.
+The dual takes no sum over the group.  For fixed u, let
+F(w) = (u, w) P(u + w); the condition is that sum over g of F(g v)
+vanishes.  Under the apolar pairing <x^a, x^b> = a! [a = b],
+substituting g has adjoint substituting g^T, and g^T = J g^-1 J^-1
+because g^T J g = J; so the group sum of F vanishes exactly when F
+pairs to 0 with q(J^-1 x) for every invariant q.  By Leibniz, that
+pairing is the sum over c of (u, e_c) ((d_c s)(d) P)(u), s = q(J^-1 x).
+Scaled by m! at u^m, and with P read in the coordinates e! P_e, its
+coefficient at u^m is the pairing of P with the bracket of bivector J
+of x^m and s, and that bracket is {x^m(J x), q} (the bracket above) at
+J^-1 x.  Substituting J and J^-1 is invertible in each degree, so the
+solutions of degree n number the degree-n monomials less the rank of
+the brackets {x^m, q}, x^m of degree n + 2 - k and q in the basis of
+the degree-k invariants, k = 1..n + 1: the codimension of the brackets
+of polynomials with invariants.  These are read off the bases of the
+run, with no substitution and no group element, and go one at a time
+into an incremental echelon that stops at full rank.
 """
 
 import math
-from itertools import product
 
 from . import linalg
 from .exact import OutOfRange, _check_degree, rational
@@ -342,12 +350,14 @@ def bracket_span_dim(action, degree, bases=None):
 
 
 class GradedDims:
-    """Per-degree dimensions of the bracket quotient up to a cutoff."""
+    """Per-degree dimensions of the bracket quotient up to a cutoff, and
+    the invariant bases they were read on when kept for a dual check."""
 
-    def __init__(self, dims, max_degree, stabilized=False):
+    def __init__(self, dims, max_degree, stabilized=False, bases=None):
         self.dims = dims
         self.max_degree = max_degree
         self.stabilized = stabilized
+        self.bases = bases
 
     @property
     def total(self):
@@ -360,19 +370,21 @@ class GradedDims:
                 "stabilized": self.stabilized}
 
 
-def hp0_dims(action, max_degree):
+def hp0_dims(action, max_degree, dual=False):
     """dim(invariants_n) - dim(bracket span in degree n) for n <= cutoff.
 
     The bracket span in degree n pairs degrees i + j = n + 2 with i, j >= 1,
     so the degree cutoff + 1 basis is built only when something pairs
-    with it: at cutoff 0, or when there are degree-1 invariants.
+    with it: at cutoff 0, or when there are degree-1 invariants.  With
+    `dual` it is always built, and the bases are kept on the result for
+    `duality_check`, which reads them through that degree.
 
     The stabilization flag only records that the trailing quarter of the
     window is zero; it is a heuristic, not a finiteness proof.
     """
     _check_degree(max_degree)
     packing, bases = _invariant_bases(
-        action, max_degree + (max_degree == 0 or action.molien(1) > 0))
+        action, max_degree + (dual or max_degree == 0 or action.molien(1) > 0))
     dims = {}
     for n in range(max_degree + 1):
         dims[n] = len(bases[n]) - bracket_span_dim(action, n, (packing, bases))
@@ -380,96 +392,55 @@ def hp0_dims(action, max_degree):
             raise NegativeDimension("degree %d: bracket span exceeds invariants" % n)
     tail = max(1, -(-max_degree // 4))
     stable = all(dims[n] == 0 for n in range(max_degree - tail + 1, max_degree + 1))
-    return GradedDims(dims=dims, max_degree=max_degree, stabilized=stable)
+    return GradedDims(dims=dims, max_degree=max_degree, stabilized=stable,
+                      bases=(packing, bases) if dual else None)
 
 
-def orbit_sums(action, top):
-    """The `_Packing` of degrees 0..top and, per degree d, the map from
-    each packed degree-d monomial b to its orbit sum
-    T(b) = sum over g of (g x)^b, read at the leading monomials of the
-    echelon form of all of them (nonzero coefficients only).  These span
-    the degree-d invariants, so that restriction is injective on them.
-
-    The elements are taken one at a time, each climbing the degrees, so
-    that only one element's images are alive at once."""
-    packing = _Packing(action.dim, top)
-    levels = [list(map(packing.pack, monomials(action.dim, d))) for d in range(top + 1)]
-    totals = [[{} for _ in level] for level in levels]
-    for g in action.elements:
-        sub = _Substitution(g, packing)
-        for level, level_totals in zip(levels, totals):
-            for total, img in zip(level_totals, sub.images(level)):
-                get = total.get
-                for e, x in img.items():
-                    total[e] = get(e, 0) + x
-    sums = []
-    for level, level_totals in zip(levels, totals):
-        echelon = linalg.Echelon()
-        for total in level_totals:
-            echelon.add(total)
-        sums.append({b: _exact_nonzero({e: total.get(e, 0) for e in echelon.pivots})
-                     for b, total in zip(level, level_totals)})
-    return packing, sums
+def _gradients(bases):
+    """The packing of `bases` (the output of `_invariant_bases`) and, per
+    degree, the packed gradient of each basis row."""
+    packing, bases = bases
+    return packing, [[packing.gradient(q) for q in basis] for basis in bases]
 
 
-def _functional_matrix(action, degree, sums=None):
-    """Sparse rows over the monomials of a degree-n P: the coefficients
-    of sum over g of (u, g v) P(u + g v) at the monomials u^a v^c, sorted,
-    whose v^c leads the orbit sums of its degree.  For P = x^e, Q_P has
-    the terms J[a][c] C(e, f) u^(f + e_a) w^(e - f + e_c), f <= e, and
-    each w^b sums over the group to T(b).
-
-    `sums` is the output of `orbit_sums` through degree n + 1 or more;
-    computed here when not given."""
-    p_monos = monomials(action.dim, degree)
-    packing, sums = orbit_sums(action, degree + 1) if sums is None else sums
-    pack, units = packing.pack, packing.units
-    pairing = [(units[a], units[c], x) for a, row in enumerate(action.form)
-               for c, x in enumerate(row) if x]
-    rows = {}
-    for col, e in enumerate(p_monos):
-        terms = {}
-        get = terms.get
-        packed = pack(e)
-        for f in product(*(range(k + 1) for k in e)):
-            scale = math.prod(map(math.comb, e, f))
-            low = pack(f)
-            level = sums[degree + 1 - sum(f)]
-            for a, c, x in pairing:
-                for v, y in level[packed - low + c].items():
-                    key = (low + a, v)
-                    terms[key] = get(key, 0) + scale * x * y
-        for key, x in _exact_nonzero(terms).items():
-            rows.setdefault(key, {})[col] = x
-    return [rows[key] for key in sorted(rows)], p_monos
-
-
-def functional_solutions_dim(action, degree, sums=None):
+def functional_solutions_dim(action, degree, gradients=None):
     """Dimension of the space of degree-n polynomials P with
-    sum over g of (u, g v) P(u + g v) = 0 identically, on the rows of
-    `_functional_matrix` (`sums` as there).
+    sum over g of (u, g v) P(u + g v) = 0 identically: the number of
+    degree-n monomials less the rank of the brackets {x^m, q} of each
+    monomial x^m of degree n + 2 - k with each basis row q of the
+    degree-k invariants, k = 1..n + 1 (module docstring).
 
-    The rows go one at a time into an incremental echelon, which stops
-    once its rank reaches the number of monomials of P.
-    """
+    `gradients` is the output of `_gradients` on bases through degree
+    n + 1 or more; computed here when not given.  The brackets go one at
+    a time into an incremental echelon, which stops once its rank
+    reaches the number of monomials of P."""
     _check_degree(degree)
-    matrix, p_monos = _functional_matrix(action, degree, sums)
+    packing, gradients = (_gradients(_invariant_bases(action, degree + 1))
+                          if gradients is None else gradients)
+    size = len(monomials(action.dim, degree))
     echelon = linalg.Echelon()
-    for row in matrix:
-        if echelon.add(row) and echelon.rank == len(p_monos):
-            break
-    return len(p_monos) - echelon.rank
+    for k in range(1, degree + 2):
+        if not gradients[k]:
+            continue
+        monos = [packing.gradient({packing.pack(e): 1})
+                 for e in monomials(action.dim, degree + 2 - k)]
+        for dq in gradients[k]:
+            for dm in monos:
+                if echelon.add(_bracket_terms(dm, dq, action.form_inverse)) \
+                        and echelon.rank == size:
+                    return 0
+    return size - echelon.rank
 
 
 def duality_check(action, graded):
     """Per-degree comparison of the bracket-quotient dimensions `graded`
     (as returned by hp0_dims) with the dual functional-equation solution
     counts."""
-    sums = orbit_sums(action, graded.max_degree + 1)
+    gradients = _gradients(graded.bases or _invariant_bases(action, graded.max_degree + 1))
     rows = []
     ok = True
     for n in range(graded.max_degree + 1):
-        dual = functional_solutions_dim(action, n, sums)
+        dual = functional_solutions_dim(action, n, gradients)
         match = (graded.dims[n] == dual)
         ok = ok and match
         rows.append({"degree": n, "hp0": graded.dims[n], "dual": dual,

@@ -173,8 +173,8 @@ class _Packing:
     same leading monomials.  A packing serves one pass: an `hp0` run,
     from the invariance and nullspace rows of each degree the products
     fall short in to the bases, their products and the gradients of its
-    brackets; the orbit sums of a dual check; or one
-    `MultiPoly.substitute`."""
+    brackets, and with a dual check the brackets of monomials with the
+    bases; or one `MultiPoly.substitute`."""
 
     __slots__ = ("units", "shifts", "mask")
 

@@ -520,6 +520,18 @@ def test_parse_group_file_malformed(tmp_path):
         assert run(["hp0", "--group", path, "--max-degree", "1"]) == 2
 
 
+def test_group_file_needs_only_dim_and_form(tmp_path, capsys):
+    # without generators the file is the trivial group, so the message
+    # for a missing key names only the two keys a file needs
+    for keys in ({"dim": 2}, {"form": [[0, 1], [-1, 0]]}):
+        path = _write_group(tmp_path, keys)
+        assert run(["hp0", "--group", path, "--max-degree", "1"]) == 2
+        assert capsys.readouterr().err == "error: group file needs dim and form\n"
+    path = _write_group(tmp_path, {"dim": 2, "form": [[0, 1], [-1, 0]]})
+    assert run(["hp0", "--group", path, "--max-degree", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["group_order"] == 1
+
+
 @pytest.mark.parametrize("generators", [5, None, {"g": [[1, 0], [0, 1]]}, "[]"])
 def test_parse_group_file_generators_not_a_list(tmp_path, generators):
     path = _write_group(tmp_path, {"dim": 2, "form": [[0, 1], [-1, 0]],

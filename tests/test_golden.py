@@ -14,7 +14,9 @@ roots came from bisection instead of trial division.  The S_5 case
 before the invariant bases came from products of lower-degree
 invariants, and the S_7 case (six generators on twelve variables,
 tests/golden/s7.json, 5040 elements) before the closure recorded its
-Cayley table and Molien's count read its power traces off it.  A refactor that changes any byte of a report fails here.
+Cayley table and Molien's count read its power traces off it, and its
+--dual-check case before the dual stopped summing over the group.  A
+refactor that changes any byte of a report fails here.
 """
 
 import json

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_product import mat_mul, transpose
+from dual_oracle import functional_matrix
 from morita import linalg
 from morita.classify import hook_matrix
 from morita.cli import parse_group_file
 from morita.exact import quotient, rational
-from morita.poisson import (_functional_matrix, _invariance_rows, close_group,
-                            hp0_dims, monomials, standard_form,
-                            symmetric_group_action)
+from morita.poisson import (_invariance_rows, close_group, hp0_dims, monomials,
+                            standard_form, symmetric_group_action)
 from morita.polynomials import _Packing
 
 
@@ -264,7 +264,7 @@ def test_kernel_on_invariance_rows(make, degrees):
 def test_kernel_on_functional_matrix(make, degrees):
     action = make()
     for d in degrees:
-        matrix, p_monos = _functional_matrix(action, d)
+        matrix, p_monos = functional_matrix(action, d)
         _check_kernel(matrix, len(p_monos))
 
 
@@ -301,7 +301,7 @@ def test_kernel_on_group_file_with_fractions(tmp_path):
     for d in range(5):
         _check_kernel(*_degree_rows(action, d))
     for d in range(3):
-        matrix, p_monos = _functional_matrix(action, d)
+        matrix, p_monos = functional_matrix(action, d)
         _check_kernel(matrix, len(p_monos))
     for g in gens:
         _check_invert(g)

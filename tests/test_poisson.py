@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import dual_oracle
 import morita
 from dense_product import mat_mul, transpose
 from morita import linalg, poisson, polynomials
@@ -251,7 +252,7 @@ def _invariant_solutions_dim(action, degree):
     """The solution count of `functional_solutions_dim` restricted to
     invariant P: the rank of the functional rows together with the
     invariance rows of the degree-n monomials."""
-    matrix, p_monos = poisson._functional_matrix(action, degree)
+    matrix, p_monos = dual_oracle.functional_matrix(action, degree)
     return len(p_monos) - _rank(matrix + _degree_rows(action, degree)[0])
 
 
@@ -266,11 +267,9 @@ def test_invariant_restricted_count_bounded():
 def test_solution_space_group_stable():
     # applying a group element to a solution of the functional equation
     # yields another solution
-    from morita import linalg
-    from morita.poisson import _functional_matrix
     action = order_three()
     for degree in range(0, 5):
-        matrix, p_monos = _functional_matrix(action, degree)
+        matrix, p_monos = dual_oracle.functional_matrix(action, degree)
         if not matrix:
             continue
         null = linalg.nullspace(matrix, len(p_monos))
@@ -651,7 +650,7 @@ def _assert_functional_matrix_matches(action, degrees):
     # v^c leads the degree-|c| invariants, in order, with the same rank
     d = action.dim
     for n in degrees:
-        matrix, p_monos = poisson._functional_matrix(action, n)
+        matrix, p_monos = dual_oracle.functional_matrix(action, n)
         full, full_monos = _full_functional_matrix(action, n)
         assert full_monos == p_monos
         assert (_dense(list(full.values()), len(p_monos)), p_monos) \
@@ -725,37 +724,40 @@ def test_invariance_rows_stay_sparse():
 
 
 def test_dual_check_holds_one_element_of_images():
-    # S_4 through cutoff 5: the orbit sums take each element's images
-    # through degree 6 and drop them before the next element's, and keep
-    # only the echelon-reduced sums.  With the images of every element
-    # kept on the action the run peaked at 10.2 MB of Python allocations;
-    # it needs about 5 MB
+    # S_4 through cutoff 5: the dual reads the bases and builds no
+    # element's images.  With the images of every element kept on the
+    # action the run peaked at 10.2 MB of Python allocations, and on
+    # orbit sums (`dual_oracle`), one element's images at a time, at
+    # 5.0 MB; the brackets with the bases need under 1 MB
     action = symmetric_group_action(4)
-    tracemalloc.start()
-    try:
-        report = duality_check(action, hp0_dims(action, 5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [row["degree"] for row in report["rows"]] == list(range(6))
-    assert peak < 7 * 2 ** 20
+    for dual in (False, True):
+        tracemalloc.start()
+        try:
+            report = duality_check(action, hp0_dims(action, 5, dual))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row["degree"] for row in report["rows"]] == list(range(6))
+        assert peak < 2 * 2 ** 20
 
 
 def test_images_in_any_degree_order():
     # one action asked for degrees down and then up again: each answer is
     # that of a fresh action, and the action keeps nothing it did not
-    # have when it was closed (its Molien count aside); the rows read on
-    # the orbit sums of a higher degree are those read on their own
+    # have when it was closed (its Molien count aside); the oracle's rows
+    # read on the orbit sums of a higher degree are those read on their own
     for make, top in ((s3, 5), (_conjugated_s3, 4)):
         action = make()
         kept = set(vars(action))
         for d in list(range(top, -1, -1)) + list(range(top + 1)):
             assert _degree_rows(action, d) == _degree_rows(make(), d)
-        sums = poisson.orbit_sums(action, 4)
+            assert functional_solutions_dim(action, d) \
+                == functional_solutions_dim(make(), d)
+        sums = dual_oracle.orbit_sums(action, 4)
         for d in (3, 1, 2, 0, 3):
-            assert poisson._functional_matrix(action, d) \
-                == poisson._functional_matrix(make(), d) \
-                == poisson._functional_matrix(action, d, sums)
+            assert dual_oracle.functional_matrix(action, d) \
+                == dual_oracle.functional_matrix(make(), d) \
+                == dual_oracle.functional_matrix(action, d, sums)
         assert set(vars(action)) == kept
 
 
@@ -780,20 +782,28 @@ def _recorded_substitutions(monkeypatch):
 
 
 def test_dual_check_builds_each_image_once(monkeypatch, capsys):
-    # one `hp0 --dual-check`: each substitution builds every monomial
-    # image once.  Each nullspace basis of degree d (`invariant_basis`)
-    # builds its generators' images for degrees 1..d afresh, and the
-    # orbit sums, built once, each element's for degrees 1..cutoff + 1
+    # one `hp0 --dual-check` builds its bases once, through cutoff + 1,
+    # for hp0 and the dual alike, and each substitution builds every
+    # monomial image once.  Each nullspace basis of degree d
+    # (`invariant_basis`) builds its generators' images for degrees 1..d
+    # afresh.  The dual adds no substitution: no group element's, and
+    # not one of J^-1 either, which the brackets of its rows absorb
+    # (poisson's module docstring)
     from morita.cli import run
     subs = _recorded_substitutions(monkeypatch)
-    nullspace = []
-    original = poisson.invariant_basis
+    nullspace, tops = [], []
+    original, bases = poisson.invariant_basis, poisson._invariant_bases
 
     def counted(action, degree, packing):
         nullspace.append(degree)
         return original(action, degree, packing)
 
+    def counted_bases(action, top):
+        tops.append(top)
+        return bases(action, top)
+
     monkeypatch.setattr(poisson, "invariant_basis", counted)
+    monkeypatch.setattr(poisson, "_invariant_bases", counted_bases)
     group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
     cutoff = 3
     assert run(["hp0", "--group", group, "--max-degree", str(cutoff),
@@ -804,17 +814,17 @@ def test_dual_check_builds_each_image_once(monkeypatch, capsys):
     def climb(top):
         return sorted(set().union(*(monomials(action.dim, d) for d in range(1, top + 1))))
 
-    # no degree-1 invariants, so the degree cutoff + 1 basis is never built
-    assert nullspace and max(nullspace) <= cutoff
-    expected = sorted([(g, climb(d)) for d in nullspace for g in action.generators]
-                      + [(g, climb(cutoff + 1)) for g in action.elements])
+    assert tops == [cutoff + 1]
+    assert nullspace == [2, 3]
+    expected = sorted((g, climb(d)) for d in nullspace for g in action.generators)
     assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) == expected
     assert all(len(set(built)) == len(built) for _, _, built in subs.values())
 
 
 def test_dual_check_substitutes_in_dim_variables(monkeypatch, capsys):
-    # the dual reads orbit sums of the elements' images in the dim
-    # variables: no shift map [I | g] into the 2*dim variables (u, v)
+    # the only substitutions of a dual check are the generators' of the
+    # nullspace bases, in the dim variables: no shift map [I | g] into
+    # the 2*dim variables (u, v)
     from morita.cli import run
     subs = _recorded_substitutions(monkeypatch)
     for name, cutoff, code in (("s3.json", 3, 1), ("z3.json", 4, 0)):
@@ -1017,7 +1027,7 @@ def test_dual_solutions_reynolds_rank(make, cutoff):
     action = make()
     graded = hp0_dims(action, cutoff)
     for d in range(cutoff + 1):
-        matrix, p_monos = poisson._functional_matrix(action, d)
+        matrix, p_monos = dual_oracle.functional_matrix(action, d)
         null = linalg.nullspace(matrix, len(p_monos))
         images = [reynolds(action, MultiPoly(action.dim, {p_monos[c]: x
                                                           for c, x in v.items()}))
@@ -1028,7 +1038,7 @@ def test_dual_solutions_reynolds_rank(make, cutoff):
 
 def test_s3_degree_two_solution_is_not_invariant():
     action = s3()
-    matrix, p_monos = poisson._functional_matrix(action, 2)
+    matrix, p_monos = dual_oracle.functional_matrix(action, 2)
     null = linalg.nullspace(matrix, len(p_monos))
     assert len(null) == functional_solutions_dim(action, 2) == 1
     p = MultiPoly(action.dim, {p_monos[c]: x for c, x in null[0].items()})
@@ -1062,7 +1072,7 @@ def test_functional_solutions_match_full_rank(name):
 
 def test_dual_rank_stops_at_full_rank(monkeypatch):
     # S_4 in degree 3 has no solution but P = 0: the rank is full before
-    # every row is read
+    # every bracket {x^m, q} is read
     added = []
     original = linalg.Echelon.add
 
@@ -1072,15 +1082,37 @@ def test_dual_rank_stops_at_full_rank(monkeypatch):
 
     monkeypatch.setattr(linalg.Echelon, "add", counted)
     action = s4()
-    sums = poisson.orbit_sums(action, 4)  # their echelons are not counted
+    bases = poisson._invariant_bases(action, 4)  # their echelons are not counted
     added.clear()
-    assert functional_solutions_dim(action, 3, sums) == 0
-    matrix, p_monos = poisson._functional_matrix(action, 3, sums)
-    assert len(p_monos) <= len(added) < len(matrix)
+    assert functional_solutions_dim(action, 3, poisson._gradients(bases)) == 0
+    rows = sum(len(bases[1][k]) * len(monomials(action.dim, 5 - k)) for k in range(1, 5))
+    assert len(monomials(action.dim, 3)) <= len(added) < rows
 
 
 def _s5():
     return symmetric_group_action(5)
+
+
+def _assert_dual_matches_orbit_sums(action, degrees):
+    sums = dual_oracle.orbit_sums(action, max(degrees) + 1)
+    for n in degrees:
+        assert functional_solutions_dim(action, n) == dual_oracle.solutions_dim(action, n, sums)
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_dual_matches_orbit_sums(name):
+    # the brackets with the bases count what the orbit sums counted, in
+    # the group's own coordinates and in those of its seeded change of
+    # basis: the s3 and s4 draws have forms with J^2 != -I, where J^-1 is
+    # not -J and its place in the brackets shows
+    action, moved, _ = _conjugated(name)
+    degrees = range(min(AFLS_CASES[name][1], 4) + 1)
+    _assert_dual_matches_orbit_sums(action, degrees)
+    _assert_dual_matches_orbit_sums(moved, degrees)
+
+
+def test_dual_matches_orbit_sums_on_s5():
+    _assert_dual_matches_orbit_sums(_s5(), range(2, 5))
 
 
 def _s6():
