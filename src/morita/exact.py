@@ -23,6 +23,7 @@ chi_B's denominator), so no polynomial gcd runs anywhere in the package.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 
@@ -404,12 +405,21 @@ def partial_fractions(num, poles):
     num(p) / prod_{q != p} (p - q).
 
     Requires deg(num) below the number of poles.  Poles with zero
-    residue are kept.
+    residue are kept.  The denominators are memoised per sequence of
+    poles, with the type of each pole as part of the key.
     """
     poles = list(poles)
     if num.degree >= len(poles):
         raise DegreeError("numerator degree must be below the number of poles")
     if len(set(poles)) != len(poles):
         raise NonSimplePoles("poles must be distinct")
-    return PartialFraction({p: quotient(num(p), prod(p - q for q in poles if q != p))
-                            for p in poles})
+    return PartialFraction({p: quotient(num(p), d)
+                            for p, d in zip(poles, _pole_denominators(*poles))})
+
+
+@lru_cache(maxsize=128, typed=True)
+def _pole_denominators(*poles):
+    # prod_{q != p} (p - q) for each pole p, once per sequence of poles;
+    # typed, since the poles 2 and 2.0 hash alike but 2.0 gives float
+    # products, which quotient refuses
+    return tuple(prod(p - q for q in poles if q != p) for p in poles)

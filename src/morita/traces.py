@@ -10,6 +10,11 @@ G_lam = dim (D_m - B)/D_m for D_m = (x+m)...(x+n-1), and a_k is the
 residue of G at -k.  trace_table builds B once per row; a_coefficients
 reads the residues as integer products and builds no Poly.
 check_routes compares a with three independent routes.
+
+content_polynomial, which the verify checks read, grows F_lam one cell
+at a time, F_lam = F_mu (x + c) for the shape mu one cell smaller,
+from a bounded memo per shape: a pass over n finds the shapes of n - 1
+there.
 """
 
 import math
@@ -33,9 +38,35 @@ class NonIntegerCoefficient(AssertionError):
     property -- an implementation bug."""
 
 
+# F_lam per shape, the oldest dropped first beyond the bound: a verify
+# pass over n reads the shapes of n - 1 as parents
+_CONTENT_MEMO_SIZE = 8192
+_content_memo = {}
+
+
 def content_polynomial(lam):
-    """F_lam(x): product of (x + j - i) over the cells of the diagram."""
-    return Poly.from_roots([-c for c in lam.content_multiset()])
+    """F_lam(x): product of (x + j - i) over the cells of the diagram,
+    built as F_mu (x + c) from the nearest memoised shape mu that lam
+    grows from, adding one cell at a time to the end of its last row."""
+    parts = lam.parts
+    f = _content_memo.get(parts)
+    if f is None:
+        # walk back, taking the last cell of the last row (content
+        # lam_l - l for l rows), until a shape is memoised or none is left
+        contents, mu = [], parts
+        while f is None and mu:
+            last = mu[-1]
+            contents.append(last - len(mu))
+            mu = mu[:-1] + (last - 1,) if last > 1 else mu[:-1]
+            f = _content_memo.get(mu)
+        cs = [1] if f is None else list(f.coeffs)
+        for c in reversed(contents):
+            cs = [a + c * b for a, b in zip([0] + cs, cs + [0])]
+        f = Poly(cs)
+        if len(_content_memo) >= _CONTENT_MEMO_SIZE:
+            del _content_memo[next(iter(_content_memo))]
+        _content_memo[parts] = f
+    return f
 
 
 @lru_cache(maxsize=None)

@@ -121,6 +121,62 @@ def test_partial_fractions_non_integer_pole():
         partial_fractions(Poly([1]), [Fraction(1, 2), -1])
 
 
+def _residues_by_products(num, poles):
+    # the per-call products the memoised pole denominators replaced
+    return {p: quotient(num(p), math.prod(p - q for q in poles if q != p)) for p in poles}
+
+
+def test_partial_fractions_match_per_call_products():
+    num = Poly([7, -3, 0, 2])
+    pole_sets = [lambda: [3, -1, 0, 5], lambda: [-4, -1, -7, -2],
+                 lambda: [-3, 4, -1, 2, 0], lambda: range(0, -6, -1),
+                 lambda: (k * k - 5 for k in range(5))]
+    exact._pole_denominators.cache_clear()
+    for _ in range(2):  # with a cold memo, then from it
+        for poles in pole_sets:
+            assert partial_fractions(num, poles()).residues == \
+                _residues_by_products(num, list(poles()))
+
+
+def test_partial_fractions_residues_independent_of_pole_order():
+    num = Poly([5, 0, -2, 1])
+    poles = [-6, 2, -1, 3]
+    a = partial_fractions(num, poles).residues
+    b = partial_fractions(num, poles[::-1]).residues
+    assert a == b == _residues_by_products(num, poles)
+
+
+def _typed_outcome(poles):
+    try:
+        residues = partial_fractions(Poly([0, 6]), poles).residues
+    except TypeError:
+        return TypeError
+    return [(type(p), p, type(r), r) for p, r in residues.items()]
+
+
+def test_partial_fractions_pole_types_are_not_shared():
+    # 2, 2.0 and Fraction(2) hash alike: a memo keyed on the values alone
+    # hands a float pole the int products and returns where it must raise
+    ints = [(int, 2, int, 12), (int, 1, int, -6)]
+    for order in ([[2, 1], [2.0, 1], [Fraction(2), 1]],
+                  [[2.0, 1], [Fraction(2), 1], [2, 1]],
+                  [[Fraction(2), 1], [2, 1], [1, 2.0]]):
+        exact._pole_denominators.cache_clear()
+        for poles in order + order:
+            expected = TypeError if any(type(p) is float for p in poles) else ints
+            assert _typed_outcome(poles) == expected, poles
+
+
+def test_partial_fractions_checks_survive_the_memo():
+    partial_fractions(Poly([1]), [-1, -2])
+    with pytest.raises(DegreeError):
+        partial_fractions(Poly([0, 0, 1]), [-1, -2])
+    with pytest.raises(NonSimplePoles):
+        partial_fractions(Poly([1]), [-1, -2, -1])
+    with pytest.raises(NonSimplePoles):
+        partial_fractions(Poly([1]), [-2, -2.0])
+
+
 def test_rational_roots_splits():
     roots, rem = rational_roots(Poly([20, 9, 1]))
     assert roots == [-5, -4]

@@ -30,6 +30,79 @@ def test_content_polynomial_small():
     assert content_polynomial(Partition((2, 1))) == Poly.from_roots([0, -1, 1])
 
 
+def _content_polynomial_from_cells(lam):
+    # every cell's factor at once, as content_polynomial built F before
+    # it grew F from the shape one cell smaller; kept as its oracle
+    return Poly.from_roots([-c for c in lam.content_multiset()])
+
+
+def test_content_polynomial_matches_cells_in_any_order():
+    by_n = [enumerate_partitions(n) for n in range(1, 15)]
+    ascending = [lam for lams in by_n for lam in lams]
+    deepest = max(ascending, key=lambda lam: (lam.weight, lam.length))
+    for order in (ascending, ascending[::-1], [deepest] + ascending):
+        traces._content_memo.clear()
+        for lam in order:
+            assert content_polynomial(lam) == _content_polynomial_from_cells(lam), lam
+        assert len(traces._content_memo) <= traces._CONTENT_MEMO_SIZE
+
+
+def test_content_polynomial_of_long_row_and_column():
+    # a 3000-cell walk from the empty shape, which must not recurse per cell
+    traces._content_memo.clear()
+    n = 3000
+    row = content_polynomial(Partition((n,)))
+    column = content_polynomial(Partition((1,) * n))
+    traces._content_memo.clear()
+    # x(x+1)...(x+n-1) and x(x-1)...(x-n+1), read at a few points
+    assert row.degree == column.degree == n
+    assert row.coeffs[-1] == column.coeffs[-1] == 1
+    assert row(1) == column(n) == column(-1) == math.factorial(n)
+    assert row(-1) == row(1 - n) == column(1) == column(n - 1) == 0
+    assert row(2) == math.factorial(n + 1)
+
+
+def test_content_memo_stays_bounded():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["verify", "sum-identity", "--max-n", "30"]) == 0
+    assert 0 < len(traces._content_memo) <= traces._CONTENT_MEMO_SIZE
+    assert sum(map(len, map(enumerate_partitions, range(2, 31)))) > traces._CONTENT_MEMO_SIZE
+    traces._content_memo.clear()
+
+
+_NO_ROOTS_ON_THE_CONTENT_PATH = """
+import sys
+sys.path.insert(0, %r)
+from morita import traces
+from morita.exact import Poly
+from morita.partitions import enumerate_partitions
+
+def no_roots(*args):
+    raise AssertionError("Poly.from_roots called on the content path")
+
+from_roots, Poly.from_roots = Poly.from_roots, no_roots
+for n in range(2, 13):
+    assert traces.verify_sum_identity(n)
+shapes = [lam for n in range(12, 0, -1) for lam in enumerate_partitions(n)]
+got = [traces.content_polynomial(lam) for lam in shapes]
+Poly.from_roots = from_roots
+for lam, f in zip(shapes, got):
+    assert f == Poly.from_roots([-c for c in lam.content_multiset()]), lam
+print("ok")
+"""
+
+
+def test_content_path_builds_no_roots():
+    # a fresh interpreter, so that the content memo starts empty; asserts
+    # are checked there even under python -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", _NO_ROOTS_ON_THE_CONTENT_PATH % src],
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
 def test_g_function_examples():
     assert g_function(Partition((1, 1)), 2) == RationalFunction(Poly([2]), Poly([1, 1]))
     assert g_function(Partition((2, 1)), 3) == RationalFunction(Poly([6]), Poly([2, 1]))
