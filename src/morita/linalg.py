@@ -41,14 +41,16 @@ def _primitive(row):
     """The primitive integer row on the ray of `row`, as a map column ->
     nonzero entry: denominators cleared, then the gcd of the entries
     divided out.  `row` is dense, or a map from orderable column keys to
-    entries."""
+    entries.  A row of ints alone (no bool) has no denominator to clear
+    and skips `rational`."""
     keys, values = (row, row.values()) if isinstance(row, dict) else (count(), row)
-    row = {j: x if type(x) is int else rational(x)
-           for j, x in zip(compress(keys, values), compress(values, values))}
-    den = math.lcm(*(x.denominator for x in row.values() if type(x) is not int))
-    if den != 1:
-        row = {j: x * den if type(x) is int else x.numerator * (den // x.denominator)
-               for j, x in row.items()}
+    row = dict(zip(compress(keys, values), compress(values, values)))
+    if any(type(x) is not int for x in row.values()):
+        row = {j: x if type(x) is int else rational(x) for j, x in row.items()}
+        den = math.lcm(*(x.denominator for x in row.values() if type(x) is not int))
+        if den != 1:
+            row = {j: x * den if type(x) is int else x.numerator * (den // x.denominator)
+                   for j, x in row.items()}
     return _divide_content(row)
 
 

@@ -23,21 +23,25 @@ Every substitution x -> M x goes through one kernel, `_Substitution`,
 on packed exponents (`polynomials._Packing`), where multiplying
 monomials adds ints: the image of x^e is the image of x^(e - e_i),
 taken from the degree below, times the linear form of row i of M.  An
-action is a plain value and keeps no images.  The pass that needs
-them, the invariance rows of degree d, builds the generators' images
-of degrees 1..d and drops them when it returns.  An `hp0_dims` run
-packs on one packing: the invariance rows and the nullspace rows of
-each fallback degree, the bases, their products and brackets, and with
-a dual check the brackets of the dual.  No `MultiPoly` is built.  A
-bracket span takes each basis row's gradient once, from its packed
-terms, and sums -J^-1[a][b] d_a p d_b q straight into one term map.
+action is a plain value and keeps no images.  The bases of a run keep
+one substitution per generator, and each fallback degree grows its
+invariance rows' images from those the degree before built, so every
+image is built once per run.  An `hp0_dims` run packs on one packing:
+the invariance rows and the nullspace rows of each fallback degree, the
+bases, their products and brackets, and with a dual check the brackets
+of the dual.  No `MultiPoly` is built.  A bracket span takes the
+gradients of the basis rows it pairs from their packed terms and drops
+them when it returns; a dual check takes each basis row's and each
+degree's monomials' gradients once (`_Gradients`).  Every bracket sums
+-J^-1[a][b] d_a p d_b q straight into one term map.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
 degree-d brackets therefore lie in the span of the degree-d basis rows,
-on which restriction to their leading monomials is injective (the rows
-are in echelon form): a bracket is read only at those len(basis)
-monomials, and its span is full once its rank reaches len(basis).
+on which restriction to their leading monomials K is injective (the
+rows are in echelon form): a bracket sums only its products at those
+len(basis) monomials, and its span is full once its rank reaches
+len(basis).
 
 The dual takes no sum over the group.  For fixed u, let
 F(w) = (u, w) P(u + w); the condition is that sum over g of F(g v)
@@ -233,29 +237,61 @@ def bracket(p, q, form):
     return MultiPoly._raw(p.nvars, _exact_nonzero(terms))
 
 
-def _bracket_terms(dp, dq, j_inv):
-    """The terms (unnormalised, keyed by packed exponents) of sum over
-    a, b of -J^-1[a][b] d_a p d_b q, from the packed gradients of p and q."""
+def _bivector(j_inv):
+    """The nonzero entries (a, b, -J^-1[a][b]) of the bracket's bivector."""
+    return [(a, b, -x) for a, row in enumerate(j_inv) for b, x in enumerate(row) if x]
+
+
+def _bracket_at(dp, dq, bivector, keys):
+    """The terms (unnormalised) at the packed monomials `keys` of sum
+    over the entries (a, b, x) of `bivector` of x d_a p d_b q, from the
+    packed gradients of p and q: of the products only those whose key is
+    in `keys` are summed.  Packed exponents add with no carry, so
+    k1 + k2 = k exactly when k2 = k - k1: where the keys are fewer than
+    the terms of the larger factor, each key k reads it at k - k1 for
+    each term k1 of the other, and elsewhere every product is formed and
+    kept if its key is in `keys`."""
     out = {}
-    for a, da in enumerate(dp):
-        if da:
-            for b, db in enumerate(dq):
-                if j_inv[a][b] and db:
-                    _add_packed_product(out, da, db, -j_inv[a][b])
+    get = out.get
+    for a, b, x in bivector:
+        small, large = dp[a], dq[b]
+        if small and large:
+            if len(small) > len(large):
+                small, large = large, small
+            if len(keys) < len(large):
+                read = large.get
+                for k in keys:
+                    s = 0
+                    for k1, c1 in small.items():
+                        c2 = read(k - k1)
+                        if c2 is not None:
+                            s += c1 * c2
+                    if s:
+                        out[k] = get(k, 0) + x * s
+            else:
+                large = large.items()
+                for k1, c1 in small.items():
+                    c1 *= x
+                    for k2, c2 in large:
+                        k = k1 + k2
+                        if k in keys:
+                            out[k] = get(k, 0) + c1 * c2
     return out
 
 
-def _invariance_rows(action, packing, packed):
+def _invariance_rows(action, packing, packed, substitutions):
     """Nonzero rows of Sym^d(g) - I stacked over the generators g, as maps
     column -> entry, where column c is the degree-d monomial packed[c]
     on the caller's `packing`.  A polynomial fixed by every generator is
-    fixed by the group they generate.  Each generator's images are built
-    here, from degree 1."""
+    fixed by the group they generate.  The images come from
+    `substitutions`, one `_Substitution` per generator on `packing`,
+    which a run keeps across its degrees: a degree's images grow from
+    those the degree before built."""
     index = {e: r for r, e in enumerate(packed)}
     rows = []
-    for g in action.generators:
+    for sub in substitutions:
         block = [{} for _ in packed]
-        for c, img in enumerate(_Substitution(g, packing).images(packed)):
+        for c, img in enumerate(sub.images(packed)):
             for e, x in img.items():
                 block[index[e]][c] = x
         for r, row in enumerate(block):
@@ -267,14 +303,15 @@ def _invariance_rows(action, packing, packed):
     return rows
 
 
-def invariant_basis(action, degree, packing):
+def invariant_basis(action, degree, packing, substitutions):
     """A basis of the degree-d invariants, the common fixed space of the
     generators on the degree-d monomials: primitive integer rows, as maps
-    packed monomial -> entry on `packing` (which has room for degree d)."""
+    packed monomial -> entry on `packing` (which has room for degree d).
+    `substitutions` are those of `_invariance_rows`."""
     _check_degree(degree)
     packed = [packing.pack(e) for e in monomials(action.dim, degree)]
-    null = linalg.nullspace(_invariance_rows(action, packing, packed), len(packed))
-    return [{packed[c]: x for c, x in v.items()} for v in null]
+    rows = _invariance_rows(action, packing, packed, substitutions)
+    return [{packed[c]: x for c, x in v.items()} for v in linalg.nullspace(rows, len(packed))]
 
 
 def _invariant_bases(action, top):
@@ -286,10 +323,12 @@ def _invariant_bases(action, top):
     could not build) with each b in the basis of degree d - deg g go one
     at a time into an echelon, which stops once its rank is the Molien
     count.  Where they fall short the rows of the nullspace basis,
-    `invariant_basis` on the same packing, go into the same echelon,
-    which must then reach the count, and those that raise its rank join
-    the generators.  A degree whose count is 0 takes no work."""
+    `invariant_basis` on the same packing and the run's one
+    `_Substitution` per group generator, go into the same echelon, which
+    must then reach the count, and those that raise its rank join the
+    generators.  A degree whose count is 0 takes no work."""
     packing = _Packing(action.dim, top)
+    substitutions = [_Substitution(g, packing) for g in action.generators]
     bases = [[{0: 1}]]
     generators = []  # (degree, packed terms), by degree
     for d in range(1, top + 1):
@@ -302,7 +341,8 @@ def _invariant_bases(action, top):
                 if echelon.add(row) and echelon.rank == size:
                     break
         if echelon.rank < size:
-            generators += [(d, row) for row in invariant_basis(action, d, packing)
+            generators += [(d, row) for row in
+                           invariant_basis(action, d, packing, substitutions)
                            if echelon.add(row)]
             if echelon.rank != size:
                 raise InvariantCountMismatch("degree %d: %d invariants, Molien count %s"
@@ -322,15 +362,16 @@ def bracket_span_dim(action, degree, bases=None):
     a degree-d invariant, in the span of the degree-d basis rows.  Their
     leading columns K are distinct, so restriction to K is injective on
     that span, and the brackets' rank is the rank of their coefficients
-    at K.  The brackets are taken one at a time into an incremental
-    echelon on those coordinates, which stops as soon as its rank
-    reaches the number of basis rows, the most it can be."""
+    at K, the only terms of a bracket that are summed (`_bracket_at`).
+    The brackets are taken one at a time into an incremental echelon on
+    those coordinates, which stops as soon as its rank reaches the
+    number of basis rows, the most it can be."""
     _check_degree(degree)
     packing, bases = _invariant_bases(action, degree + 1) if bases is None else bases
     keys = {min(row) for row in bases[degree]}
     if not keys:
         return 0
-    j_inv = action.form_inverse
+    bivector = _bivector(action.form_inverse)
     span = linalg.Echelon()
     # each degree k is paired in one pass of this loop only; within one
     # degree only one order of each pair is taken, since {q, p} = -{p, q}
@@ -342,9 +383,7 @@ def bracket_span_dim(action, degree, bases=None):
         right = left if i == j else [packing.gradient(q) for q in bases[j]]
         for a, dp in enumerate(left):
             for dq in right[a + 1:] if i == j else right:
-                terms = _bracket_terms(dp, dq, j_inv)
-                if span.add({e: x for e, x in terms.items() if e in keys}) \
-                        and span.rank == len(keys):
+                if span.add(_bracket_at(dp, dq, bivector, keys)) and span.rank == len(keys):
                     return span.rank
     return span.rank
 
@@ -396,11 +435,30 @@ def hp0_dims(action, max_degree, dual=False):
                       bases=(packing, bases) if dual else None)
 
 
-def _gradients(bases):
-    """The packing of `bases` (the output of `_invariant_bases`) and, per
-    degree, the packed gradient of each basis row."""
-    packing, bases = bases
-    return packing, [[packing.gradient(q) for q in basis] for basis in bases]
+class _Gradients:
+    """The packed gradients a dual check reads on the output `bases` of
+    `_invariant_bases`, each taken once per check, when first asked for:
+    `basis(d)` those of the degree-d basis rows, `monomials(d)` those of
+    the degree-d monomials."""
+
+    __slots__ = ("packing", "bases", "memo")
+
+    def __init__(self, bases):
+        self.packing, self.bases = bases
+        self.memo = {}
+
+    def basis(self, degree):
+        key = "basis", degree
+        if key not in self.memo:
+            self.memo[key] = list(map(self.packing.gradient, self.bases[degree]))
+        return self.memo[key]
+
+    def monomials(self, degree):
+        key, packing = ("monomials", degree), self.packing
+        if key not in self.memo:
+            self.memo[key] = [packing.gradient({packing.pack(e): 1})
+                              for e in monomials(len(packing.units), degree)]
+        return self.memo[key]
 
 
 def functional_solutions_dim(action, degree, gradients=None):
@@ -410,23 +468,26 @@ def functional_solutions_dim(action, degree, gradients=None):
     monomial x^m of degree n + 2 - k with each basis row q of the
     degree-k invariants, k = 1..n + 1 (module docstring).
 
-    `gradients` is the output of `_gradients` on bases through degree
-    n + 1 or more; computed here when not given.  The brackets go one at
-    a time into an incremental echelon, which stops once its rank
-    reaches the number of monomials of P."""
+    `gradients` is a `_Gradients` on bases through degree n + 1 or more,
+    which a dual check shares across its degrees; built here when not
+    given.  The brackets, read at every degree-n monomial, go one at a
+    time into an incremental echelon, which stops once its rank reaches
+    the number of monomials of P."""
     _check_degree(degree)
-    packing, gradients = (_gradients(_invariant_bases(action, degree + 1))
-                          if gradients is None else gradients)
-    size = len(monomials(action.dim, degree))
+    if gradients is None:
+        gradients = _Gradients(_invariant_bases(action, degree + 1))
+    packing = gradients.packing
+    keys = {packing.pack(e) for e in monomials(action.dim, degree)}
+    size = len(keys)
+    bivector = _bivector(action.form_inverse)
     echelon = linalg.Echelon()
     for k in range(1, degree + 2):
-        if not gradients[k]:
+        if not gradients.bases[k]:
             continue
-        monos = [packing.gradient({packing.pack(e): 1})
-                 for e in monomials(action.dim, degree + 2 - k)]
-        for dq in gradients[k]:
+        monos = gradients.monomials(degree + 2 - k)
+        for dq in gradients.basis(k):
             for dm in monos:
-                if echelon.add(_bracket_terms(dm, dq, action.form_inverse)) \
+                if echelon.add(_bracket_at(dm, dq, bivector, keys)) \
                         and echelon.rank == size:
                     return 0
     return size - echelon.rank
@@ -436,7 +497,7 @@ def duality_check(action, graded):
     """Per-degree comparison of the bracket-quotient dimensions `graded`
     (as returned by hp0_dims) with the dual functional-equation solution
     counts."""
-    gradients = _gradients(graded.bases or _invariant_bases(action, graded.max_degree + 1))
+    gradients = _Gradients(graded.bases or _invariant_bases(action, graded.max_degree + 1))
     rows = []
     ok = True
     for n in range(graded.max_degree + 1):

@@ -194,14 +194,10 @@ class _Packing:
     def gradient(self, terms):
         """The packed term maps of the partial derivatives of the packed
         term map `terms`."""
-        out = [{} for _ in self.units]
         mask = self.mask
-        for k, c in terms.items():
-            for d, s, u in zip(out, self.shifts, self.units):
-                x = k >> s & mask
-                if x:
-                    d[k - u] = c * x
-        return out
+        terms = list(terms.items())
+        return [{k - u: c * x for k, c in terms if (x := k >> s & mask)}
+                for s, u in zip(self.shifts, self.units)]
 
 
 class _Substitution:

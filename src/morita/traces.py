@@ -44,25 +44,34 @@ _CONTENT_MEMO_SIZE = 8192
 _content_memo = {}
 
 
+def _times_factors(cs, contents):
+    # the coefficients of cs(x) times the product of x + c over contents
+    for c in contents:
+        cs = [a + c * b for a, b in zip([0] + cs, cs + [0])]
+    return cs
+
+
 def content_polynomial(lam):
     """F_lam(x): product of (x + j - i) over the cells of the diagram,
     built as F_mu (x + c) from the nearest memoised shape mu that lam
-    grows from, adding one cell at a time to the end of its last row."""
+    grows from, adding one cell at a time to the end of its last row.  A
+    one-row mu is read from f_trivial: the verify checks never ask for
+    the one-row shape, so (n-1, 1) is one step from its parent."""
     parts = lam.parts
     f = _content_memo.get(parts)
     if f is None:
         # walk back, taking the last cell of the last row (content
-        # lam_l - l for l rows), until a shape is memoised or none is left
+        # lam_l - l for l rows), until a shape is memoised or one row or
+        # none is left
         contents, mu = [], parts
         while f is None and mu:
             last = mu[-1]
             contents.append(last - len(mu))
             mu = mu[:-1] + (last - 1,) if last > 1 else mu[:-1]
             f = _content_memo.get(mu)
-        cs = [1] if f is None else list(f.coeffs)
-        for c in reversed(contents):
-            cs = [a + c * b for a, b in zip([0] + cs, cs + [0])]
-        f = Poly(cs)
+            if f is None and len(mu) == 1:
+                f = f_trivial(mu[0])
+        f = Poly(_times_factors([1] if f is None else list(f.coeffs), reversed(contents)))
         if len(_content_memo) >= _CONTENT_MEMO_SIZE:
             del _content_memo[next(iter(_content_memo))]
         _content_memo[parts] = f
@@ -72,7 +81,7 @@ def content_polynomial(lam):
 @lru_cache(maxsize=None)
 def f_trivial(n):
     """Content polynomial of the one-row partition: x(x+1)...(x+n-1)."""
-    return Poly.from_roots([-k for k in range(n)])
+    return Poly(_times_factors([1], range(n)))
 
 
 def _check_weight(lam, n):

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from itertools import compress, count
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from morita.cli import parse_group_file
 from morita.exact import quotient, rational
 from morita.poisson import (_invariance_rows, close_group, hp0_dims, monomials,
                             standard_form, symmetric_group_action)
-from morita.polynomials import _Packing
+from morita.polynomials import _Packing, _Substitution
 
 
 def _fraction_rref(m):
@@ -198,6 +199,56 @@ def test_echelon_matches_rref_row_by_row(m, sparse):
     assert echelon.rank == before
 
 
+def _primitive_through_rational(row):
+    """`linalg._primitive` as it was before rows of ints skipped
+    `rational`, kept as its oracle: every entry through `rational`, then
+    the lcm of the denominators."""
+    keys, values = (row, row.values()) if isinstance(row, dict) else (count(), row)
+    row = {j: x if type(x) is int else rational(x)
+           for j, x in zip(compress(keys, values), compress(values, values))}
+    den = math.lcm(*(x.denominator for x in row.values() if type(x) is not int))
+    if den != 1:
+        row = {j: x * den if type(x) is int else x.numerator * (den // x.denominator)
+               for j, x in row.items()}
+    return linalg._divide_content(row)
+
+
+_ENTRY = (_SCALAR | st.booleans()
+          | st.sampled_from([0.0, 0.5, -1.5, 2.0, 0.25, -3.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(_ENTRY, max_size=8), data=st.data())
+def test_primitive_matches_the_rational_path(row, data):
+    # dense lists and tuples, and sparse maps (zeros kept, keys spaced),
+    # of ints alone, Fractions, floats and bools: the same map, key order
+    # and entry types as every entry through `rational`
+    sparse = dict(zip(range(0, 3 * len(row), 3), row))
+    for given_row in (row, tuple(row), sparse):
+        got, expected = linalg._primitive(given_row), _primitive_through_rational(given_row)
+        assert got == expected and list(got) == list(expected)
+        assert all(type(x) is int for x in got.values())
+    if data.draw(st.booleans()):
+        row = [int(x) if type(x) is bool else x for x in row]
+        assert linalg._primitive(row) == _primitive_through_rational(row)
+
+
+def test_primitive_sends_only_non_int_rows_through_rational(monkeypatch):
+    # a row of ints alone skips `rational`; one bool, Fraction or float
+    # sends the row through it, so a bool comes out an int
+    calls = []
+    monkeypatch.setattr(linalg, "rational", lambda x: calls.append(x) or rational(x))
+    for row in ([0, 6, -4, 0, 10], {3: -9, 7: 0, 1: 12}, [], (0, 0)):
+        assert linalg._primitive(row) == _primitive_through_rational(row)
+        assert calls == []
+    for row, expected in (([True, 0, 3], {0: 1, 2: 3}), ({5: False, 2: True}, {2: 1}),
+                          ([2, Fraction(1, 3)], {0: 6, 1: 1}), ([1.5, 3], {0: 1, 1: 2})):
+        calls.clear()
+        got = linalg._primitive(row)
+        assert got == expected and all(type(x) is int for x in got.values())
+        assert calls
+
+
 def _triple_loop_product(a, b):
     """The matrix product `dense_product.mat_mul` computed before it
     summed over zipped columns, kept as the oracle."""
@@ -229,12 +280,18 @@ def test_rref_accepts_tuples_and_fractions():
     assert linalg.nullspace([], 2) == [{0: 1}, {1: 1}]
 
 
+def _substitutions(action, packing):
+    """One fresh `_Substitution` per generator of `action` on `packing`,
+    as a run of `poisson._invariant_bases` keeps them."""
+    return [_Substitution(g, packing) for g in action.generators]
+
+
 def _degree_rows(action, degree):
     """`_invariance_rows` of the degree-d monomials, packed on a packing
     for degree d, and the number of their columns."""
     packing = _Packing(action.dim, degree)
     packed = [packing.pack(e) for e in monomials(action.dim, degree)]
-    return _invariance_rows(action, packing, packed), len(packed)
+    return _invariance_rows(action, packing, packed, _substitutions(action, packing)), len(packed)
 
 
 def _plus_minus():

@@ -22,7 +22,7 @@ from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
                             functional_solutions_dim, hp0_dims,
                             invariant_basis, monomials,
                             standard_form, symmetric_group_action)
-from test_linalg import _degree_rows, _dense, _rank
+from test_linalg import _degree_rows, _dense, _rank, _substitutions
 
 J2 = standard_form(1)
 
@@ -32,7 +32,7 @@ def _basis(action, degree):
     unpacked into `MultiPoly`s for the oracles."""
     packing = polynomials._Packing(action.dim, degree)
     return [MultiPoly._raw(action.dim, {packing.unpack(k): x for k, x in row.items()})
-            for row in invariant_basis(action, degree, packing)]
+            for row in invariant_basis(action, degree, packing, _substitutions(action, packing))]
 
 
 def plus_minus():
@@ -314,8 +314,9 @@ def test_poisson_input_validation():
     for call in (bracket_span_dim, hp0_dims, functional_solutions_dim):
         with pytest.raises(OutOfRange):
             call(action, -1)
+    packing = polynomials._Packing(action.dim, 1)
     with pytest.raises(OutOfRange):
-        invariant_basis(action, -1, polynomials._Packing(action.dim, 1))
+        invariant_basis(action, -1, packing, _substitutions(action, packing))
 
 
 def _matrix_power_traces(g, top):
@@ -397,9 +398,9 @@ def test_one_basis_per_degree(monkeypatch):
         built.extend(range(len(out[1])))
         return out
 
-    def counted(action, degree, packing):
+    def counted(action, degree, packing, substitutions):
         nullspace.append(degree)
-        return original(action, degree, packing)
+        return original(action, degree, packing, substitutions)
 
     def refuse(action, max_degree):
         raise AssertionError("hp0_dims called")
@@ -712,10 +713,11 @@ def test_invariance_rows_stay_sparse():
     action = symmetric_group_action(4)
     packing = polynomials._Packing(action.dim, 6)
     for k in range(6):
-        invariant_basis(action, k, packing)
+        invariant_basis(action, k, packing, _substitutions(action, packing))
+    substitutions = _substitutions(action, packing)
     tracemalloc.start()
     try:
-        basis = invariant_basis(action, 6, packing)
+        basis = invariant_basis(action, 6, packing, substitutions)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -784,19 +786,19 @@ def _recorded_substitutions(monkeypatch):
 def test_dual_check_builds_each_image_once(monkeypatch, capsys):
     # one `hp0 --dual-check` builds its bases once, through cutoff + 1,
     # for hp0 and the dual alike, and each substitution builds every
-    # monomial image once.  Each nullspace basis of degree d
-    # (`invariant_basis`) builds its generators' images for degrees 1..d
-    # afresh.  The dual adds no substitution: no group element's, and
-    # not one of J^-1 either, which the brackets of its rows absorb
-    # (poisson's module docstring)
+    # monomial image once.  The run keeps one substitution per generator,
+    # and the nullspace bases of degrees 2 and 3 (`invariant_basis`)
+    # build its images of degrees 1..3 once between them.  The dual adds
+    # no substitution: no group element's, and not one of J^-1 either,
+    # which the brackets of its rows absorb (poisson's module docstring)
     from morita.cli import run
     subs = _recorded_substitutions(monkeypatch)
     nullspace, tops = [], []
     original, bases = poisson.invariant_basis, poisson._invariant_bases
 
-    def counted(action, degree, packing):
+    def counted(action, degree, packing, substitutions):
         nullspace.append(degree)
-        return original(action, degree, packing)
+        return original(action, degree, packing, substitutions)
 
     def counted_bases(action, top):
         tops.append(top)
@@ -816,7 +818,7 @@ def test_dual_check_builds_each_image_once(monkeypatch, capsys):
 
     assert tops == [cutoff + 1]
     assert nullspace == [2, 3]
-    expected = sorted((g, climb(d)) for d in nullspace for g in action.generators)
+    expected = sorted((g, climb(max(nullspace))) for g in action.generators)
     assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) == expected
     assert all(len(set(built)) == len(built) for _, _, built in subs.values())
 
@@ -1007,15 +1009,109 @@ def test_bracket_span_matches_full_rank(name):
 def test_bracket_span_stops_at_full_rank(monkeypatch):
     # the full-rank span took 2252 brackets for S_3 through degree 10
     calls = []
-    original = poisson._bracket_terms
+    original = poisson._bracket_at
 
-    def counted(dp, dq, j_inv):
+    def counted(dp, dq, bivector, keys):
         calls.append(1)
-        return original(dp, dq, j_inv)
+        return original(dp, dq, bivector, keys)
 
-    monkeypatch.setattr(poisson, "_bracket_terms", counted)
+    monkeypatch.setattr(poisson, "_bracket_at", counted)
     assert hp0_dims(s3(), 10).total == 1
     assert 0 < len(calls) < 2252 // 2
+
+
+def _golden_action(name):
+    form, gens = parse_group_file(os.path.join(os.path.dirname(__file__), "golden", name))
+    return close_group(gens, form)
+
+
+KEYED_BRACKET_CASES = dict(
+    [("afls_" + name, case[:2]) for name, case in AFLS_CASES.items()]
+    + [("golden_" + name, (lambda name=name: _golden_action(name + ".json"), top))
+       for name, top in (("s3", 8), ("s4", 6), ("s5", 5))]
+    + [("fractional_form", (_fractional_form, 6))])
+
+
+def _bracket_terms(dp, dq, j_inv):
+    """The whole bracket, every product d_a p d_b q summed, as the span
+    and the dual took it before they read it at their keys
+    (`poisson._bracket_at`); kept as the oracle."""
+    out = {}
+    for a, da in enumerate(dp):
+        if da:
+            for b, db in enumerate(dq):
+                if j_inv[a][b] and db:
+                    polynomials._add_packed_product(out, da, db, -j_inv[a][b])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_BRACKET_CASES))
+def test_keyed_bracket_matches_bracket_terms(name):
+    # `_bracket_at` against the whole bracket restricted to the keys, for
+    # every ordered pair of basis rows of degrees i + j = d + 2: at the
+    # leading monomials K of the degree-d basis (few keys: each key reads
+    # the larger factor), at every degree-d monomial (every product
+    # formed) and at a seeded half of them
+    make, cutoff = KEYED_BRACKET_CASES[name]
+    action = make()
+    gradients = poisson._Gradients(poisson._invariant_bases(action, cutoff + 1))
+    packing, bases, j_inv = gradients.packing, gradients.bases, action.form_inverse
+    bivector = poisson._bivector(j_inv)
+    rng = random.Random(name)
+    for d in range(cutoff + 1):
+        monos = [packing.pack(e) for e in monomials(action.dim, d)]
+        key_sets = [{min(row) for row in bases[d]}, set(monos),
+                    set(rng.sample(monos, len(monos) // 2))]
+        for i in range(1, d + 2):
+            for dp in gradients.basis(i):
+                for dq in gradients.basis(d + 2 - i):
+                    whole = _bracket_terms(dp, dq, j_inv)
+                    for keys in key_sets:
+                        got = poisson._bracket_at(dp, dq, bivector, keys)
+                        assert {k: x for k, x in got.items() if x} \
+                            == {k: x for k, x in whole.items() if k in keys and x}
+
+
+def test_dual_check_takes_each_gradient_once(monkeypatch):
+    # a dual check takes the gradient of each basis row and of each
+    # degree's monomials once, however many degrees read them (the
+    # monomial gradients were taken again for every degree of P and k)
+    taken = []
+    original = polynomials._Packing.gradient
+
+    def counted(packing, terms):
+        taken.append(tuple(terms.items()))
+        return original(packing, terms)
+
+    action = s4()
+    graded = hp0_dims(action, 6, dual=True)
+    monkeypatch.setattr(polynomials._Packing, "gradient", counted)
+    rows = duality_check(action, graded)["rows"]
+    assert [row["dual"] for row in rows] == [1, 0, 3, 0, 2, 0, 0]
+    assert len(taken) == len(set(taken)) > 0
+
+
+def test_each_image_built_once_per_run(monkeypatch):
+    # the run keeps one substitution per generator: each nullspace basis
+    # grows its images from those of the degree before, so no image of a
+    # lower degree is built twice (each fallback degree of S_5 through 8
+    # used to build its generators' images again from degree 1)
+    subs = _recorded_substitutions(monkeypatch)
+    nullspace = []
+    original = poisson.invariant_basis
+
+    def counted(action, degree, packing, substitutions):
+        nullspace.append(degree)
+        return original(action, degree, packing, substitutions)
+
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    action = symmetric_group_action(5)
+    hp0_dims(action, 8)
+    assert nullspace == [2, 3, 4, 5]
+    climb = sorted(set().union(*(monomials(action.dim, d) for d in range(1, 6))))
+    assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) \
+        == sorted((g, climb) for g in action.generators)
+    assert all(len(set(built)) == len(built) for _, _, built in subs.values())
 
 
 @pytest.mark.parametrize("make, cutoff", [
@@ -1084,7 +1180,7 @@ def test_dual_rank_stops_at_full_rank(monkeypatch):
     action = s4()
     bases = poisson._invariant_bases(action, 4)  # their echelons are not counted
     added.clear()
-    assert functional_solutions_dim(action, 3, poisson._gradients(bases)) == 0
+    assert functional_solutions_dim(action, 3, poisson._Gradients(bases)) == 0
     rows = sum(len(bases[1][k]) * len(monomials(action.dim, 5 - k)) for k in range(1, 5))
     assert len(monomials(action.dim, 3)) <= len(added) < rows
 
@@ -1250,7 +1346,7 @@ def test_product_bases_span_the_invariants(name):
     action = make()
     packing, products = poisson._invariant_bases(action, top)
     for d, basis in enumerate(products):
-        null = invariant_basis(action, d, packing)
+        null = invariant_basis(action, d, packing, _substitutions(action, packing))
         assert len(basis) == len(null) == action.molien(d)
         assert _rank(basis + null) == len(null)
         assert len({min(row) for row in basis}) == len(basis)
@@ -1343,9 +1439,9 @@ def test_new_generators_only_up_to_the_noether_bound(name, monkeypatch):
     nullspace = []
     original = poisson.invariant_basis
 
-    def counted(action, degree, packing):
+    def counted(action, degree, packing, substitutions):
         nullspace.append(degree)
-        return original(action, degree, packing)
+        return original(action, degree, packing, substitutions)
 
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     hp0_dims(action, cutoff)
@@ -1457,7 +1553,7 @@ def test_packed_basis_matches_the_multipoly_basis(name):
     packing = polynomials._Packing(action.dim, 6)
     for d in range(7):
         rows = [sorted((packing.unpack(k), x) for k, x in row.items())
-                for row in invariant_basis(action, d, packing)]
+                for row in invariant_basis(action, d, packing, _substitutions(action, packing))]
         expected = [sorted(p.terms.items()) for p in _multipoly_invariant_basis(action, d)]
         assert rows == expected
         assert repr(rows) == repr(expected)
@@ -1485,9 +1581,9 @@ def test_hp0_dims_packs_once_and_builds_no_multipoly(name, monkeypatch):
         built.append("MultiPoly._raw")
         return raw(cls, nvars, terms)
 
-    def counted(action, degree, packing):
+    def counted(action, degree, packing, substitutions):
         nullspace.append(degree)
-        return original(action, degree, packing)
+        return original(action, degree, packing, substitutions)
 
     monkeypatch.setattr(polynomials._Packing, "__init__", counted_packing)
     monkeypatch.setattr(MultiPoly, "__init__", counted_init)

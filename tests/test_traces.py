@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from euclid_oracle import Reduced, poly_gcd
-from morita import cli, exact, partitions, traces
+from morita import classify, cli, exact, partitions, traces
 from morita.classify import KTheoryVector, build_f, hook_matrix
 from morita.exact import (PartialFraction, Poly, RationalFunction,
                           partial_fractions, rational_roots)
@@ -69,6 +69,42 @@ def test_content_memo_stays_bounded():
     assert 0 < len(traces._content_memo) <= traces._CONTENT_MEMO_SIZE
     assert sum(map(len, map(enumerate_partitions, range(2, 31)))) > traces._CONTENT_MEMO_SIZE
     traces._content_memo.clear()
+
+
+class _CountingMemo(dict):
+    """The content memo, counting the shapes looked up in it: one per
+    call, and one per cell walked back."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("check, max_n", [("triangularity", 30), ("routes", 12)])
+def test_verify_walks_one_cell_per_new_shape(check, max_n, monkeypatch):
+    # a verify check asks for the shapes of n after those of n - 1, so
+    # every new shape finds its parent memoised, or one row long and read
+    # from f_trivial: (n-1, 1) used to walk back all n cells to the empty
+    # shape (870 steps for the 435 shapes of triangularity through 30)
+    memo, calls = _CountingMemo(), []
+
+    def counted(lam):
+        calls.append(lam)
+        return content_polynomial(lam)
+
+    monkeypatch.setattr(traces, "_content_memo", memo)
+    monkeypatch.setattr(traces, "content_polynomial", counted)
+    monkeypatch.setattr(classify, "content_polynomial", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["verify", check, "--max-n", str(max_n)]) == 0
+    assert len(memo) == len(set(calls)) < traces._CONTENT_MEMO_SIZE
+    assert memo.lookups - len(calls) == len(memo)
+    if check == "triangularity":
+        assert len(memo) == 435
 
 
 _NO_ROOTS_ON_THE_CONTENT_PATH = """
