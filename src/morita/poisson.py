@@ -8,32 +8,49 @@ their basis is built from products of lower-degree invariants: the
 products g b of each generator g with the basis of degree d - deg g go
 into an incremental echelon, which stops once its rank is that count.
 Only in degrees where the products fall short (new generators exist,
-and never above |G|, by Noether's bound) is the basis the common fixed
-space of the generators on the degree-d monomials, the nullspace of the
-stacked Sym^d(g) - I, whose rows join the same echelon to reach that
-count; the basis is its pivot rows.  Bracket spans are measured by
-exact rank on invariant coordinates, and the graded dimensions of the
-quotient of invariants by brackets are cross-checked against the dual
-picture: a polynomial P of degree n pairs with the quotient iff sum
-over g of (u, g v) P(u + g v) vanishes identically in u, v.
-The Reynolds operator (the group average) lives in the tests, as the
-reference the invariant bases are compared against.
+and never above |G|, by Noether's bound) do fixed spaces of the
+generators, nullspaces of the stacked Sym^d(g) - I, join the same
+echelon to reach that count; the basis is its pivot rows.
+
+When every generator is M = diag(g_h, g_y) on the two halves x, y of
+the coordinates (h and h*), the invariants of h alone, a nullspace over
+the h-monomials only, come first, and then their polarizations.  Let N
+be the block matrix [[0, B], [0, 0]] and D p(x) = (N x) . grad p(x),
+which is E_B = sum over i, l of B[i][l] y_l d/dx_i.  As
+grad (p o M)(x) = M^T (grad p)(M x),
+    D(p o M)(x) = (M N x) . (grad p)(M x),
+    ((D p) o M)(x) = (N M x) . (grad p)(M x),
+and the two agree for every p exactly when M N = N M, that is
+g_h B = B g_y.  So
+each such B gives a derivation that maps invariants to invariants, in
+the same degree.  By Weyl (multisymmetric functions) polarization
+generates the invariants of S_n, and by Hunziker those of type B and
+of the dihedral groups, not of type D; the nullspace over every
+monomial runs only where the count is still short.
+
+Bracket spans are measured by exact rank on invariant coordinates, and
+the graded dimensions of the quotient of invariants by brackets are
+cross-checked against the dual picture: a polynomial P of degree n
+pairs with the quotient iff sum over g of (u, g v) P(u + g v) vanishes
+identically in u, v.  The Reynolds operator (the group average) lives
+in the tests, as the reference the invariant bases are compared
+against.
 
 Every substitution x -> M x goes through one kernel, `_Substitution`,
 on packed exponents (`polynomials._Packing`), where multiplying
 monomials adds ints: the image of x^e is the image of x^(e - e_i),
 taken from the degree below, times the linear form of row i of M.  An
 action is a plain value and keeps no images.  The bases of a run keep
-one substitution per generator, and each fallback degree grows its
-invariance rows' images from those the degree before built, so every
-image is built once per run.  An `hp0_dims` run packs on one packing:
-the invariance rows and the nullspace rows of each fallback degree, the
-bases, their products and brackets, and with a dual check the brackets
-of the dual.  No `MultiPoly` is built.  A bracket span takes the
-gradients of the basis rows it pairs from their packed terms and drops
-them when it returns; a dual check takes each basis row's and each
-degree's monomials' gradients once (`_Gradients`).  Every bracket sums
--J^-1[a][b] d_a p d_b q straight into one term map.
+one substitution per generator, and each nullspace grows its invariance
+rows' images from those the one before built, so every image is built
+once per run.  An `hp0_dims` run packs on one packing: the invariance
+rows and the nullspace rows of each fallback degree, the
+polarizations, the bases, their products and brackets, and with a dual
+check the brackets of the dual.  No `MultiPoly` is built.  A bracket
+span takes the gradients of the basis rows it pairs from their packed
+terms and drops them when it returns; a dual check takes each basis
+row's and each degree's monomials' gradients once (`_Gradients`).
+Every bracket sums -J^-1[a][b] d_a p d_b q straight into one term map.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
@@ -66,8 +83,10 @@ import math
 
 from . import linalg
 from .exact import OutOfRange, _check_degree, rational
+# no code here uses MultiPoly: bench/spans.py traces MultiPoly.substitute
+# through this module
 from .polynomials import (MultiPoly, ShapeMismatch, _Packing, _Substitution,
-                          _add_packed_product, _add_product, _exact_nonzero, monomials)
+                          _add_packed_product, monomials)
 
 
 class NotSymplectic(ValueError):
@@ -225,18 +244,6 @@ def symmetric_group_action(n):
     return close_group(big, standard_form(d), cap=math.factorial(n) + 1)
 
 
-def bracket(p, q, form):
-    """Poisson bracket of the symplectic form: constant bivector -J^{-1},
-    normalized so that {x_i, x_{d+i}} = 1 for the standard block form."""
-    dp, dq = ([f.diff(a).terms for a in range(f.nvars)] for f in (p, q))
-    terms = {}
-    for a, row in enumerate(linalg.invert(form)):
-        for b, x in enumerate(row):
-            if x:
-                _add_product(terms, dp[a], dq[b], -x)
-    return MultiPoly._raw(p.nvars, _exact_nonzero(terms))
-
-
 def _bivector(j_inv):
     """The nonzero entries (a, b, -J^-1[a][b]) of the bracket's bivector."""
     return [(a, b, -x) for a, row in enumerate(j_inv) for b, x in enumerate(row) if x]
@@ -303,6 +310,13 @@ def _invariance_rows(action, packing, packed, substitutions):
     return rows
 
 
+def _fixed_rows(action, packing, packed, substitutions):
+    """The nullspace of `_invariance_rows` over the monomials `packed`:
+    primitive integer rows, as maps packed monomial -> entry."""
+    rows = _invariance_rows(action, packing, packed, substitutions)
+    return [{packed[c]: x for c, x in v.items()} for v in linalg.nullspace(rows, len(packed))]
+
+
 def invariant_basis(action, degree, packing, substitutions):
     """A basis of the degree-d invariants, the common fixed space of the
     generators on the degree-d monomials: primitive integer rows, as maps
@@ -310,8 +324,77 @@ def invariant_basis(action, degree, packing, substitutions):
     `substitutions` are those of `_invariance_rows`."""
     _check_degree(degree)
     packed = [packing.pack(e) for e in monomials(action.dim, degree)]
-    rows = _invariance_rows(action, packing, packed, substitutions)
-    return [{packed[c]: x for c, x in v.items()} for v in linalg.nullspace(rows, len(packed))]
+    return _fixed_rows(action, packing, packed, substitutions)
+
+
+def _polarizations(action, packing):
+    """The derivations E_B = sum over i, l of B[i][l] y_l d/dx_i (x the
+    first half of the coordinates, y the second), for B in a basis of
+    the solutions of g_h B = B g_y over the generators g = diag(g_h, g_y)
+    (module docstring), each as one (shift, unit, [(unit of y_l,
+    B[i][l]), ...]) per nonzero row i of B, where shift and unit are
+    those of x_i on `packing`; None when a generator is not block
+    diagonal."""
+    r = action.dim // 2
+    rows = []  # unknown B[i][l] in column i * r + l
+    for g in action.generators:
+        if any(x for row in g[:r] for x in row[r:]) or any(x for row in g[r:] for x in row[:r]):
+            return None
+        for i in range(r):
+            for m in range(r):  # entry (i, m) of g_h B - B g_y
+                row = {}
+                for t in range(r):
+                    row[t * r + m] = row.get(t * r + m, 0) + g[i][t]
+                    row[i * r + t] = row.get(i * r + t, 0) - g[r + t][r + m]
+                rows.append(row)
+    derivations = []
+    for b in linalg.nullspace(rows, r * r):
+        forms = [[] for _ in range(r)]
+        for c, x in sorted(b.items()):
+            forms[c // r].append((packing.units[r + c % r], x))
+        derivations.append([(packing.shifts[i], packing.units[i], form)
+                            for i, form in enumerate(forms) if form])
+    return derivations
+
+
+def _polarize(terms, derivation, mask):
+    """E_B of the packed terms `terms`, for one derivation of
+    `_polarizations` on a packing with field `mask`: unnormalised."""
+    out = {}
+    get = out.get
+    for shift, unit, form in derivation:
+        for k, c in terms.items():
+            e = k >> shift & mask
+            if e:
+                k -= unit
+                c *= e
+                for v, x in form:
+                    out[k + v] = get(k + v, 0) + c * x
+    return out
+
+
+def _h_block_generators(action, degree, packing, substitutions, derivations, echelon, size):
+    """The new generators of degree d that the h block and polarization
+    give, each the pivot row it raised `echelon` by; the echelon is left
+    at rank `size` or short of it.
+
+    The invariants of the first half of the coordinates alone (h, which
+    block-diagonal generators keep closed; `pack` reads the first half of
+    a full exponent) are the nullspace of their invariance rows, on the
+    run's packing and substitutions, and go into the echelon first.
+    Each row that raises its rank joins the generators as the new pivot
+    row, and that pivot's images under every derivation of
+    `_polarizations` are queued behind the rows still to come."""
+    packed = [packing.pack(e) for e in monomials(action.dim // 2, degree)]
+    queue = _fixed_rows(action, packing, packed, substitutions)
+    new = []
+    for row in queue:  # `queue` grows while it is read
+        if echelon.add(row):  # which put its new pivot row last
+            new.append(next(reversed(echelon.pivots.values())))
+            if echelon.rank == size:
+                break
+            queue += [_polarize(new[-1], b, packing.mask) for b in derivations]
+    return new
 
 
 def _invariant_bases(action, top):
@@ -322,13 +405,16 @@ def _invariant_bases(action, top):
     of each generator g (an invariant that the products of its degree
     could not build) with each b in the basis of degree d - deg g go one
     at a time into an echelon, which stops once its rank is the Molien
-    count.  Where they fall short the rows of the nullspace basis,
-    `invariant_basis` on the same packing and the run's one
-    `_Substitution` per group generator, go into the same echelon, which
-    must then reach the count, and those that raise its rank join the
-    generators.  A degree whose count is 0 takes no work."""
+    count.  Where they fall short and every group generator is block
+    diagonal, the h block and its polarizations follow
+    (`_h_block_generators`).  Where the count is still short the rows of
+    the nullspace basis, `invariant_basis` on the same packing and the
+    run's one `_Substitution` per group generator, go into the same
+    echelon, which must then reach the count, and those that raise its
+    rank join the generators.  A degree whose count is 0 takes no work."""
     packing = _Packing(action.dim, top)
     substitutions = [_Substitution(g, packing) for g in action.generators]
+    derivations = _polarizations(action, packing)
     bases = [[{0: 1}]]
     generators = []  # (degree, packed terms), by degree
     for d in range(1, top + 1):
@@ -340,6 +426,9 @@ def _invariant_bases(action, top):
             for row in products:
                 if echelon.add(row) and echelon.rank == size:
                     break
+        if echelon.rank < size and derivations is not None:
+            generators += [(d, row) for row in _h_block_generators(
+                action, d, packing, substitutions, derivations, echelon, size)]
         if echelon.rank < size:
             generators += [(d, row) for row in
                            invariant_basis(action, d, packing, substitutions)

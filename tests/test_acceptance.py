@@ -6,6 +6,7 @@ to see the lines as they go by.
 import math
 import random
 
+from bracket_oracle import bracket
 from morita import linalg
 from morita.classify import (KTheoryVector, Rejection, Relation,
                              derive_relation, hook_matrix,
@@ -13,7 +14,7 @@ from morita.classify import (KTheoryVector, Rejection, Relation,
                              recombination_failures, search_relations)
 from morita.exact import Poly, RationalFunction, partial_fractions, rational_roots
 from morita.partitions import Partition, enumerate_partitions, gamma_star, kostka
-from morita.poisson import (MultiPoly, bracket, close_group, duality_check,
+from morita.poisson import (MultiPoly, close_group, duality_check,
                             functional_solutions_dim, hp0_dims,
                             standard_form, _is_symplectic)
 from morita.traces import (_a_via_conjugate_content, _a_via_partial_fractions,

@@ -12,12 +12,13 @@ import pytest
 
 import dual_oracle
 import morita
+from bracket_oracle import bracket
 from dense_product import mat_mul, transpose
 from morita import linalg, poisson, polynomials
 from morita.cli import parse_group_file
 from morita.exact import quotient
 from morita.poisson import (MultiPoly, NotSymplectic, OrderCapExceeded,
-                            OutOfRange, ShapeMismatch, bracket,
+                            OutOfRange, ShapeMismatch,
                             bracket_span_dim, close_group, duality_check,
                             functional_solutions_dim, hp0_dims,
                             invariant_basis, monomials,
@@ -61,6 +62,44 @@ def s3():
 
 def s4():
     return symmetric_group_action(4)
+
+
+def _weyl(cartan):
+    """The Weyl group of the Cartan matrix a on h + h*, with
+    `standard_form(rank)`: the simple reflection s_i sends alpha_j to
+    alpha_j - a[i][j] alpha_i in the root basis (column j of s_i is that
+    image) and acts as diag(s_i, s_i^-T), where s_i^-T = s_i^T since
+    s_i^2 = I."""
+    r = len(cartan)
+    gens = []
+    for i in range(r):
+        s = [[int(k == j) - (k == i) * cartan[i][j] for j in range(r)] for k in range(r)]
+        gens.append([row + [0] * r for row in s] + [[0] * r + list(col) for col in zip(*s)])
+    return close_group(gens, standard_form(r))
+
+
+def _block_diagonal(action):
+    """Every generator is diag(g_h, g_y) on the two halves of the
+    coordinates."""
+    r = action.dim // 2
+    return all(g[i][j] == 0 for g in action.generators
+               for i in range(2 * r) for j in range(2 * r) if (i < r) != (j < r))
+
+
+def b2():
+    return _weyl([[2, -2], [-1, 2]])
+
+
+def g2():
+    return _weyl([[2, -1], [-3, 2]])
+
+
+def b3():
+    return _weyl([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+
+
+def d4():
+    return _weyl([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 
 
 def permutation_s3():
@@ -389,7 +428,9 @@ def test_one_basis_per_degree(monkeypatch):
     # something pairs with it (at cutoff 0, or with degree-1 invariants,
     # which only the trivial group has); the nullspace runs only in the
     # degrees where products of lower invariants fall short of the
-    # Molien count
+    # Molien count and, when every generator is block diagonal (S_3 and
+    # the trivial group, not Z/3 on C^2), so do the h block and its
+    # polarizations
     built, nullspace = [], []
     bases, original = poisson._invariant_bases, poisson.invariant_basis
 
@@ -408,9 +449,9 @@ def test_one_basis_per_degree(monkeypatch):
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     reports = []
     for action, cutoff, top, fallback in ((order_three(), 6, False, [2, 3]),
-                                          (s3(), 3, False, [2, 3]),
-                                          (trivial(), 3, True, [1]),
-                                          (trivial(), 0, True, [1]),
+                                          (s3(), 3, False, []),
+                                          (trivial(), 3, True, []),
+                                          (trivial(), 0, True, []),
                                           (order_three(), 0, True, [])):
         built.clear()
         nullspace.clear()
@@ -605,10 +646,10 @@ def _full_functional_matrix(action, degree):
         pair = _pairing_poly(action, g).terms
         for col, e in zip(columns, p_monos):
             img = MultiPoly.monomial(2 * d, e + (0,) * d).substitute(shift)
-            poisson._add_product(col, pair, img.terms)
+            polynomials._add_product(col, pair, img.terms)
     rows = {}
     for c, col in enumerate(columns):
-        for e, x in poisson._exact_nonzero(col).items():
+        for e, x in polynomials._exact_nonzero(col).items():
             rows.setdefault(e, {})[c] = x
     return {e: rows[e] for e in sorted(rows)}, p_monos
 
@@ -783,28 +824,59 @@ def _recorded_substitutions(monkeypatch):
     return subs
 
 
-def test_dual_check_builds_each_image_once(monkeypatch, capsys):
-    # one `hp0 --dual-check` builds its bases once, through cutoff + 1,
-    # for hp0 and the dual alike, and each substitution builds every
-    # monomial image once.  The run keeps one substitution per generator,
-    # and the nullspace bases of degrees 2 and 3 (`invariant_basis`)
-    # build its images of degrees 1..3 once between them.  The dual adds
-    # no substitution: no group element's, and not one of J^-1 either,
-    # which the brackets of its rows absorb (poisson's module docstring)
-    from morita.cli import run
-    subs = _recorded_substitutions(monkeypatch)
-    nullspace, tops = [], []
-    original, bases = poisson.invariant_basis, poisson._invariant_bases
+def _fallback_degrees(monkeypatch):
+    """Record the degree of every call of the nullspace fallback."""
+    nullspace = []
+    original = poisson.invariant_basis
 
     def counted(action, degree, packing, substitutions):
         nullspace.append(degree)
         return original(action, degree, packing, substitutions)
 
+    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    return nullspace
+
+
+def _h_block_calls(monkeypatch):
+    """Record, per call of the h block and its polarizations, its degree
+    and the number of new generators it gave."""
+    calls = []
+    original = poisson._h_block_generators
+
+    def counted(action, degree, *args):
+        rows = original(action, degree, *args)
+        calls.append((degree, len(rows)))
+        return rows
+
+    monkeypatch.setattr(poisson, "_h_block_generators", counted)
+    return calls
+
+
+def _h_climb(action, top):
+    """The exponents of the monomials of degrees 1..top in the first half
+    of the coordinates (h), sorted."""
+    half = action.dim // 2
+    return sorted(e + (0,) * half for d in range(1, top + 1) for e in monomials(half, d))
+
+
+def test_dual_check_builds_each_image_once(monkeypatch, capsys):
+    # one `hp0 --dual-check` builds its bases once, through cutoff + 1,
+    # for hp0 and the dual alike, and each substitution builds every
+    # monomial image once.  The run keeps one substitution per generator,
+    # and the h-block bases of degrees 2 and 3 (`_h_block_generators`)
+    # build its images of the h-monomials of degrees 1..3 once between
+    # them; the nullspace over every monomial never runs.  The dual adds
+    # no substitution: no group element's, and not one of J^-1 either,
+    # which the brackets of its rows absorb (poisson's module docstring)
+    from morita.cli import run
+    subs = _recorded_substitutions(monkeypatch)
+    nullspace, h_block, tops = _fallback_degrees(monkeypatch), _h_block_calls(monkeypatch), []
+    bases = poisson._invariant_bases
+
     def counted_bases(action, top):
         tops.append(top)
         return bases(action, top)
 
-    monkeypatch.setattr(poisson, "invariant_basis", counted)
     monkeypatch.setattr(poisson, "_invariant_bases", counted_bases)
     group = os.path.join(os.path.dirname(__file__), "golden", "s3.json")
     cutoff = 3
@@ -812,13 +884,9 @@ def test_dual_check_builds_each_image_once(monkeypatch, capsys):
                 "--dual-check"]) == 1  # the known S_3 dual mismatch
     capsys.readouterr()
     action = s3()
-
-    def climb(top):
-        return sorted(set().union(*(monomials(action.dim, d) for d in range(1, top + 1))))
-
     assert tops == [cutoff + 1]
-    assert nullspace == [2, 3]
-    expected = sorted((g, climb(max(nullspace))) for g in action.generators)
+    assert nullspace == [] and [d for d, _ in h_block] == [2, 3]
+    expected = sorted((g, _h_climb(action, 3)) for g in action.generators)
     assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) == expected
     assert all(len(set(built)) == len(built) for _, _, built in subs.values())
 
@@ -864,7 +932,28 @@ AFLS_CASES = {
     "z6": (order_six, 10, 5),
     "s3": (s3, 8, 1),
     "s4": (s4, 5, 1),
+    "b2": (b2, 8, 2),
+    "g2": (g2, 8, 3),
+    "b3": (b3, 8, 3),
+    "d4": (d4, 8, 3),
 }
+
+
+def _oracle_cutoff(name):
+    """The cutoff at which the oracles that build a nullspace basis over
+    every monomial, or a full-rank span, in every degree read the AFLS
+    case `name`.  D_4 (order 192 on C^8) is read through 5, its bases
+    through its last fallback degree 6: through 8 each such oracle took
+    70 s or more."""
+    return min(AFLS_CASES[name][1], 5) if name == "d4" else AFLS_CASES[name][1]
+
+
+def _dual_top(name, top):
+    """The degree through which the dual oracles (orbit sums, the full
+    functional matrix, the count over invariant P) read the AFLS case
+    `name`, at most `top`: they sum over the group, and through 4 took
+    13 s on B_3 and minutes on D_4."""
+    return min(top, {"b3": 3, "d4": 2}.get(name, top))
 
 
 @pytest.mark.parametrize("name", sorted(AFLS_CASES))
@@ -946,7 +1035,7 @@ def test_change_of_basis_draws_both_paths():
 
 @pytest.mark.parametrize("name", sorted(AFLS_CASES))
 def test_hp0_invariant_under_change_of_basis(name):
-    cutoff = AFLS_CASES[name][1]
+    cutoff = _oracle_cutoff(name)
     action, moved, p_inv = _conjugated(name)
     assert moved.order == action.order
     # the bivector J^-1 changes as P^-1 J^-1 P^-T
@@ -955,7 +1044,7 @@ def test_hp0_invariant_under_change_of_basis(name):
     assert [moved.molien(d) for d in range(cutoff + 1)] \
         == [action.molien(d) for d in range(cutoff + 1)]
     assert hp0_dims(moved, cutoff).dims == hp0_dims(action, cutoff).dims
-    for n in range(min(cutoff, 3 if name == "s4" else 4) + 1):
+    for n in range(min(cutoff, _dual_top(name, 3 if name == "s4" else 4)) + 1):
         assert _invariant_solutions_dim(moved, n) == _invariant_solutions_dim(action, n)
 
 
@@ -987,7 +1076,7 @@ def _fractional_form():
 
 
 BRACKET_SPAN_CASES = dict(
-    [("afls_" + name, case[:2]) for name, case in AFLS_CASES.items()]
+    [("afls_" + name, (case[0], _oracle_cutoff(name))) for name, case in AFLS_CASES.items()]
     + [("molien_" + name, (case[0], 6)) for name, case in MOLIEN_ACTIONS.items()]
     + [("trivial", (trivial, 4)), ("permutation_s3", (permutation_s3, 5)),
        ("fractional_file", (_conjugated_s3, 4)), ("fractional_form", (_fractional_form, 6))])
@@ -1026,7 +1115,7 @@ def _golden_action(name):
 
 
 KEYED_BRACKET_CASES = dict(
-    [("afls_" + name, case[:2]) for name, case in AFLS_CASES.items()]
+    [("afls_" + name, (case[0], _oracle_cutoff(name))) for name, case in AFLS_CASES.items()]
     + [("golden_" + name, (lambda name=name: _golden_action(name + ".json"), top))
        for name, top in (("s3", 8), ("s4", 6), ("s5", 5))]
     + [("fractional_form", (_fractional_form, 6))])
@@ -1092,23 +1181,39 @@ def test_dual_check_takes_each_gradient_once(monkeypatch):
 
 
 def test_each_image_built_once_per_run(monkeypatch):
-    # the run keeps one substitution per generator: each nullspace basis
-    # grows its images from those of the degree before, so no image of a
-    # lower degree is built twice (each fallback degree of S_5 through 8
-    # used to build its generators' images again from degree 1)
+    # the run keeps one substitution per generator: each basis of the h
+    # block, and each nullspace basis, grows its images from those of the
+    # degree before, so no image of a lower degree is built twice (each
+    # fallback degree of S_5 through 8 used to build its generators'
+    # images again from degree 1).  S_5 takes new generators from the h
+    # block in degrees 2..5 and the nullspace never; Z/6 on C^2 has no
+    # blocks and takes the nullspace in several degrees; D_4 takes the h
+    # block in degrees 2, 4 and 6 and then the nullspace in degree 6,
+    # whose images reach no lower h-monomial (each image is grown by its
+    # first variable, so a monomial with a y has only such below it)
     subs = _recorded_substitutions(monkeypatch)
-    nullspace = []
-    original = poisson.invariant_basis
-
-    def counted(action, degree, packing, substitutions):
-        nullspace.append(degree)
-        return original(action, degree, packing, substitutions)
-
-    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    nullspace, h_block = _fallback_degrees(monkeypatch), _h_block_calls(monkeypatch)
     action = symmetric_group_action(5)
     hp0_dims(action, 8)
-    assert nullspace == [2, 3, 4, 5]
-    climb = sorted(set().union(*(monomials(action.dim, d) for d in range(1, 6))))
+    assert nullspace == [] and [d for d, _ in h_block] == [2, 3, 4, 5]
+    assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) \
+        == sorted((g, _h_climb(action, 5)) for g in action.generators)
+    assert all(len(set(built)) == len(built) for _, _, built in subs.values())
+    subs.clear()
+    action = order_six()
+    hp0_dims(action, 10)
+    assert len(nullspace) > 1
+    climb = sorted(set().union(*(monomials(action.dim, d) for d in range(1, max(nullspace) + 1))))
+    assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) \
+        == sorted((g, climb) for g in action.generators)
+    assert all(len(set(built)) == len(built) for _, _, built in subs.values())
+    subs.clear()
+    nullspace.clear()
+    h_block.clear()
+    action = d4()
+    poisson._invariant_bases(action, 6)
+    assert nullspace == [6] and [d for d, _ in h_block] == [2, 4, 6]
+    climb = sorted(set().union(*(monomials(action.dim, d) for d in range(1, 7))))
     assert sorted((matrix, sorted(built)) for matrix, _, built in subs.values()) \
         == sorted((g, climb) for g in action.generators)
     assert all(len(set(built)) == len(built) for _, _, built in subs.values())
@@ -1150,7 +1255,7 @@ def _full_solutions_dim(action, degree, invariant_only=False):
     return len(p_monos) - _rank(rows)
 
 
-DUAL_CASES = dict([(name, (case[0], 3 if name == "s4" else 4))
+DUAL_CASES = dict([(name, (case[0], _dual_top(name, 3 if name == "s4" else 4)))
                    for name, case in AFLS_CASES.items()]
                   + [("fractional_file", (_conjugated_s3, 4)),
                      ("fractional_form", (_fractional_form, 4))])
@@ -1202,7 +1307,7 @@ def test_dual_matches_orbit_sums(name):
     # basis: the s3 and s4 draws have forms with J^2 != -I, where J^-1 is
     # not -J and its place in the brackets shows
     action, moved, _ = _conjugated(name)
-    degrees = range(min(AFLS_CASES[name][1], 4) + 1)
+    degrees = range(min(AFLS_CASES[name][1], _dual_top(name, 4)) + 1)
     _assert_dual_matches_orbit_sums(action, degrees)
     _assert_dual_matches_orbit_sums(moved, degrees)
 
@@ -1237,7 +1342,7 @@ def test_molien_count_matches_oracle(name):
 def test_molien_count_is_the_nullspace_size(name):
     # in every degree the tests build a nullspace basis in
     make, top = (MOLIEN_ACTIONS[name][0], 6) if name in MOLIEN_ACTIONS \
-        else (AFLS_CASES[name][0], AFLS_CASES[name][1] + 1)
+        else (AFLS_CASES[name][0], _oracle_cutoff(name) + 1)
     action = make()
     assert [action.molien(d) for d in range(top + 1)] \
         == [len(_basis(action, d)) for d in range(top + 1)]
@@ -1426,26 +1531,21 @@ def _nullspace_hp0_dims(action, cutoff):
 
 @pytest.mark.parametrize("name", sorted(AFLS_CASES))
 def test_hp0_dims_match_the_nullspace_bases(name):
-    make, cutoff, _ = AFLS_CASES[name]
+    make, cutoff = AFLS_CASES[name][0], _oracle_cutoff(name)
     assert hp0_dims(make(), cutoff).dims == _nullspace_hp0_dims(make(), cutoff)
 
 
 @pytest.mark.parametrize("name", sorted(AFLS_CASES))
 def test_new_generators_only_up_to_the_noether_bound(name, monkeypatch):
     # past |G| the products of lower invariants span each degree
-    # (Noether; Fleischmann, Fogarty), so the nullspace never runs there
+    # (Noether; Fleischmann, Fogarty), so no new generator comes there,
+    # from the h block or from the nullspace
     make, cutoff, _ = AFLS_CASES[name]
     action = make()
-    nullspace = []
-    original = poisson.invariant_basis
-
-    def counted(action, degree, packing, substitutions):
-        nullspace.append(degree)
-        return original(action, degree, packing, substitutions)
-
-    monkeypatch.setattr(poisson, "invariant_basis", counted)
+    nullspace, h_block = _fallback_degrees(monkeypatch), _h_block_calls(monkeypatch)
     hp0_dims(action, cutoff)
-    assert nullspace and max(nullspace) <= action.order
+    new = nullspace + [d for d, count in h_block if count]
+    assert new and max(new) <= action.order
 
 
 def test_molien_mismatch_is_an_internal_error(monkeypatch, capsys):
@@ -1562,7 +1662,8 @@ def test_packed_basis_matches_the_multipoly_basis(name):
 @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
 def test_hp0_dims_packs_once_and_builds_no_multipoly(name, monkeypatch):
     # one hp0_dims call, nullspace fallbacks included, constructs one
-    # `_Packing` and no `MultiPoly`
+    # `_Packing` and no `MultiPoly`; every group here whose generators
+    # are not all block diagonal takes the nullspace fallback
     action = FALLBACK_CASES[name]()
     cutoff = AFLS_CASES[name][1] if name in AFLS_CASES else 6
     built, nullspace = [], []
@@ -1591,4 +1692,103 @@ def test_hp0_dims_packs_once_and_builds_no_multipoly(name, monkeypatch):
     monkeypatch.setattr(poisson, "invariant_basis", counted)
     hp0_dims(action, cutoff)
     assert built == ["_Packing"]
-    assert nullspace
+    assert nullspace or _block_diagonal(action)
+
+
+def _bases_before_polarization(action, top):
+    """`poisson._invariant_bases` as it was before the h block and its
+    polarizations, kept as the oracle: products of the generators with
+    the lower bases, then the nullspace over every monomial wherever they
+    fall short of the Molien count."""
+    packing = polynomials._Packing(action.dim, top)
+    substitutions = _substitutions(action, packing)
+    bases = [[{0: 1}]]
+    generators = []
+    for d in range(1, top + 1):
+        size = action.molien(d)
+        echelon = linalg.Echelon()
+        if size:
+            products = (polynomials._add_packed_product({}, g, b)
+                        for k, g in generators for b in bases[d - k])
+            for row in products:
+                if echelon.add(row) and echelon.rank == size:
+                    break
+        if echelon.rank < size:
+            generators += [(d, row) for row in
+                           invariant_basis(action, d, packing, substitutions)
+                           if echelon.add(row)]
+        assert echelon.rank == size
+        bases.append(list(echelon.pivots.values()))
+    return packing, bases
+
+
+def _s7():
+    return symmetric_group_action(7)
+
+
+# group and the top degree of the bases: every AFLS group (the Weyl
+# groups among them) through cutoff + 1, the groups with two
+# polarizations (permutation_s3: h = C^3 is reducible), none (the
+# trivial group, every coordinate its own block) or Fraction generators
+# (fractional_file, conjugated by a block-diagonal matrix), and S_6
+POLARIZED_SPAN_CASES = dict(
+    [(name, (case[0], case[1] + 1)) for name, case in AFLS_CASES.items()]
+    + [("trivial", (trivial, 4)), ("permutation_s3", (permutation_s3, 6)),
+       ("fractional_file", (_conjugated_s3, 6)), ("fractional_form", (_fractional_form, 6)),
+       ("s6", (_s6, 7))])
+
+
+@pytest.mark.parametrize("name", sorted(POLARIZED_SPAN_CASES))
+def test_polarized_bases_span_the_fallback_bases(name):
+    # degree by degree, the bases built from the h block and its
+    # polarizations span what the bases before them spanned: the rank of
+    # the union is the size of each
+    make, top = POLARIZED_SPAN_CASES[name]
+    action = make()
+    packing, bases = poisson._invariant_bases(action, top)
+    old_packing, old = _bases_before_polarization(action, top)
+    assert (packing.shifts, packing.mask) == (old_packing.shifts, old_packing.mask)
+    for d in range(top + 1):
+        assert len(bases[d]) == len(old[d]) == action.molien(d)
+        assert _rank(bases[d] + old[d]) == len(old[d])
+
+
+# group, top degree of the bases, and the degrees in which the nullspace
+# over every monomial runs: polarization generates the invariants of S_n
+# (Weyl), of type B and of the dihedral groups, G_2 among them
+# (Hunziker), but not of type D; Z/3 on C^2 has no blocks
+FULL_FALLBACK_CASES = {
+    "s3": (s3, 8, []), "s4": (s4, 6, []), "s5": (_s5, 6, []), "s6": (_s6, 6, []),
+    "s7": (_s7, 7, []), "b2": (b2, 8, []), "g2": (g2, 8, []), "b3": (b3, 8, []),
+    "d4": (d4, 8, [6]), "z3": (order_three, 6, [2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_FALLBACK_CASES))
+def test_full_fallback_only_where_polarization_falls_short(name, monkeypatch):
+    make, top, expected = FULL_FALLBACK_CASES[name]
+    nullspace = _fallback_degrees(monkeypatch)
+    poisson._invariant_bases(make(), top)
+    assert nullspace == expected
+
+
+def test_polarizations_of_block_diagonal_groups():
+    # g_h B = B g_y for every generator: one B for irreducible h (S_3,
+    # D_4, the trivial group on C^2), two for h = C^3 under S_3 (the
+    # identity and the all-ones matrix), and none for a group with a
+    # generator off the blocks.  Each E_B maps the invariants of every
+    # degree into themselves: an image adds nothing to the rank of the
+    # oracle's basis
+    for make, count in ((s3, 1), (d4, 1), (permutation_s3, 2), (trivial, 1)):
+        action = make()
+        packing, bases = _bases_before_polarization(action, 4)
+        derivations = poisson._polarizations(action, packing)
+        assert len(derivations) == count
+        for d in range(1, 5):
+            for row in bases[d]:
+                for derivation in derivations:
+                    image = poisson._polarize(row, derivation, packing.mask)
+                    assert _rank(bases[d] + [image]) == len(bases[d])
+    for make in (order_three, _fractional_form):
+        action = make()
+        assert poisson._polarizations(action, polynomials._Packing(action.dim, 2)) is None

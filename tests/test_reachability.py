@@ -67,7 +67,6 @@ EXEMPT = {
     "polynomials.MultiPoly.diff": ITEM_8,
     "polynomials._add_product": ITEM_8,
     "polynomials._Packing.unpack": ITEM_8,
-    "poisson.bracket": ITEM_8,
 }
 
 # Runs in the child: reads [argv, ...] on stdin, runs each through
