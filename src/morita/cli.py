@@ -16,6 +16,7 @@ indent of 2.
 import csv
 import io
 import json
+import os
 import re
 import sys
 import types
@@ -472,13 +473,23 @@ def run(argv):
     except ValueError as e:  # bad input
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: no program fault
+        return 1
     except Exception as e:  # anything else is a bug in the program
         print("internal error: %s" % e, file=sys.stderr)
         return 1
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    status = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at
+        # shutdown cannot fail again with "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ from functools import lru_cache
 
 from .exact import OutOfRange
 
+# entries per shape memo (_dimension, _strips, _ssyt_counts), the oldest
+# dropped first beyond it: n <= 24 has 7,337 shapes
+_MEMO_SIZE = 8192
+
 
 class WeightMismatch(ValueError):
     pass
@@ -91,29 +95,48 @@ def _conjugate_parts(parts):
     return tuple(conj)
 
 
-@lru_cache(maxsize=None)
+def _remember(memo, key, value, size):
+    # store value under key, dropping the oldest entry first beyond size
+    if len(memo) >= size:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+_dimension_memo = {}
+
+
 def _dimension(parts):
     # |lam|! over the product of the hook lengths, memoised per shape as
     # _strips is: the table's dim column, G and a read it for one shape
-    conj = _conjugate_parts(parts)
-    return math.factorial(sum(parts)) // math.prod(
-        row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row))
+    d = _dimension_memo.get(parts)
+    if d is None:
+        conj = _conjugate_parts(parts)
+        d = _remember(_dimension_memo, parts, math.factorial(sum(parts)) // math.prod(
+            row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row)),
+            _MEMO_SIZE)
+    return d
 
 
 def enumerate_partitions(n):
     """All partitions of n in descending lexicographic order."""
     if n < 1:
         raise OutOfRange("need n >= 1, got %d" % n)
-
-    def gen(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
-
-    return [Partition._from_parts(p) for p in gen(n, n)]
+    # each successor: take off the trailing 1s, lower the last part left
+    # to x, and refill the cells taken off with copies of x and a remainder
+    parts = [n]
+    found = [Partition._from_parts((n,))]
+    while parts[0] > 1:
+        ones = parts.count(1)
+        if ones:
+            del parts[-ones:]
+        x = parts.pop() - 1
+        copies, rest = divmod(ones + 1, x)
+        parts += [x] * (copies + 1)
+        if rest:
+            parts.append(rest)
+        found.append(Partition._from_parts(tuple(parts)))
+    return found
 
 
 def partition_count(n):
@@ -145,26 +168,53 @@ def hook_partition(n, m):
     return Partition._from_parts((m,) + (1,) * (n - m))
 
 
-@lru_cache(maxsize=None)
-def _ssyt_count(shape, k):
-    # number of SSYT of the given shape with entries <= k, that is
-    # s_shape(1^k), counted by peeling the horizontal strip of k's
-    # (the branching rule, Macdonald I.5)
-    if not shape:
-        return 1
-    if len(shape) > k:
-        return 0
-    return sum(_ssyt_count(inner, k - 1) for inner in _strips(shape))
+_count_memo = {}
 
 
-@lru_cache(maxsize=None)
+def _ssyt_counts(shape, top):
+    # [s_shape(1^j) for j = 0..top] at least, extended in place: the
+    # number of SSYT of the shape with entries <= j, counted by peeling
+    # the horizontal strip of j's (the branching rule, Macdonald I.5),
+    # s_shape(1^j) = s_shape(1^(j-1)) + the sum of s_inner(1^(j-1)) over
+    # the proper inner shapes, the empty strip giving the first term
+    counts = _count_memo.get(shape)
+    if counts is None:
+        counts = _remember(_count_memo, shape, [0 if shape else 1], _MEMO_SIZE)
+    elif len(counts) > top:
+        return counts
+    # no tableau fits in fewer letters than rows: nothing to peel there
+    counts += [0] * (min(len(shape), top + 1) - len(counts))
+    start = len(counts) - 1
+    if start < top:
+        if not shape:
+            counts += [1] * (top - start)
+            return counts
+        # shape itself is the last strip: every row at its top
+        inners = [_ssyt_counts(inner, top - 1)[start:top] for inner in _strips(shape)[:-1]]
+        total = counts[-1]
+        for column in zip(*inners):
+            total += sum(column)
+            counts.append(total)
+    return counts
+
+
+_strip_memo = {}
+
+
 def _strips(shape):
-    """Every partition inner <= shape with shape/inner a horizontal strip
-    (rows interlace: shape[i+1] <= inner[i] <= shape[i]), as a tuple
-    enumerated once per shape: _ssyt_count reads it once for every k."""
-    ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
-    return tuple(tuple(p for p in inner if p > 0)
-                 for inner in itertools.product(*ranges))
+    """Every partition inner <= shape of a nonempty shape with shape/inner
+    a horizontal strip (rows interlace: shape[i+1] <= inner[i] <= shape[i]),
+    in the order of one itertools.product over the row ranges, so shape
+    itself comes last, as a tuple enumerated once per shape: kostka and
+    _ssyt_counts read it.  Only the last row's range starts at 0, so only
+    the last part of an inner shape can be 0, and it is sliced off."""
+    strips = _strip_memo.get(shape)
+    if strips is None:
+        ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
+        strips = _remember(_strip_memo, shape, tuple([
+            inner if inner[-1] else inner[:-1] for inner in itertools.product(*ranges)]),
+            _MEMO_SIZE)
+    return strips
 
 
 def kostka(lam, sigma):
@@ -189,7 +239,8 @@ def kostka(lam, sigma):
 def _schur_strips(lam, ks):
     # [s_lam(1^k) for k in ks] as tableau counts: the reference route for
     # schur_eval_ones and for the Schur form of the a-coefficients
-    return [_ssyt_count(lam.parts, k) for k in ks]
+    counts = _ssyt_counts(lam.parts, max(ks, default=0))
+    return [counts[k] for k in ks]
 
 
 def schur_eval_ones(lam, k):

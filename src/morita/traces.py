@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 
 from .exact import Poly, RationalFunction, partial_fractions, quotient
-from .partitions import (OutOfRange, WeightMismatch, _schur_strips,
+from .partitions import (OutOfRange, WeightMismatch, _remember, _schur_strips,
                          enumerate_partitions, gamma_star)
 
 
@@ -71,10 +71,8 @@ def content_polynomial(lam):
             f = _content_memo.get(mu)
             if f is None and len(mu) == 1:
                 f = f_trivial(mu[0])
-        f = Poly(_times_factors([1] if f is None else list(f.coeffs), reversed(contents)))
-        if len(_content_memo) >= _CONTENT_MEMO_SIZE:
-            del _content_memo[next(iter(_content_memo))]
-        _content_memo[parts] = f
+        f = _remember(_content_memo, parts, Poly(_times_factors(
+            [1] if f is None else list(f.coeffs), reversed(contents))), _CONTENT_MEMO_SIZE)
     return f
 
 
@@ -127,10 +125,13 @@ def g_function(lam, n):
 def _a_via_partial_fractions(lam, n):
     # the definition dim * (F_triv - F_lam) / F_triv, left unreduced and
     # expanded at the poles 0..-(n-1) of F_triv, distinct by construction;
-    # the pole at 0 has residue 0 because F(0) = 0 for every lam
+    # the pole at 0 has residue 0 because F(0) = 0 for every lam; the
+    # numerator is summed as one coefficient list
     _check_nontrivial(lam, n)
-    pf = partial_fractions(lam.dimension() * (f_trivial(n) - content_polynomial(lam)),
-                           range(0, -n, -1))
+    d = lam.dimension()
+    num = Poly([d * (p - q) for p, q in zip(f_trivial(n).coeffs,
+                                            content_polynomial(lam).coeffs)])
+    pf = partial_fractions(num, range(0, -n, -1))
     return [pf.residues[-k] for k in range(1, n)]
 
 
@@ -146,7 +147,9 @@ def _a_via_conjugate_content(lam, n):
 
 def _a_via_schur(lam, n):
     # (-1)^(n-k-1) * n * binom(n-1, k) * s_{lam'}(1^k), with s counted as
-    # tableaux: the hook-content product is the conjugate-content form rewritten
+    # tableaux, every k from the one list of counts kept for lam' (no Kostka
+    # number, no hook-content product: that is the conjugate-content form
+    # rewritten)
     ks = range(1, n)
     return [(-1) ** (n - k - 1) * n * math.comb(n - 1, k) * s
             for k, s in zip(ks, _schur_strips(lam.conjugate(), ks))]

@@ -697,6 +697,27 @@ def test_hp0_group_file_not_plain_utf8_exit_two(tmp_path, capsys, encode):
     assert captured.err.startswith("error: cannot read group file")
 
 
+def test_closed_stdout_is_not_an_internal_error():
+    # `morita traces --n 14 | head -c 10`: the report (147 KB) outgrows the
+    # pipe, so the write fails once the reader has gone; exit 1 with
+    # nothing on stderr, neither "internal error" nor "Exception ignored"
+    src = os.path.abspath(os.path.join(_GOLDEN, os.pardir, os.pardir, "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "morita.cli", "traces", "--n", "14"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
 def test_hp0_reads_the_group_file_with_no_default_encoding():
     # a fresh interpreter where an open() that falls back on the locale's
     # encoding is an error: the golden S_3 request still gives its bytes

@@ -100,19 +100,28 @@ def test_dimension_conjugation_invariant():
             assert lam.dimension() == lam.conjugate().dimension()
 
 
-def test_trace_table_reads_each_dimension_once():
+def test_trace_table_reads_each_dimension_once(monkeypatch):
     # the dimension is memoised per shape: the table's dim column, its G
     # and its a-coefficients compute the hooks of each shape once between
     # them, so the memo misses once per row
-    partitions._dimension.cache_clear()
+    dimension = partitions._dimension
+    calls = []
+
+    def counted(parts):
+        calls.append(parts)
+        return dimension(parts)
+
+    monkeypatch.setattr(partitions, "_dimension", counted)
+    partitions._dimension_memo.clear()
     traces._a_coefficients_cached.cache_clear()
     try:
         rows = traces.trace_table(10)
-        info = partitions._dimension.cache_info()
+        misses = len(partitions._dimension_memo)
+        hits = len(calls) - misses
     finally:
         traces._a_coefficients_cached.cache_clear()
     assert len(rows) == len(enumerate_partitions(10)) - 1
-    assert info.misses == len(rows) and info.hits >= len(rows)
+    assert misses == len(rows) and hits >= len(rows)
 
 
 def _conjugate_by_columns(parts):
@@ -183,6 +192,85 @@ def _recursive_strips(shape, size):
         yield tuple(p for p in inner if p > 0)
 
 
+def _filtered_strips(shape):
+    """The strip enumerator the sliced one replaced, kept as its oracle:
+    one itertools.product over the row ranges, with the zeros filtered
+    out of every inner shape."""
+    ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
+    return tuple(tuple(p for p in inner if p > 0) for inner in itertools.product(*ranges))
+
+
+def _recursive_partitions(n):
+    """The nested generators the successor loop of enumerate_partitions
+    replaced, kept as its oracle."""
+    def gen(rest, cap):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, cap), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
+
+    return list(gen(n, n))
+
+
+def _ssyt_count(shape, k, memo):
+    """The per-(shape, k) recursion that the per-shape lists of
+    _ssyt_counts replaced, kept as its oracle: s_shape(1^k) as the sum of
+    s_inner(1^(k-1)) over the horizontal strips of k's."""
+    if not shape:
+        return 1
+    if len(shape) > k:
+        return 0
+    if (shape, k) not in memo:
+        memo[shape, k] = sum(_ssyt_count(inner, k - 1, memo)
+                             for inner in _filtered_strips(shape))
+    return memo[shape, k]
+
+
+def test_enumerate_partitions_matches_recursive_oracle():
+    for n in range(1, 21):
+        assert [lam.parts for lam in enumerate_partitions(n)] == _recursive_partitions(n), n
+
+
+def test_strips_match_filtered_oracle():
+    for n in range(1, 15):
+        for lam in enumerate_partitions(n):
+            assert partitions._strips(lam.parts) == _filtered_strips(lam.parts), lam
+
+
+def test_tableau_counts_match_per_k_oracle():
+    memo = {}
+    partitions._count_memo.clear()
+    for n in range(1, 14):
+        ks = range(n + 3)
+        for lam in enumerate_partitions(n):
+            assert _schur_strips(lam, ks) == [_ssyt_count(lam.parts, k, memo) for k in ks], lam
+
+
+def test_bounded_memos_keep_the_routes(monkeypatch):
+    # with a bound far below the shapes of n <= 12, every memo drops its
+    # oldest entries as it goes, including counts lists still being
+    # extended, and the four routes still agree on the same a-vectors
+    def a_vectors():
+        traces._a_coefficients_cached.cache_clear()
+        return [traces.check_routes(lam, n) for n in range(2, 13) for lam in gamma_star(n)]
+
+    memos = (partitions._dimension_memo, partitions._strip_memo, partitions._count_memo)
+    want = a_vectors()
+    monkeypatch.setattr(partitions, "_MEMO_SIZE", 16)
+    for memo in memos:
+        memo.clear()
+    try:
+        assert a_vectors() == want
+        assert cli._verify_routes(12) == []
+        assert all(0 < len(memo) <= 16 for memo in memos)
+    finally:
+        traces._a_coefficients_cached.cache_clear()
+        for memo in memos:
+            memo.clear()
+
+
 def test_horizontal_strips_match_recursive_oracle():
     for n in range(1, 12):
         for lam in enumerate_partitions(n):
@@ -196,8 +284,9 @@ def test_horizontal_strips_match_recursive_oracle():
 def test_verify_routes_enumerates_each_shape_once(monkeypatch):
     # the Schur route reads s(1^k) for every k by peeling strips; with cold
     # caches each shape's strips are enumerated once, not once per k
-    for memo in (partitions._strips, partitions._ssyt_count, traces._a_coefficients_cached):
-        memo.cache_clear()
+    partitions._strip_memo.clear()
+    partitions._count_memo.clear()
+    traces._a_coefficients_cached.cache_clear()
     shapes = []
 
     def product(*ranges):
@@ -206,7 +295,7 @@ def test_verify_routes_enumerates_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(partitions, "itertools", types.SimpleNamespace(product=product))
     assert cli._verify_routes(11) == []
-    assert len(shapes) == len(set(shapes)) == partitions._strips.cache_info().currsize == 192
+    assert len(shapes) == len(set(shapes)) == len(partitions._strip_memo) == 192
 
 
 def _dominates(lam, sigma):
@@ -318,7 +407,7 @@ def test_schur_strips_reads_no_kostka_number(monkeypatch):
         raise AssertionError("the tableau count read a Kostka number")
 
     monkeypatch.setattr(partitions, "kostka", no_kostka)
-    partitions._ssyt_count.cache_clear()
+    partitions._count_memo.clear()
     for lam in enumerate_partitions(6):
         assert _schur_strips(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]
 
