@@ -476,7 +476,7 @@ def run(argv):
     except BrokenPipeError:  # the reader closed stdout: no program fault
         return 1
     except Exception as e:  # anything else is a bug in the program
-        print("internal error: %s" % e, file=sys.stderr)
+        print("internal error: %s" % (str(e) or type(e).__name__), file=sys.stderr)
         return 1
 
 

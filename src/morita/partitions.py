@@ -13,8 +13,9 @@ from functools import lru_cache
 
 from .exact import OutOfRange
 
-# entries per shape memo (_dimension, _strips, _ssyt_counts), the oldest
-# dropped first beyond it: n <= 24 has 7,337 shapes
+# entries per shape memo (_dimension, _strips, _ssyt_counts and
+# traces.content_polynomial's), the oldest dropped first beyond it:
+# n <= 24 has 7,337 shapes
 _MEMO_SIZE = 8192
 
 
@@ -95,9 +96,10 @@ def _conjugate_parts(parts):
     return tuple(conj)
 
 
-def _remember(memo, key, value, size):
-    # store value under key, dropping the oldest entry first beyond size
-    if len(memo) >= size:
+def _remember(memo, key, value):
+    # store value under key, dropping the oldest entry first beyond
+    # _MEMO_SIZE, the one bound of every such memo
+    if len(memo) >= _MEMO_SIZE:
         del memo[next(iter(memo))]
     memo[key] = value
     return value
@@ -113,8 +115,7 @@ def _dimension(parts):
     if d is None:
         conj = _conjugate_parts(parts)
         d = _remember(_dimension_memo, parts, math.factorial(sum(parts)) // math.prod(
-            row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row)),
-            _MEMO_SIZE)
+            row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row)))
     return d
 
 
@@ -179,7 +180,7 @@ def _ssyt_counts(shape, top):
     # the proper inner shapes, the empty strip giving the first term
     counts = _count_memo.get(shape)
     if counts is None:
-        counts = _remember(_count_memo, shape, [0 if shape else 1], _MEMO_SIZE)
+        counts = _remember(_count_memo, shape, [0 if shape else 1])
     elif len(counts) > top:
         return counts
     # no tableau fits in fewer letters than rows: nothing to peel there
@@ -212,8 +213,7 @@ def _strips(shape):
     if strips is None:
         ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
         strips = _remember(_strip_memo, shape, tuple([
-            inner if inner[-1] else inner[:-1] for inner in itertools.product(*ranges)]),
-            _MEMO_SIZE)
+            inner if inner[-1] else inner[:-1] for inner in itertools.product(*ranges)]))
     return strips
 
 

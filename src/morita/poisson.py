@@ -46,11 +46,11 @@ rows' images from those the one before built, so every image is built
 once per run.  An `hp0_dims` run packs on one packing: the invariance
 rows and the nullspace rows of each fallback degree, the
 polarizations, the bases, their products and brackets, and with a dual
-check the brackets of the dual.  No `MultiPoly` is built.  A bracket
-span takes the gradients of the basis rows it pairs from their packed
-terms and drops them when it returns; a dual check takes each basis
-row's and each degree's monomials' gradients once (`_Gradients`).
-Every bracket sums -J^-1[a][b] d_a p d_b q straight into one term map.
+check the brackets of the dual.  No `MultiPoly` is built, and no
+gradient is kept: every bracket sums -J^-1[a][b] d_a p d_b q straight
+into one term map, reading both derivatives off the packed rows p and q
+(`_bracket_at`), so a span pairs the basis rows as they are and the
+dual pairs them with one-term monomial rows.
 
 Every generator is checked symplectic, so the group preserves J and
 hence the bivector J^-1, and a bracket of invariants is invariant.  The
@@ -249,51 +249,61 @@ def _bivector(j_inv):
     return [(a, b, -x) for a, row in enumerate(j_inv) for b, x in enumerate(row) if x]
 
 
-def _bracket_at(dp, dq, bivector, keys):
+def _bracket_at(p, q, bivector, keys, packing):
     """The terms (unnormalised) at the packed monomials `keys` of sum
-    over the entries (a, b, x) of `bivector` of x d_a p d_b q, from the
-    packed gradients of p and q: of the products only those whose key is
-    in `keys` are summed.  Packed exponents add with no carry, so
-    k1 + k2 = k exactly when k2 = k - k1: where the keys are fewer than
-    the terms of the larger factor, each key k reads it at k - k1 for
-    each term k1 of the other, and elsewhere every product is formed and
-    kept if its key is in `keys`."""
+    over the entries (a, b, x) of `bivector` of x d_a p d_b q, for the
+    packed rows p and q on `packing`: of the products only those whose
+    key is in `keys` are summed.  No gradient is built: only d_a of the
+    smaller row is listed (p and q swap, and so do a and b, when q is the
+    smaller), and d_b q at k2 is e_b q[k2 + u_b], its exponent e_b read
+    off k2 + u_b by shift and mask.  Where the keys are fewer than the
+    terms of q, each key k reads q at k - k1 + u_b for each term k1 of
+    d_a p; elsewhere every product is formed, its e_b read only when its
+    key is in `keys`.  A key reached by borrowing across fields never
+    counts, as the rows are homogeneous: a term k2 + u_b of q with
+    e_b >= 1 makes k1 + k2 a sum of exponents whose total degree is the
+    keys', so it adds with no carry and is k only as exponents."""
+    if len(p) > len(q):
+        p, q = q, p
+        bivector = [(b, a, x) for a, b, x in bivector]
+    shifts, units, mask = packing.shifts, packing.units, packing.mask
+    pairs, terms = p.items(), q.items()
     out = {}
     get = out.get
     for a, b, x in bivector:
-        small, large = dp[a], dq[b]
-        if small and large:
-            if len(small) > len(large):
-                small, large = large, small
-            if len(keys) < len(large):
-                read = large.get
-                for k in keys:
-                    s = 0
-                    for k1, c1 in small.items():
-                        c2 = read(k - k1)
-                        if c2 is not None:
-                            s += c1 * c2
-                    if s:
-                        out[k] = get(k, 0) + x * s
-            else:
-                large = large.items()
-                for k1, c1 in small.items():
-                    c1 *= x
-                    for k2, c2 in large:
-                        k = k1 + k2
-                        if k in keys:
-                            out[k] = get(k, 0) + c1 * c2
+        s, u = shifts[b], units[b]
+        # the terms of d_a p, each key less u_b
+        small = [(k - units[a] - u, c * e) for k, c in pairs if (e := k >> shifts[a] & mask)]
+        if not small:
+            continue
+        if len(keys) < len(q):
+            read = q.get
+            for k in keys:
+                t = 0
+                for k1, c1 in small:
+                    c2 = read(k - k1)
+                    if c2 is not None:
+                        t += c1 * c2 * ((k - k1) >> s & mask)
+                if t:
+                    out[k] = get(k, 0) + x * t
+        else:
+            for k1, c1 in small:
+                c1 *= x
+                for k2, c2 in terms:
+                    k = k1 + k2
+                    if k in keys and (e := k2 >> s & mask):
+                        out[k] = get(k, 0) + c1 * c2 * e
     return out
 
 
-def _invariance_rows(action, packing, packed, substitutions):
+def _invariance_rows(packed, substitutions):
     """Nonzero rows of Sym^d(g) - I stacked over the generators g, as maps
-    column -> entry, where column c is the degree-d monomial packed[c]
-    on the caller's `packing`.  A polynomial fixed by every generator is
-    fixed by the group they generate.  The images come from
-    `substitutions`, one `_Substitution` per generator on `packing`,
-    which a run keeps across its degrees: a degree's images grow from
-    those the degree before built."""
+    column -> entry, where column c is the degree-d monomial packed[c].
+    A polynomial fixed by every generator is fixed by the group they
+    generate.  The images come from `substitutions`, one `_Substitution`
+    per generator on the packing of `packed`, which a run keeps across
+    its degrees: a degree's images grow from those the degree before
+    built."""
     index = {e: r for r, e in enumerate(packed)}
     rows = []
     for sub in substitutions:
@@ -310,10 +320,10 @@ def _invariance_rows(action, packing, packed, substitutions):
     return rows
 
 
-def _fixed_rows(action, packing, packed, substitutions):
+def _fixed_rows(packed, substitutions):
     """The nullspace of `_invariance_rows` over the monomials `packed`:
     primitive integer rows, as maps packed monomial -> entry."""
-    rows = _invariance_rows(action, packing, packed, substitutions)
+    rows = _invariance_rows(packed, substitutions)
     return [{packed[c]: x for c, x in v.items()} for v in linalg.nullspace(rows, len(packed))]
 
 
@@ -324,7 +334,7 @@ def invariant_basis(action, degree, packing, substitutions):
     `substitutions` are those of `_invariance_rows`."""
     _check_degree(degree)
     packed = [packing.pack(e) for e in monomials(action.dim, degree)]
-    return _fixed_rows(action, packing, packed, substitutions)
+    return _fixed_rows(packed, substitutions)
 
 
 def _polarizations(action, packing):
@@ -386,7 +396,7 @@ def _h_block_generators(action, degree, packing, substitutions, derivations, ech
     row, and that pivot's images under every derivation of
     `_polarizations` are queued behind the rows still to come."""
     packed = [packing.pack(e) for e in monomials(action.dim // 2, degree)]
-    queue = _fixed_rows(action, packing, packed, substitutions)
+    queue = _fixed_rows(packed, substitutions)
     new = []
     for row in queue:  # `queue` grows while it is read
         if echelon.add(row):  # which put its new pivot row last
@@ -468,11 +478,10 @@ def bracket_span_dim(action, degree, bases=None):
         j = degree + 2 - i
         if not bases[i] or not bases[j]:
             continue
-        left = [packing.gradient(p) for p in bases[i]]
-        right = left if i == j else [packing.gradient(q) for q in bases[j]]
-        for a, dp in enumerate(left):
-            for dq in right[a + 1:] if i == j else right:
-                if span.add(_bracket_at(dp, dq, bivector, keys)) and span.rank == len(keys):
+        for a, p in enumerate(bases[i]):
+            for q in bases[j][a + 1:] if i == j else bases[j]:
+                if span.add(_bracket_at(p, q, bivector, keys, packing)) \
+                        and span.rank == len(keys):
                     return span.rank
     return span.rank
 
@@ -524,59 +533,32 @@ def hp0_dims(action, max_degree, dual=False):
                       bases=(packing, bases) if dual else None)
 
 
-class _Gradients:
-    """The packed gradients a dual check reads on the output `bases` of
-    `_invariant_bases`, each taken once per check, when first asked for:
-    `basis(d)` those of the degree-d basis rows, `monomials(d)` those of
-    the degree-d monomials."""
-
-    __slots__ = ("packing", "bases", "memo")
-
-    def __init__(self, bases):
-        self.packing, self.bases = bases
-        self.memo = {}
-
-    def basis(self, degree):
-        key = "basis", degree
-        if key not in self.memo:
-            self.memo[key] = list(map(self.packing.gradient, self.bases[degree]))
-        return self.memo[key]
-
-    def monomials(self, degree):
-        key, packing = ("monomials", degree), self.packing
-        if key not in self.memo:
-            self.memo[key] = [packing.gradient({packing.pack(e): 1})
-                              for e in monomials(len(packing.units), degree)]
-        return self.memo[key]
-
-
-def functional_solutions_dim(action, degree, gradients=None):
+def functional_solutions_dim(action, degree, bases=None):
     """Dimension of the space of degree-n polynomials P with
     sum over g of (u, g v) P(u + g v) = 0 identically: the number of
     degree-n monomials less the rank of the brackets {x^m, q} of each
     monomial x^m of degree n + 2 - k with each basis row q of the
     degree-k invariants, k = 1..n + 1 (module docstring).
 
-    `gradients` is a `_Gradients` on bases through degree n + 1 or more,
-    which a dual check shares across its degrees; built here when not
-    given.  The brackets, read at every degree-n monomial, go one at a
-    time into an incremental echelon, which stops once its rank reaches
-    the number of monomials of P."""
+    `bases` is the output of `_invariant_bases` through degree n + 1 or
+    more, which a dual check shares across its degrees; computed here
+    when not given.  Each monomial is the one-term row {x^m: 1}.  The
+    brackets, read at every degree-n monomial, go one at a time into an
+    incremental echelon, which stops once its rank reaches the number of
+    monomials of P."""
     _check_degree(degree)
-    if gradients is None:
-        gradients = _Gradients(_invariant_bases(action, degree + 1))
-    packing = gradients.packing
+    packing, bases = _invariant_bases(action, degree + 1) if bases is None else bases
     keys = {packing.pack(e) for e in monomials(action.dim, degree)}
     size = len(keys)
     bivector = _bivector(action.form_inverse)
     echelon = linalg.Echelon()
     for k in range(1, degree + 2):
-        if not gradients.bases[k]:
+        if not bases[k]:
             continue
-        monos = gradients.monomials(degree + 2 - k)
-        for dq in gradients.basis(k):
-            for dm in monos:
-                if echelon.add(_bracket_at(dm, dq, bivector, keys)) \
+        monos = [{packing.pack(e): 1} for e in monomials(action.dim, degree + 2 - k)]
+        for q in bases[k]:
+            for m in monos:
+                if echelon.add(_bracket_at(m, q, bivector, keys, packing)) \
                         and echelon.rank == size:
                     return 0
     return size - echelon.rank
@@ -586,11 +568,11 @@ def duality_check(action, graded):
     """Per-degree comparison of the bracket-quotient dimensions `graded`
     (as returned by hp0_dims) with the dual functional-equation solution
     counts."""
-    gradients = _Gradients(graded.bases or _invariant_bases(action, graded.max_degree + 1))
+    bases = graded.bases or _invariant_bases(action, graded.max_degree + 1)
     rows = []
     ok = True
     for n in range(graded.max_degree + 1):
-        dual = functional_solutions_dim(action, n, gradients)
+        dual = functional_solutions_dim(action, n, bases)
         match = (graded.dims[n] == dual)
         ok = ok and match
         rows.append({"degree": n, "hp0": graded.dims[n], "dual": dual,

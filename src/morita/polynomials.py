@@ -5,8 +5,9 @@ int when integral and a Fraction otherwise.  `MultiPoly` wraps one;
 `monomials` lists the exponents of one degree.  For work in bulk,
 `_Packing` packs each exponent tuple into one int (and `unpack` reads
 it back), so that multiplying monomials adds ints
-(`_add_packed_product`) and a partial derivative reads its exponent
-off the int (`_Packing.gradient`).  `_Substitution` builds the monomial
+(`_add_packed_product`) and an exponent is read off the int by shift
+and mask, as `poisson` reads each partial derivative of a bracket off
+the row itself.  `_Substitution` builds the monomial
 images x^e -> (M x)^e of a square matrix on packed exponents, a degree
 at a time; `MultiPoly.substitute` packs its terms on a packing for its
 own degree and unpacks the result.  The hp0 pipeline in `poisson` works
@@ -170,11 +171,11 @@ class _Packing:
     bits, with room for entries up to `top` (the total degree of every
     product taken).  Adding exponents adds the ints, and the ints are
     ordered as the tuples are, so an echelon on packed columns picks the
-    same leading monomials.  A packing serves one pass: an `hp0` run,
-    from the invariance and nullspace rows of each degree the products
-    fall short in to the bases, their products and the gradients of its
-    brackets, and with a dual check the brackets of monomials with the
-    bases; or one `MultiPoly.substitute`."""
+    same leading monomials.  Entry i of a key is key >> shifts[i] & mask.
+    A packing serves one pass: an `hp0` run, from the invariance and
+    nullspace rows of each degree the products fall short in to the
+    bases, their products and brackets, and with a dual check the
+    brackets of monomials with the bases; or one `MultiPoly.substitute`."""
 
     __slots__ = ("units", "shifts", "mask")
 
@@ -190,14 +191,6 @@ class _Packing:
     def unpack(self, k):
         mask = self.mask
         return tuple(k >> s & mask for s in self.shifts)
-
-    def gradient(self, terms):
-        """The packed term maps of the partial derivatives of the packed
-        term map `terms`."""
-        mask = self.mask
-        terms = list(terms.items())
-        return [{k - u: c * x for k, c in terms if (x := k >> s & mask)}
-                for s, u in zip(self.shifts, self.units)]
 
 
 class _Substitution:

@@ -38,9 +38,8 @@ class NonIntegerCoefficient(AssertionError):
     property -- an implementation bug."""
 
 
-# F_lam per shape, the oldest dropped first beyond the bound: a verify
-# pass over n reads the shapes of n - 1 as parents
-_CONTENT_MEMO_SIZE = 8192
+# F_lam per shape, the oldest dropped first beyond partitions._MEMO_SIZE:
+# a verify pass over n reads the shapes of n - 1 as parents
 _content_memo = {}
 
 
@@ -72,7 +71,7 @@ def content_polynomial(lam):
             if f is None and len(mu) == 1:
                 f = f_trivial(mu[0])
         f = _remember(_content_memo, parts, Poly(_times_factors(
-            [1] if f is None else list(f.coeffs), reversed(contents))), _CONTENT_MEMO_SIZE)
+            [1] if f is None else list(f.coeffs), reversed(contents))))
     return f
 
 

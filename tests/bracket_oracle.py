@@ -1,7 +1,8 @@
 """The Poisson bracket of two `MultiPoly`s, kept as a test oracle.
 
 The package sums each bracket it needs only at the monomials it reads,
-on packed gradients (`poisson._bracket_at`), and builds no `MultiPoly`.
+reading its derivatives off the packed rows (`poisson._bracket_at`),
+and builds no `MultiPoly`.
 The whole bracket, which no command called, lives on here, unchanged up
 to imports, so that the tests compare against every term of it.
 """

@@ -118,6 +118,15 @@ def _inject_negative_dimension(monkeypatch):
     return ["hp0", "--group", group, "--max-degree", "2"]
 
 
+def _inject_memory_error(monkeypatch):
+    # a MemoryError carries no message: the class name is printed instead
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(poisson, "hp0_dims", out_of_memory)
+    group = os.path.join(os.path.dirname(__file__), "golden", "z3.json")
+    return ["hp0", "--group", group, "--max-degree", "2"]
+
+
 def _inject_unserialisable(monkeypatch):
     # a report the writer cannot write must leave stdout empty, as
     # json.dumps did, and exit 1: TypeError, not the ValueError of bad input
@@ -136,6 +145,7 @@ def _inject_unserialisable(monkeypatch):
     (_inject_index_error, "injected"),
     (_inject_attribute_error, "injected"),
     (_inject_negative_dimension, "bracket span exceeds invariants"),
+    (_inject_memory_error, "internal error: MemoryError\n"),
     (_inject_unserialisable, "Object of type Fraction is not JSON serializable"),
 ])
 def test_internal_error_exit_one(inject, message, monkeypatch, capsys,

@@ -291,7 +291,7 @@ def _degree_rows(action, degree):
     for degree d, and the number of their columns."""
     packing = _Packing(action.dim, degree)
     packed = [packing.pack(e) for e in monomials(action.dim, degree)]
-    return _invariance_rows(action, packing, packed, _substitutions(action, packing)), len(packed)
+    return _invariance_rows(packed, _substitutions(action, packing)), len(packed)
 
 
 def _plus_minus():

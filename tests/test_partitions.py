@@ -251,12 +251,14 @@ def test_tableau_counts_match_per_k_oracle():
 def test_bounded_memos_keep_the_routes(monkeypatch):
     # with a bound far below the shapes of n <= 12, every memo drops its
     # oldest entries as it goes, including counts lists still being
-    # extended, and the four routes still agree on the same a-vectors
+    # extended, and the four routes still agree on the same a-vectors;
+    # the content memo of traces has the same one bound
     def a_vectors():
         traces._a_coefficients_cached.cache_clear()
         return [traces.check_routes(lam, n) for n in range(2, 13) for lam in gamma_star(n)]
 
-    memos = (partitions._dimension_memo, partitions._strip_memo, partitions._count_memo)
+    memos = (partitions._dimension_memo, partitions._strip_memo, partitions._count_memo,
+             traces._content_memo)
     want = a_vectors()
     monkeypatch.setattr(partitions, "_MEMO_SIZE", 16)
     for memo in memos:

@@ -1100,9 +1100,9 @@ def test_bracket_span_stops_at_full_rank(monkeypatch):
     calls = []
     original = poisson._bracket_at
 
-    def counted(dp, dq, bivector, keys):
+    def counted(p, q, bivector, keys, packing):
         calls.append(1)
-        return original(dp, dq, bivector, keys)
+        return original(p, q, bivector, keys, packing)
 
     monkeypatch.setattr(poisson, "_bracket_at", counted)
     assert hp0_dims(s3(), 10).total == 1
@@ -1121,10 +1121,20 @@ KEYED_BRACKET_CASES = dict(
     + [("fractional_form", (_fractional_form, 6))])
 
 
+def _gradient(packing, terms):
+    """The packed term maps of the partial derivatives of the packed
+    term map `terms`, each exponent read off its key by shift and mask,
+    as the span and the dual took them before `poisson._bracket_at` read
+    the derivatives off the rows; kept for the oracle."""
+    mask = packing.mask
+    return [{k - u: c * x for k, c in terms.items() if (x := k >> s & mask)}
+            for s, u in zip(packing.shifts, packing.units)]
+
+
 def _bracket_terms(dp, dq, j_inv):
-    """The whole bracket, every product d_a p d_b q summed, as the span
-    and the dual took it before they read it at their keys
-    (`poisson._bracket_at`); kept as the oracle."""
+    """The whole bracket, every product d_a p d_b q of the gradients
+    (`_gradient`) summed, as the span and the dual took it before they
+    read it at their keys (`poisson._bracket_at`); kept as the oracle."""
     out = {}
     for a, da in enumerate(dp):
         if da:
@@ -1136,48 +1146,47 @@ def _bracket_terms(dp, dq, j_inv):
 
 @pytest.mark.parametrize("name", sorted(KEYED_BRACKET_CASES))
 def test_keyed_bracket_matches_bracket_terms(name):
-    # `_bracket_at` against the whole bracket restricted to the keys, for
-    # every ordered pair of basis rows of degrees i + j = d + 2: at the
+    # `_bracket_at` on the rows against the whole bracket of their
+    # gradients restricted to the keys, for every ordered pair of basis
+    # rows of degrees i + j = d + 2 (so both argument orders): at the
     # leading monomials K of the degree-d basis (few keys: each key reads
-    # the larger factor), at every degree-d monomial (every product
-    # formed) and at a seeded half of them
+    # the larger row), at every degree-d monomial (every product formed),
+    # at a seeded half of them and at one seeded monomial, as K is for a
+    # degree of one invariant
     make, cutoff = KEYED_BRACKET_CASES[name]
     action = make()
-    gradients = poisson._Gradients(poisson._invariant_bases(action, cutoff + 1))
-    packing, bases, j_inv = gradients.packing, gradients.bases, action.form_inverse
+    packing, bases = poisson._invariant_bases(action, cutoff + 1)
+    j_inv = action.form_inverse
     bivector = poisson._bivector(j_inv)
     rng = random.Random(name)
+    branches = set()
     for d in range(cutoff + 1):
         monos = [packing.pack(e) for e in monomials(action.dim, d)]
         key_sets = [{min(row) for row in bases[d]}, set(monos),
-                    set(rng.sample(monos, len(monos) // 2))]
+                    set(rng.sample(monos, len(monos) // 2)), {rng.choice(monos)}]
         for i in range(1, d + 2):
-            for dp in gradients.basis(i):
-                for dq in gradients.basis(d + 2 - i):
-                    whole = _bracket_terms(dp, dq, j_inv)
+            for p in bases[i]:
+                for q in bases[d + 2 - i]:
+                    whole = _bracket_terms(_gradient(packing, p), _gradient(packing, q), j_inv)
                     for keys in key_sets:
-                        got = poisson._bracket_at(dp, dq, bivector, keys)
+                        got = poisson._bracket_at(p, q, bivector, keys, packing)
                         assert {k: x for k, x in got.items() if x} \
                             == {k: x for k, x in whole.items() if k in keys and x}
+                        # the keys are read where fewer than the larger row's terms
+                        branches.add(len(keys) < max(len(p), len(q)))
+    # which needs a row of two terms or more: +-1 has only monomials
+    assert branches == ({True, False} if any(len(row) > 1 for rows in bases for row in rows)
+                        else {False})
 
 
-def test_dual_check_takes_each_gradient_once(monkeypatch):
-    # a dual check takes the gradient of each basis row and of each
-    # degree's monomials once, however many degrees read them (the
-    # monomial gradients were taken again for every degree of P and k)
-    taken = []
-    original = polynomials._Packing.gradient
-
-    def counted(packing, terms):
-        taken.append(tuple(terms.items()))
-        return original(packing, terms)
-
+def test_dual_check_reads_the_run_bases(monkeypatch):
+    # a dual check pairs monomials with the bases its hp0 run kept, and
+    # builds none of its own
     action = s4()
     graded = hp0_dims(action, 6, dual=True)
-    monkeypatch.setattr(polynomials._Packing, "gradient", counted)
+    monkeypatch.setattr(poisson, "_invariant_bases", None)
     rows = duality_check(action, graded)["rows"]
     assert [row["dual"] for row in rows] == [1, 0, 3, 0, 2, 0, 0]
-    assert len(taken) == len(set(taken)) > 0
 
 
 def test_each_image_built_once_per_run(monkeypatch):
@@ -1285,7 +1294,7 @@ def test_dual_rank_stops_at_full_rank(monkeypatch):
     action = s4()
     bases = poisson._invariant_bases(action, 4)  # their echelons are not counted
     added.clear()
-    assert functional_solutions_dim(action, 3, poisson._Gradients(bases)) == 0
+    assert functional_solutions_dim(action, 3, bases) == 0
     rows = sum(len(bases[1][k]) * len(monomials(action.dim, 5 - k)) for k in range(1, 5))
     assert len(monomials(action.dim, 3)) <= len(added) < rows
 
@@ -1464,9 +1473,10 @@ def test_product_bases_span_the_invariants(name):
 
 @pytest.mark.parametrize("top", [1, 2, 3, 4, 7, 8])
 def test_packed_gradient_matches_diff(top):
-    # `_Packing.gradient` reads each exponent off a packed key by shift
-    # and mask; an exponent equal to top fills its field when top is
-    # 2^k - 1 and sets only the high bit of it when top is 2^k
+    # `_gradient`, the oracle's, reads each exponent off a packed key by
+    # shift and mask, as `poisson._bracket_at` does; an exponent equal to
+    # top fills its field when top is 2^k - 1 and sets only the high bit
+    # of it when top is 2^k
     rng = random.Random(top)
     for nvars in (1, 2, 4):
         packing = polynomials._Packing(nvars, top)
@@ -1477,7 +1487,7 @@ def test_packed_gradient_matches_diff(top):
                               for _ in range(rng.randint(0, 6))]
             p = MultiPoly(nvars, {e: rng.choice([1, -2, 5, Fraction(3, 4)])
                                   for e in exps})
-            assert packing.gradient({packing.pack(e): c for e, c in p.terms.items()}) \
+            assert _gradient(packing, {packing.pack(e): c for e, c in p.terms.items()}) \
                 == [{packing.pack(e): c for e, c in p.diff(a).terms.items()}
                     for a in range(nvars)]
             assert all(packing.unpack(packing.pack(e)) == e for e in exps)

@@ -44,7 +44,7 @@ def test_content_polynomial_matches_cells_in_any_order():
         traces._content_memo.clear()
         for lam in order:
             assert content_polynomial(lam) == _content_polynomial_from_cells(lam), lam
-        assert len(traces._content_memo) <= traces._CONTENT_MEMO_SIZE
+        assert len(traces._content_memo) <= partitions._MEMO_SIZE
 
 
 def test_content_polynomial_of_long_row_and_column():
@@ -66,8 +66,8 @@ def test_content_memo_stays_bounded():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.run(["verify", "sum-identity", "--max-n", "30"]) == 0
-    assert 0 < len(traces._content_memo) <= traces._CONTENT_MEMO_SIZE
-    assert sum(map(len, map(enumerate_partitions, range(2, 31)))) > traces._CONTENT_MEMO_SIZE
+    assert 0 < len(traces._content_memo) <= partitions._MEMO_SIZE
+    assert sum(map(len, map(enumerate_partitions, range(2, 31)))) > partitions._MEMO_SIZE
     traces._content_memo.clear()
 
 
@@ -101,7 +101,7 @@ def test_verify_walks_one_cell_per_new_shape(check, max_n, monkeypatch):
     monkeypatch.setattr(classify, "content_polynomial", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["verify", check, "--max-n", str(max_n)]) == 0
-    assert len(memo) == len(set(calls)) < traces._CONTENT_MEMO_SIZE
+    assert len(memo) == len(set(calls)) < partitions._MEMO_SIZE
     assert memo.lookups - len(calls) == len(memo)
     if check == "triangularity":
         assert len(memo) == 435
