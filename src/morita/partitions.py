@@ -11,12 +11,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .exact import OutOfRange
-
-# entries per shape memo (_dimension, _strips, _ssyt_counts and
-# traces.content_polynomial's), the oldest dropped first beyond it:
-# n <= 24 has 7,337 shapes
-_MEMO_SIZE = 8192
+from .exact import _MEMO_SIZE, OutOfRange
 
 
 class WeightMismatch(ValueError):
@@ -96,27 +91,13 @@ def _conjugate_parts(parts):
     return tuple(conj)
 
 
-def _remember(memo, key, value):
-    # store value under key, dropping the oldest entry first beyond
-    # _MEMO_SIZE, the one bound of every such memo
-    if len(memo) >= _MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-_dimension_memo = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def _dimension(parts):
     # |lam|! over the product of the hook lengths, memoised per shape as
     # _strips is: the table's dim column, G and a read it for one shape
-    d = _dimension_memo.get(parts)
-    if d is None:
-        conj = _conjugate_parts(parts)
-        d = _remember(_dimension_memo, parts, math.factorial(sum(parts)) // math.prod(
-            row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row)))
-    return d
+    conj = _conjugate_parts(parts)
+    return math.factorial(sum(parts)) // math.prod(
+        row - j + conj[j] - i - 1 for i, row in enumerate(parts) for j in range(row))
 
 
 def enumerate_partitions(n):
@@ -152,7 +133,7 @@ def partition_count(n):
     return ways[n]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _partitions_of(n):
     return tuple(enumerate_partitions(n))
 
@@ -169,7 +150,10 @@ def hook_partition(n, m):
     return Partition._from_parts((m,) + (1,) * (n - m))
 
 
-_count_memo = {}
+@lru_cache(maxsize=_MEMO_SIZE)
+def _counts(shape):
+    # the one list of tableau counts per shape that _ssyt_counts extends
+    return [0 if shape else 1]
 
 
 def _ssyt_counts(shape, top):
@@ -178,10 +162,8 @@ def _ssyt_counts(shape, top):
     # the horizontal strip of j's (the branching rule, Macdonald I.5),
     # s_shape(1^j) = s_shape(1^(j-1)) + the sum of s_inner(1^(j-1)) over
     # the proper inner shapes, the empty strip giving the first term
-    counts = _count_memo.get(shape)
-    if counts is None:
-        counts = _remember(_count_memo, shape, [0 if shape else 1])
-    elif len(counts) > top:
+    counts = _counts(shape)
+    if len(counts) > top:
         return counts
     # no tableau fits in fewer letters than rows: nothing to peel there
     counts += [0] * (min(len(shape), top + 1) - len(counts))
@@ -199,9 +181,7 @@ def _ssyt_counts(shape, top):
     return counts
 
 
-_strip_memo = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def _strips(shape):
     """Every partition inner <= shape of a nonempty shape with shape/inner
     a horizontal strip (rows interlace: shape[i+1] <= inner[i] <= shape[i]),
@@ -209,12 +189,8 @@ def _strips(shape):
     itself comes last, as a tuple enumerated once per shape: kostka and
     _ssyt_counts read it.  Only the last row's range starts at 0, so only
     the last part of an inner shape can be 0, and it is sliced off."""
-    strips = _strip_memo.get(shape)
-    if strips is None:
-        ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
-        strips = _remember(_strip_memo, shape, tuple([
-            inner if inner[-1] else inner[:-1] for inner in itertools.product(*ranges)]))
-    return strips
+    ranges = (range(lo, hi + 1) for hi, lo in zip(shape, shape[1:] + (0,)))
+    return tuple([inner if inner[-1] else inner[:-1] for inner in itertools.product(*ranges)])
 
 
 def kostka(lam, sigma):

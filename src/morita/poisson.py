@@ -30,11 +30,15 @@ monomial runs only where the count is still short.
 
 Bracket spans are measured by exact rank on invariant coordinates, and
 the graded dimensions of the quotient of invariants by brackets are
-cross-checked against the dual picture: a polynomial P of degree n
-pairs with the quotient iff sum over g of (u, g v) P(u + g v) vanishes
-identically in u, v.  The Reynolds operator (the group average) lives
-in the tests, as the reference the invariant bases are compared
-against.
+compared with a dual count: the degree-n polynomials P with
+sum over g of (u, g v) P(u + g v) = 0 identically in u, v.  Those P
+are the dual of A/{A, A^G}, for A the polynomial ring and A^G its
+invariants.  The dual of HP_0 = A^G/{A^G, A^G} is their invariant
+part, so every solution that is not invariant makes the count too
+large (S_3 in degree 2: dual 1 against hp0 0); counting over
+invariant P is ROADMAP item 3 step A.  The Reynolds operator (the
+group average) lives in the tests, as the reference the invariant
+bases are compared against.
 
 Every substitution x -> M x goes through one kernel, `_Substitution`,
 on packed exponents (`polynomials._Packing`), where multiplying
@@ -538,7 +542,10 @@ def functional_solutions_dim(action, degree, bases=None):
     sum over g of (u, g v) P(u + g v) = 0 identically: the number of
     degree-n monomials less the rank of the brackets {x^m, q} of each
     monomial x^m of degree n + 2 - k with each basis row q of the
-    degree-k invariants, k = 1..n + 1 (module docstring).
+    degree-k invariants, k = 1..n + 1 (module docstring).  That space is
+    the degree-n dual of A/{A, A^G}, not of HP_0: HP_0's dual is its
+    invariant part, so the count is too large wherever a solution is not
+    invariant (ROADMAP item 3 step A).
 
     `bases` is the output of `_invariant_bases` through degree n + 1 or
     more, which a dual check shares across its degrees; computed here

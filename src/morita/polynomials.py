@@ -11,16 +11,17 @@ the row itself.  `_Substitution` builds the monomial
 images x^e -> (M x)^e of a square matrix on packed exponents, a degree
 at a time; `MultiPoly.substitute` packs its terms on a packing for its
 own degree and unpacks the result.  The hp0 pipeline in `poisson` works
-on packed term maps throughout and builds no `MultiPoly`.  In the
-package `MultiPoly` serves only `poisson.bracket`, which only the tests
-call; neither is exported from `morita`, and they stay here because the
-benchmark traces `MultiPoly.substitute`.
+on packed term maps throughout and builds no `MultiPoly`.  Nothing in
+the package calls `MultiPoly`, and it is not exported from `morita`:
+`MultiPoly.substitute` stays only as the span the benchmark traces
+(ROADMAP item 8), and the tests' bracket oracle
+(`tests/bracket_oracle.py`) builds on it.
 """
 
 from functools import lru_cache
 from operator import add, mul
 
-from .exact import rational
+from .exact import _MEMO_SIZE, rational
 
 
 class ShapeMismatch(ValueError):
@@ -238,7 +239,7 @@ class _Substitution:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def monomials(nvars, degree):
     """Exponent tuples of total degree exactly `degree`, in a fixed order,
     as a tuple: each (nvars, degree) is enumerated once and shared."""

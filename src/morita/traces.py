@@ -20,9 +20,9 @@ there.
 import math
 from functools import lru_cache
 
-from .exact import Poly, RationalFunction, partial_fractions, quotient
-from .partitions import (OutOfRange, WeightMismatch, _remember, _schur_strips,
-                         enumerate_partitions, gamma_star)
+from .exact import _MEMO_SIZE, Poly, RationalFunction, partial_fractions, quotient
+from .partitions import (OutOfRange, WeightMismatch, _schur_strips, enumerate_partitions,
+                         gamma_star)
 
 
 class TrivialPartition(ValueError):
@@ -38,8 +38,9 @@ class NonIntegerCoefficient(AssertionError):
     property -- an implementation bug."""
 
 
-# F_lam per shape, the oldest dropped first beyond partitions._MEMO_SIZE:
-# a verify pass over n reads the shapes of n - 1 as parents
+# F_lam per shape, the oldest dropped first beyond _MEMO_SIZE: a verify
+# pass over n reads the shapes of n - 1 as parents.  The one memo that is
+# not an lru_cache: the walk below looks up ancestors without computing them
 _content_memo = {}
 
 
@@ -70,12 +71,14 @@ def content_polynomial(lam):
             f = _content_memo.get(mu)
             if f is None and len(mu) == 1:
                 f = f_trivial(mu[0])
-        f = _remember(_content_memo, parts, Poly(_times_factors(
-            [1] if f is None else list(f.coeffs), reversed(contents))))
+        if len(_content_memo) >= _MEMO_SIZE:
+            del _content_memo[next(iter(_content_memo))]
+        f = _content_memo[parts] = Poly(_times_factors(
+            [1] if f is None else list(f.coeffs), reversed(contents)))
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def f_trivial(n):
     """Content polynomial of the one-row partition: x(x+1)...(x+n-1)."""
     return Poly(_times_factors([1], range(n)))
@@ -92,7 +95,7 @@ def _check_nontrivial(lam, n):
         raise TrivialPartition("G is defined on nontrivial representations only")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _upper_factor(m, n):
     # D_m = (x + m)...(x + n - 1), the factors of F_triv left under B
     return Poly.from_roots(range(-m, -n, -1))
@@ -154,7 +157,7 @@ def _a_via_schur(lam, n):
             for k, s in zip(ks, _schur_strips(lam.conjugate(), ks))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _residue_denominators(m, n):
     # prod_{j = m..n-1, j != k} (j - k) = (-1)^(k-m) (k-m)! (n-1-k)! for
     # k = m..n-1, times -(-1)^(n-m), the sign of -B(-k) against the
@@ -181,7 +184,7 @@ def a_coefficients(lam, n):
     return list(_a_coefficients_cached(lam, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _a_coefficients_cached(lam, n):
     _check_nontrivial(lam, n)
     vals = _a_via_residues(lam, n)

@@ -1,13 +1,19 @@
+import ast
+import importlib
 import itertools
 import math
 import os
+import pathlib
+import pkgutil
 import subprocess
 import sys
 import types
+from functools import lru_cache
 
 import pytest
 
-from morita import cli, partitions, poisson, traces
+import morita
+from morita import cli, exact, partitions, poisson, traces
 from morita.partitions import (InvalidPartition, OutOfRange, Partition,
                                WeightMismatch, _schur_strips,
                                enumerate_partitions, gamma_star,
@@ -103,7 +109,7 @@ def test_dimension_conjugation_invariant():
 def test_trace_table_reads_each_dimension_once(monkeypatch):
     # the dimension is memoised per shape: the table's dim column, its G
     # and its a-coefficients compute the hooks of each shape once between
-    # them, so the memo misses once per row
+    # them, so the cache misses once per row
     dimension = partitions._dimension
     calls = []
 
@@ -112,11 +118,11 @@ def test_trace_table_reads_each_dimension_once(monkeypatch):
         return dimension(parts)
 
     monkeypatch.setattr(partitions, "_dimension", counted)
-    partitions._dimension_memo.clear()
+    dimension.cache_clear()
     traces._a_coefficients_cached.cache_clear()
     try:
         rows = traces.trace_table(10)
-        misses = len(partitions._dimension_memo)
+        misses = dimension.cache_info().misses
         hits = len(calls) - misses
     finally:
         traces._a_coefficients_cached.cache_clear()
@@ -241,36 +247,118 @@ def test_strips_match_filtered_oracle():
 
 def test_tableau_counts_match_per_k_oracle():
     memo = {}
-    partitions._count_memo.clear()
+    partitions._counts.cache_clear()
     for n in range(1, 14):
         ks = range(n + 3)
         for lam in enumerate_partitions(n):
             assert _schur_strips(lam, ks) == [_ssyt_count(lam.parts, k, memo) for k in ks], lam
 
 
-def test_bounded_memos_keep_the_routes(monkeypatch):
-    # with a bound far below the shapes of n <= 12, every memo drops its
-    # oldest entries as it goes, including counts lists still being
-    # extended, and the four routes still agree on the same a-vectors;
-    # the content memo of traces has the same one bound
-    def a_vectors():
-        traces._a_coefficients_cached.cache_clear()
-        return [traces.check_routes(lam, n) for n in range(2, 13) for lam in gamma_star(n)]
+def _package_modules():
+    return [importlib.import_module("morita." + info.name)
+            for info in pkgutil.iter_modules(morita.__path__)]
 
-    memos = (partitions._dimension_memo, partitions._strip_memo, partitions._count_memo,
-             traces._content_memo)
-    want = a_vectors()
-    monkeypatch.setattr(partitions, "_MEMO_SIZE", 16)
-    for memo in memos:
-        memo.clear()
+
+def _lru_memos():
+    """(owner, name, wrapper) for each functools LRU wrapper that a module
+    of the package defines, at module level or in a class body."""
+    found = []
+    for module in _package_modules():
+        owners = [module] + [c for c in vars(module).values()
+                             if isinstance(c, type) and c.__module__ == module.__name__]
+        for owner in owners:
+            found += [(owner, name, f) for name, f in vars(owner).items()
+                      if hasattr(f, "cache_parameters") and f.__module__ == module.__name__]
+    return found
+
+
+_KNOWN_MEMOS = {"exact._pole_denominators", "partitions._dimension",
+                "partitions._partitions_of", "partitions._counts", "partitions._strips",
+                "polynomials.monomials", "traces.f_trivial", "traces._upper_factor",
+                "traces._residue_denominators", "traces._a_coefficients_cached"}
+
+
+def _memo_name(f):
+    return "%s.%s" % (f.__module__.rpartition(".")[2], f.__qualname__)
+
+
+def _starts_empty(value):
+    # an empty dict display or constructor: a table filled at run time
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    name = getattr(getattr(value, "func", None), "id", None)
+    return name == "defaultdict" or (
+        name in ("dict", "OrderedDict") and not value.args and not value.keywords)
+
+
+def test_every_memo_has_the_one_bound():
+    # one memo policy: every lru_cache of the package is bounded by
+    # exact._MEMO_SIZE, only the pole denominators are typed, and the one
+    # memo that is a dict is the content memo, whose walk reads ancestors
+    # without computing them; a future maxsize=None fails here
+    params = {_memo_name(f): f.cache_parameters() for _, _, f in _lru_memos()}
+    assert _KNOWN_MEMOS <= set(params)
+    assert all(p["maxsize"] == exact._MEMO_SIZE for p in params.values()), params
+    assert [name for name, p in params.items() if p["typed"]] == ["exact._pole_denominators"]
+    bound_in, memo_dicts, calls = [], [], []
+    for path in sorted(pathlib.Path(morita.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                bound_in += [path.stem for name in names if name == "_MEMO_SIZE"]
+                if _starts_empty(node.value):
+                    memo_dicts += ["%s.%s" % (path.stem, name) for name in names]
+        calls += [(path.name, node.lineno, node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lru_cache"]
+    assert bound_in == ["exact"]
+    assert memo_dicts == ["traces._content_memo"]
+    assert len(calls) >= len(_KNOWN_MEMOS)
+    for name, line, call in calls:
+        maxsize = {k.arg: k.value for k in call.keywords}.get("maxsize")
+        assert not call.args and getattr(maxsize, "id", None) == "_MEMO_SIZE", (name, line)
+
+
+def test_bounded_memos_keep_the_routes(monkeypatch):
+    # with a bound of 16, far below the shapes of n <= 12, every memo drops
+    # entries as it goes, including counts lists still being extended, and
+    # the four routes still agree on the same a-vectors; the other verify
+    # checks, the trace table and hp0 on S_4 give what a cold run at the
+    # full bound gives.  Each lru_cache is rewrapped at 16 wherever the
+    # package holds it; the content memo reads its bound at each store
+    memos = _lru_memos()
+
+    def clear():
+        for owner, name, _ in memos:
+            getattr(owner, name).cache_clear()
+        traces._content_memo.clear()
+
+    def outputs():
+        clear()
+        return ([traces.check_routes(lam, n) for n in range(2, 13) for lam in gamma_star(n)],
+                {check: run(12) for check, run in cli._VERIFY_CHECKS.items()},
+                traces.trace_table(12),
+                poisson.hp0_dims(poisson.symmetric_group_action(4), 6).dims)
+
+    want = outputs()
+    holders = _package_modules() + [morita]
+    for owner, name, f in memos:
+        small = lru_cache(maxsize=16, typed=f.cache_parameters()["typed"])(f.__wrapped__)
+        for holder in holders + [owner]:
+            if getattr(holder, name, None) is f:
+                monkeypatch.setattr(holder, name, small)
+    monkeypatch.setattr(traces, "_MEMO_SIZE", 16)
     try:
-        assert a_vectors() == want
+        assert outputs() == want
         assert cli._verify_routes(12) == []
-        assert all(0 < len(memo) <= 16 for memo in memos)
+        infos = {_memo_name(getattr(owner, name)): getattr(owner, name).cache_info()
+                 for owner, name, _ in memos}
+        assert all(0 < info.currsize <= info.maxsize == 16 for info in infos.values()), infos
+        assert 0 < len(traces._content_memo) <= 16
     finally:
-        traces._a_coefficients_cached.cache_clear()
-        for memo in memos:
-            memo.clear()
+        clear()
 
 
 def test_horizontal_strips_match_recursive_oracle():
@@ -286,8 +374,8 @@ def test_horizontal_strips_match_recursive_oracle():
 def test_verify_routes_enumerates_each_shape_once(monkeypatch):
     # the Schur route reads s(1^k) for every k by peeling strips; with cold
     # caches each shape's strips are enumerated once, not once per k
-    partitions._strip_memo.clear()
-    partitions._count_memo.clear()
+    partitions._strips.cache_clear()
+    partitions._counts.cache_clear()
     traces._a_coefficients_cached.cache_clear()
     shapes = []
 
@@ -297,7 +385,8 @@ def test_verify_routes_enumerates_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(partitions, "itertools", types.SimpleNamespace(product=product))
     assert cli._verify_routes(11) == []
-    assert len(shapes) == len(set(shapes)) == len(partitions._strip_memo) == 192
+    info = partitions._strips.cache_info()
+    assert len(shapes) == len(set(shapes)) == info.currsize == info.misses == 192
 
 
 def _dominates(lam, sigma):
@@ -409,7 +498,7 @@ def test_schur_strips_reads_no_kostka_number(monkeypatch):
         raise AssertionError("the tableau count read a Kostka number")
 
     monkeypatch.setattr(partitions, "kostka", no_kostka)
-    partitions._count_memo.clear()
+    partitions._counts.cache_clear()
     for lam in enumerate_partitions(6):
         assert _schur_strips(lam, range(8)) == [schur_eval_ones(lam, k) for k in range(8)]
 
