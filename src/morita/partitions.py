@@ -122,15 +122,23 @@ def enumerate_partitions(n):
 
 
 def partition_count(n):
-    """p(n) without listing the partitions: ways[m] counts those of m
-    into the part sizes taken so far."""
+    """p(n) without listing the partitions, by Euler's pentagonal number
+    theorem: p(m) is the sum over k >= 1 of (-1)^(k + 1) (p(m - g) +
+    p(m - g - k)), g = k(3k - 1)/2 the k-th pentagonal number, and p of
+    a negative number 0.  About sqrt(m) terms per m, so O(n^1.5)
+    additions in all."""
     if n < 1:
         raise OutOfRange("need n >= 1, got %d" % n)
-    ways = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            ways[m] += ways[m - part]
-    return ways[n]
+    p = [1]
+    for m in range(1, n + 1):
+        total, k, g = 0, 1, 1
+        while g <= m:
+            t = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += t if k % 2 else -t
+            g += 3 * k + 1  # the next pentagonal number, (k + 1)(3k + 2)/2
+            k += 1
+        p.append(total)
+    return p[n]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

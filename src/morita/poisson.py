@@ -53,16 +53,21 @@ polarizations, the bases, their products and brackets, and with a dual
 check the brackets of the dual.  No `MultiPoly` is built, and no
 gradient is kept: every bracket sums -J^-1[a][b] d_a p d_b q straight
 into one term map, reading both derivatives off the packed rows p and q
-(`_bracket_at`), so a span pairs the basis rows as they are and the
-dual pairs them with one-term monomial rows.
+(`_bracket_at`).
 
-Every generator is checked symplectic, so the group preserves J and
-hence the bivector J^-1, and a bracket of invariants is invariant.  The
+By Leibniz, {ab, q} = {a, bq} + {b, aq}, so, by induction on the
+number of factors, every bracket of invariants is a sum of brackets
+{g, q} of an algebra generator g, among those `_invariant_bases`
+records, with an invariant q: a span pairs each generator with the
+basis rows of the degree left, not every two basis rows.  Every
+generator is checked symplectic, so the group preserves J and hence
+the bivector J^-1, and a bracket of invariants is invariant.  The
 degree-d brackets therefore lie in the span of the degree-d basis rows,
 on which restriction to their leading monomials K is injective (the
 rows are in echelon form): a bracket sums only its products at those
 len(basis) monomials, and its span is full once its rank reaches
-len(basis).
+len(basis), where the one rank loop of the span and the dual
+(`_bracket_rank`) stops.
 
 The dual takes no sum over the group.  For fixed u, let
 F(w) = (u, w) P(u + w); the condition is that sum over g of F(g v)
@@ -79,8 +84,11 @@ solutions of degree n number the degree-n monomials less the rank of
 the brackets {x^m, q}, x^m of degree n + 2 - k and q in the basis of
 the degree-k invariants, k = 1..n + 1: the codimension of the brackets
 of polynomials with invariants.  These are read off the bases of the
-run, with no substitution and no group element, and go one at a time
-into an incremental echelon that stops at full rank.
+run, with no substitution and no group element, by `_bracket_rank`.
+Leibniz, {x^m, ab} = {x^m a, b} + {x^m b, a}, would let the monomials
+pair with the generators alone, for the same span, but the dual keeps
+the pairs its counts were taken on, every basis row, until ROADMAP
+item 3 step A recasts it over invariant P.
 """
 
 import math
@@ -412,8 +420,10 @@ def _h_block_generators(action, degree, packing, substitutions, derivations, ech
 
 
 def _invariant_bases(action, top):
-    """The `_Packing` of d = 0..top and, per degree d, the pivot rows of
-    the echelon that certified the degree-d invariants: their basis.
+    """The `_Packing` of d = 0..top; per degree d, the pivot rows of the
+    echelon that certified the degree-d invariants: their basis; and the
+    generators, (degree, packed terms) by degree, which generate the
+    invariants through degree top as an algebra.
 
     Products of invariants are invariant.  In degree d the products g b
     of each generator g (an invariant that the products of its degree
@@ -451,7 +461,20 @@ def _invariant_bases(action, top):
                 raise InvariantCountMismatch("degree %d: %d invariants, Molien count %s"
                                              % (d, echelon.rank, size))
         bases.append(list(echelon.pivots.values()))
-    return packing, bases
+    return packing, bases, generators
+
+
+def _bracket_rank(pairs, keys, bivector, packing):
+    """The rank of the brackets {p, q} over the (p, q) in `pairs`, read
+    at the packed monomials `keys` (`_bracket_at`): they go one at a time
+    into an incremental echelon, and no more is formed once its rank is
+    len(keys), the most it can be."""
+    echelon = linalg.Echelon()
+    for p, q in pairs:
+        if echelon.rank == len(keys):
+            break
+        echelon.add(_bracket_at(p, q, bivector, keys, packing))
+    return echelon.rank
 
 
 def bracket_span_dim(action, degree, bases=None):
@@ -460,34 +483,15 @@ def bracket_span_dim(action, degree, bases=None):
 
     `bases` is the output of `_invariant_bases` through degree d + 1 (d
     when there are no degree-1 invariants); computed here when not given.
-
-    The group preserves the bracket, so every bracket of invariants is
-    a degree-d invariant, in the span of the degree-d basis rows.  Their
-    leading columns K are distinct, so restriction to K is injective on
-    that span, and the brackets' rank is the rank of their coefficients
-    at K, the only terms of a bracket that are summed (`_bracket_at`).
-    The brackets are taken one at a time into an incremental echelon on
-    those coordinates, which stops as soon as its rank reaches the
-    number of basis rows, the most it can be."""
+    By Leibniz, {ab, q} = {a, bq} + {b, aq}, so the span is that of the
+    brackets of each generator g of degree i <= d + 1 with each basis row
+    of degree d + 2 - i, read at the leading monomials of the degree-d
+    basis (module docstring)."""
     _check_degree(degree)
-    packing, bases = _invariant_bases(action, degree + 1) if bases is None else bases
-    keys = {min(row) for row in bases[degree]}
-    if not keys:
-        return 0
-    bivector = _bivector(action.form_inverse)
-    span = linalg.Echelon()
-    # each degree k is paired in one pass of this loop only; within one
-    # degree only one order of each pair is taken, since {q, p} = -{p, q}
-    for i in range(1, degree // 2 + 2):
-        j = degree + 2 - i
-        if not bases[i] or not bases[j]:
-            continue
-        for a, p in enumerate(bases[i]):
-            for q in bases[j][a + 1:] if i == j else bases[j]:
-                if span.add(_bracket_at(p, q, bivector, keys, packing)) \
-                        and span.rank == len(keys):
-                    return span.rank
-    return span.rank
+    packing, bases, generators = _invariant_bases(action, degree + 1) if bases is None else bases
+    pairs = ((g, q) for i, g in generators if i <= degree + 1 for q in bases[degree + 2 - i])
+    return _bracket_rank(pairs, {min(row) for row in bases[degree]},
+                         _bivector(action.form_inverse), packing)
 
 
 class GradedDims:
@@ -514,27 +518,28 @@ class GradedDims:
 def hp0_dims(action, max_degree, dual=False):
     """dim(invariants_n) - dim(bracket span in degree n) for n <= cutoff.
 
-    The bracket span in degree n pairs degrees i + j = n + 2 with i, j >= 1,
-    so the degree cutoff + 1 basis is built only when something pairs
-    with it: at cutoff 0, or when there are degree-1 invariants.  With
-    `dual` it is always built, and the bases are kept on the result for
-    `duality_check`, which reads them through that degree.
+    The bracket span in degree n is that of each generator of degree i
+    with the basis rows of degree n + 2 - i, i >= 1 (by Leibniz, module
+    docstring), so the degree cutoff + 1 basis is built only when
+    something pairs with it: at cutoff 0, or when there are degree-1
+    invariants.  With `dual` it is always built, and the bases are kept
+    on the result for `duality_check`, which reads them through that
+    degree.
 
     The stabilization flag only records that the trailing quarter of the
     window is zero; it is a heuristic, not a finiteness proof.
     """
     _check_degree(max_degree)
-    packing, bases = _invariant_bases(
-        action, max_degree + (dual or max_degree == 0 or action.molien(1) > 0))
+    run = _invariant_bases(action, max_degree + (dual or max_degree == 0 or action.molien(1) > 0))
     dims = {}
     for n in range(max_degree + 1):
-        dims[n] = len(bases[n]) - bracket_span_dim(action, n, (packing, bases))
+        dims[n] = len(run[1][n]) - bracket_span_dim(action, n, run)
         if dims[n] < 0:
             raise NegativeDimension("degree %d: bracket span exceeds invariants" % n)
     tail = max(1, -(-max_degree // 4))
     stable = all(dims[n] == 0 for n in range(max_degree - tail + 1, max_degree + 1))
     return GradedDims(dims=dims, max_degree=max_degree, stabilized=stable,
-                      bases=(packing, bases) if dual else None)
+                      bases=run if dual else None)
 
 
 def functional_solutions_dim(action, degree, bases=None):
@@ -549,26 +554,20 @@ def functional_solutions_dim(action, degree, bases=None):
 
     `bases` is the output of `_invariant_bases` through degree n + 1 or
     more, which a dual check shares across its degrees; computed here
-    when not given.  Each monomial is the one-term row {x^m: 1}.  The
-    brackets, read at every degree-n monomial, go one at a time into an
-    incremental echelon, which stops once its rank reaches the number of
-    monomials of P."""
+    when not given.  Each monomial is the one-term row {x^m: 1}, paired
+    with every basis row, not with the generators alone (module
+    docstring); the brackets are read at every degree-n monomial."""
     _check_degree(degree)
-    packing, bases = _invariant_bases(action, degree + 1) if bases is None else bases
+    packing, bases, _ = _invariant_bases(action, degree + 1) if bases is None else bases
     keys = {packing.pack(e) for e in monomials(action.dim, degree)}
-    size = len(keys)
-    bivector = _bivector(action.form_inverse)
-    echelon = linalg.Echelon()
-    for k in range(1, degree + 2):
-        if not bases[k]:
-            continue
-        monos = [{packing.pack(e): 1} for e in monomials(action.dim, degree + 2 - k)]
-        for q in bases[k]:
-            for m in monos:
-                if echelon.add(_bracket_at(m, q, bivector, keys, packing)) \
-                        and echelon.rank == size:
-                    return 0
-    return size - echelon.rank
+
+    def pairs():
+        for k in range(1, degree + 2):
+            if bases[k]:
+                monos = [{packing.pack(e): 1} for e in monomials(action.dim, degree + 2 - k)]
+                yield from ((m, q) for q in bases[k] for m in monos)
+
+    return len(keys) - _bracket_rank(pairs(), keys, _bivector(action.form_inverse), packing)
 
 
 def duality_check(action, graded):

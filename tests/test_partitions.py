@@ -34,6 +34,22 @@ def test_partition_count_matches_enumeration():
         partition_count(0)
 
 
+def _partition_count_by_parts(n):
+    """p(n) as `partition_count` took it before the pentagonal number
+    recurrence, kept as the oracle: ways[m] counts the partitions of m
+    into the part sizes taken so far, O(n^2) additions."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
+def test_partition_count_matches_the_dp_over_part_sizes():
+    assert [partition_count(n) for n in range(1, 301)] \
+        == [_partition_count_by_parts(n) for n in range(1, 301)]
+
+
 def test_enumerate_counts():
     # brute-force partition counts
     assert len(enumerate_partitions(8)) == 22

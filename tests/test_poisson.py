@@ -1109,6 +1109,64 @@ def test_bracket_span_stops_at_full_rank(monkeypatch):
     assert 0 < len(calls) < 2252 // 2
 
 
+def _all_pairs_span_dim(action, degree, run):
+    """The bracket span as `bracket_span_dim` took it before it paired
+    the generators alone with the basis rows, kept as the oracle: every
+    two basis rows of degrees i + j = d + 2 (one order of each pair
+    within a degree, since {q, p} = -{p, q}), read at the leading
+    monomials K of the degree-d basis and stopped at rank len(K)."""
+    packing, bases, _ = run
+    keys = {min(row) for row in bases[degree]}
+    if not keys:
+        return 0
+    bivector = poisson._bivector(action.form_inverse)
+    span = linalg.Echelon()
+    for i in range(1, degree // 2 + 2):
+        j = degree + 2 - i
+        if not bases[i] or not bases[j]:
+            continue
+        for a, p in enumerate(bases[i]):
+            for q in bases[j][a + 1:] if i == j else bases[j]:
+                if span.add(poisson._bracket_at(p, q, bivector, keys, packing)) \
+                        and span.rank == len(keys):
+                    return span.rank
+    return span.rank
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_generator_pairs_span_what_all_pairs_span(name):
+    # by Leibniz the brackets of the generators with the basis rows span
+    # the brackets of every two basis rows: the same dims on each AFLS
+    # group through its cutoff, and on its seeded change of basis (where
+    # the nullspace fallback makes the generators) through the oracle
+    # cutoff
+    action, moved, _ = _conjugated(name)
+    for group, cutoff in ((action, AFLS_CASES[name][1]), (moved, _oracle_cutoff(name))):
+        run = poisson._invariant_bases(group, cutoff + (group.molien(1) > 0))
+        for d in range(cutoff + 1):
+            assert bracket_span_dim(group, d, run) == _all_pairs_span_dim(group, d, run)
+
+
+def test_span_forms_at_most_one_bracket_per_generator_pair(monkeypatch):
+    # the brackets hp0_dims forms never exceed the (generator, basis row)
+    # pairs it may read: G_2 through 16 allows 2703, where pairing every
+    # two basis rows formed 3508 brackets
+    action = g2()
+    _, bases, generators = poisson._invariant_bases(action, 16)
+    allowed = sum(len(bases[n + 2 - i]) for n in range(17) for i, _ in generators if i <= n + 1)
+    assert allowed == 2703
+    calls = []
+    original = poisson._bracket_at
+
+    def counted(p, q, bivector, keys, packing):
+        calls.append(1)
+        return original(p, q, bivector, keys, packing)
+
+    monkeypatch.setattr(poisson, "_bracket_at", counted)
+    hp0_dims(action, 16)
+    assert 0 < len(calls) <= allowed
+
+
 def _golden_action(name):
     form, gens = parse_group_file(os.path.join(os.path.dirname(__file__), "golden", name))
     return close_group(gens, form)
@@ -1155,7 +1213,7 @@ def test_keyed_bracket_matches_bracket_terms(name):
     # degree of one invariant
     make, cutoff = KEYED_BRACKET_CASES[name]
     action = make()
-    packing, bases = poisson._invariant_bases(action, cutoff + 1)
+    packing, bases, _ = poisson._invariant_bases(action, cutoff + 1)
     j_inv = action.form_inverse
     bivector = poisson._bivector(j_inv)
     rng = random.Random(name)
@@ -1458,7 +1516,7 @@ def test_product_bases_span_the_invariants(name):
     # with distinct leading columns
     make, top = PRODUCT_SPAN_CASES[name]
     action = make()
-    packing, products = poisson._invariant_bases(action, top)
+    packing, products, _ = poisson._invariant_bases(action, top)
     for d, basis in enumerate(products):
         null = invariant_basis(action, d, packing, _substitutions(action, packing))
         assert len(basis) == len(null) == action.molien(d)
@@ -1755,7 +1813,7 @@ def test_polarized_bases_span_the_fallback_bases(name):
     # the union is the size of each
     make, top = POLARIZED_SPAN_CASES[name]
     action = make()
-    packing, bases = poisson._invariant_bases(action, top)
+    packing, bases, _ = poisson._invariant_bases(action, top)
     old_packing, old = _bases_before_polarization(action, top)
     assert (packing.shifts, packing.mask) == (old_packing.shifts, old_packing.mask)
     for d in range(top + 1):
