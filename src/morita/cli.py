@@ -230,7 +230,7 @@ def parse_group_file(path):
     try:
         with open(path, "rb") as fh:
             data = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError) as e:  # ValueError covers JSON and encoding errors
+    except (OSError, ValueError, RecursionError) as e:  # JSON, encoding or nesting errors
         raise MalformedFile("cannot read group file: %s" % e)
 
     def entry(x):

@@ -55,19 +55,22 @@ gradient is kept: every bracket sums -J^-1[a][b] d_a p d_b q straight
 into one term map, reading both derivatives off the packed rows p and q
 (`_bracket_at`).
 
-By Leibniz, {ab, q} = {a, bq} + {b, aq}, so, by induction on the
-number of factors, every bracket of invariants is a sum of brackets
-{g, q} of an algebra generator g, among those `_invariant_bases`
-records, with an invariant q: a span pairs each generator with the
-basis rows of the degree left, not every two basis rows.  Every
-generator is checked symplectic, so the group preserves J and hence
-the bivector J^-1, and a bracket of invariants is invariant.  The
-degree-d brackets therefore lie in the span of the degree-d basis rows,
-on which restriction to their leading monomials K is injective (the
-rows are in echelon form): a bracket sums only its products at those
-len(basis) monomials, and its span is full once its rank reaches
-len(basis), where the one rank loop of the span and the dual
-(`_bracket_rank`) stops.
+By Leibniz, {r, ab} = {ra, b} + {rb, a}, so, by induction on the
+number of factors, the brackets of the invariants with a space R that
+invariants multiply into itself are spanned by the brackets {r, g} of
+a basis of R with the algebra generators g, among those
+`_invariant_bases` records.  Both bracket ranks pair by this one rule
+(`_bracket_rank`): each generator of degree i <= d + 1 with each row
+of degree d + 2 - i, the invariant basis rows for the span (R the
+invariants) and the one-term monomial rows {x^m: 1} for the dual (R
+every polynomial).  Every generator is checked symplectic, so the
+group preserves J and hence the bivector J^-1, and a bracket of
+invariants is invariant.  The degree-d brackets of the span therefore
+lie in the span of the degree-d basis rows, on which restriction to
+their leading monomials K is injective (the rows are in echelon form):
+a bracket sums only its products at those len(basis) monomials, and
+its span is full once its rank reaches len(basis), where the rank
+loop stops.
 
 The dual takes no sum over the group.  For fixed u, let
 F(w) = (u, w) P(u + w); the condition is that sum over g of F(g v)
@@ -81,14 +84,11 @@ coefficient at u^m is the pairing of P with the bracket of bivector J
 of x^m and s, and that bracket is {x^m(J x), q} (the bracket above) at
 J^-1 x.  Substituting J and J^-1 is invertible in each degree, so the
 solutions of degree n number the degree-n monomials less the rank of
-the brackets {x^m, q}, x^m of degree n + 2 - k and q in the basis of
-the degree-k invariants, k = 1..n + 1: the codimension of the brackets
-of polynomials with invariants.  These are read off the bases of the
-run, with no substitution and no group element, by `_bracket_rank`.
-Leibniz, {x^m, ab} = {x^m a, b} + {x^m b, a}, would let the monomials
-pair with the generators alone, for the same span, but the dual keeps
-the pairs its counts were taken on, every basis row, until ROADMAP
-item 3 step A recasts it over invariant P.
+the brackets {x^m, q}, x^m of degree n + 2 - k and q a degree-k
+invariant, k = 1..n + 1: the codimension of the brackets of
+polynomials with invariants.  These are read at every degree-n
+monomial, off the generators of the run, with no substitution and no
+group element, by `_bracket_rank`.
 """
 
 import math
@@ -464,16 +464,20 @@ def _invariant_bases(action, top):
     return packing, bases, generators
 
 
-def _bracket_rank(pairs, keys, bivector, packing):
-    """The rank of the brackets {p, q} over the (p, q) in `pairs`, read
-    at the packed monomials `keys` (`_bracket_at`): they go one at a time
-    into an incremental echelon, and no more is formed once its rank is
+def _bracket_rank(action, degree, run, rows, keys):
+    """The rank of the brackets {g, q} of each generator g of degree
+    i <= d + 1 that `run` (the output of `_invariant_bases`) records with
+    each row q of rows(d + 2 - i), read at the packed monomials `keys`
+    (`_bracket_at`; module docstring): they go one at a time into an
+    incremental echelon, and no more is formed once its rank is
     len(keys), the most it can be."""
+    packing, _, generators = run
+    bivector = _bivector(action.form_inverse)
     echelon = linalg.Echelon()
-    for p, q in pairs:
+    for g, q in ((g, q) for i, g in generators if i <= degree + 1 for q in rows(degree + 2 - i)):
         if echelon.rank == len(keys):
             break
-        echelon.add(_bracket_at(p, q, bivector, keys, packing))
+        echelon.add(_bracket_at(g, q, bivector, keys, packing))
     return echelon.rank
 
 
@@ -483,15 +487,13 @@ def bracket_span_dim(action, degree, bases=None):
 
     `bases` is the output of `_invariant_bases` through degree d + 1 (d
     when there are no degree-1 invariants); computed here when not given.
-    By Leibniz, {ab, q} = {a, bq} + {b, aq}, so the span is that of the
-    brackets of each generator g of degree i <= d + 1 with each basis row
-    of degree d + 2 - i, read at the leading monomials of the degree-d
-    basis (module docstring)."""
+    The brackets are those of each generator with the basis rows of the
+    degree left, read at the leading monomials of the degree-d basis
+    (`_bracket_rank`)."""
     _check_degree(degree)
-    packing, bases, generators = _invariant_bases(action, degree + 1) if bases is None else bases
-    pairs = ((g, q) for i, g in generators if i <= degree + 1 for q in bases[degree + 2 - i])
-    return _bracket_rank(pairs, {min(row) for row in bases[degree]},
-                         _bivector(action.form_inverse), packing)
+    run = _invariant_bases(action, degree + 1) if bases is None else bases
+    return _bracket_rank(action, degree, run, run[1].__getitem__,
+                         {min(row) for row in run[1][degree]})
 
 
 class GradedDims:
@@ -521,16 +523,15 @@ def hp0_dims(action, max_degree, dual=False):
     The bracket span in degree n is that of each generator of degree i
     with the basis rows of degree n + 2 - i, i >= 1 (by Leibniz, module
     docstring), so the degree cutoff + 1 basis is built only when
-    something pairs with it: at cutoff 0, or when there are degree-1
-    invariants.  With `dual` it is always built, and the bases are kept
-    on the result for `duality_check`, which reads them through that
-    degree.
+    something pairs with it: when there are degree-1 invariants.  With
+    `dual` it is always built, and the bases are kept on the result for
+    `duality_check`, which reads them through that degree.
 
     The stabilization flag only records that the trailing quarter of the
     window is zero; it is a heuristic, not a finiteness proof.
     """
     _check_degree(max_degree)
-    run = _invariant_bases(action, max_degree + (dual or max_degree == 0 or action.molien(1) > 0))
+    run = _invariant_bases(action, max_degree + (dual or action.molien(1) > 0))
     dims = {}
     for n in range(max_degree + 1):
         dims[n] = len(run[1][n]) - bracket_span_dim(action, n, run)
@@ -545,29 +546,23 @@ def hp0_dims(action, max_degree, dual=False):
 def functional_solutions_dim(action, degree, bases=None):
     """Dimension of the space of degree-n polynomials P with
     sum over g of (u, g v) P(u + g v) = 0 identically: the number of
-    degree-n monomials less the rank of the brackets {x^m, q} of each
-    monomial x^m of degree n + 2 - k with each basis row q of the
-    degree-k invariants, k = 1..n + 1 (module docstring).  That space is
-    the degree-n dual of A/{A, A^G}, not of HP_0: HP_0's dual is its
-    invariant part, so the count is too large wherever a solution is not
-    invariant (ROADMAP item 3 step A).
+    degree-n monomials less the rank of the brackets {x^m, q} of the
+    polynomials with the invariants of degrees 1..n + 1 (module
+    docstring).  That space is the degree-n dual of A/{A, A^G}, not of
+    HP_0: HP_0's dual is its invariant part, so the count is too large
+    wherever a solution is not invariant (ROADMAP item 3 step A).
 
     `bases` is the output of `_invariant_bases` through degree n + 1 or
     more, which a dual check shares across its degrees; computed here
-    when not given.  Each monomial is the one-term row {x^m: 1}, paired
-    with every basis row, not with the generators alone (module
-    docstring); the brackets are read at every degree-n monomial."""
+    when not given.  The brackets are those of each generator with the
+    one-term monomial rows {x^m: 1} of the degree left, read at every
+    degree-n monomial (`_bracket_rank`)."""
     _check_degree(degree)
-    packing, bases, _ = _invariant_bases(action, degree + 1) if bases is None else bases
-    keys = {packing.pack(e) for e in monomials(action.dim, degree)}
-
-    def pairs():
-        for k in range(1, degree + 2):
-            if bases[k]:
-                monos = [{packing.pack(e): 1} for e in monomials(action.dim, degree + 2 - k)]
-                yield from ((m, q) for q in bases[k] for m in monos)
-
-    return len(keys) - _bracket_rank(pairs(), keys, _bivector(action.form_inverse), packing)
+    run = _invariant_bases(action, degree + 1) if bases is None else bases
+    pack = run[0].pack
+    keys = {pack(e) for e in monomials(action.dim, degree)}
+    return len(keys) - _bracket_rank(
+        action, degree, run, lambda j: ({pack(e): 1} for e in monomials(action.dim, j)), keys)
 
 
 def duality_check(action, graded):

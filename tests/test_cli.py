@@ -707,6 +707,19 @@ def test_hp0_group_file_not_plain_utf8_exit_two(tmp_path, capsys, encode):
     assert captured.err.startswith("error: cannot read group file")
 
 
+@pytest.mark.parametrize("wrap", [lambda deep: deep, lambda deep: '{"dim": 2, "form": %s}' % deep],
+                         ids=["bare", "form"])
+def test_hp0_deeply_nested_group_file_exit_two(tmp_path, capsys, wrap):
+    # 100,000 nested lists exceed the JSON decoder's recursion limit: an
+    # input error, not "internal error: maximum recursion depth exceeded"
+    path = tmp_path / "deep.json"
+    path.write_text(wrap("[" * 100000 + "]" * 100000), encoding="utf-8")
+    assert run(["hp0", "--group", str(path), "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read group file: maximum recursion depth")
+
+
 def test_closed_stdout_is_not_an_internal_error():
     # `morita traces --n 14 | head -c 10`: the report (147 KB) outgrows the
     # pipe, so the write fails once the reader has gone; exit 1 with

@@ -425,12 +425,12 @@ def test_reynolds_off_the_production_path():
 def test_one_basis_per_degree(monkeypatch):
     # each degree is built once, by products or by the nullspace: the
     # bases run through degrees 0..cutoff, and cutoff + 1 only when
-    # something pairs with it (at cutoff 0, or with degree-1 invariants,
-    # which only the trivial group has); the nullspace runs only in the
-    # degrees where products of lower invariants fall short of the
-    # Molien count and, when every generator is block diagonal (S_3 and
-    # the trivial group, not Z/3 on C^2), so do the h block and its
-    # polarizations
+    # something pairs with it (with degree-1 invariants, which only the
+    # trivial group has; Z/3 at cutoff 0 builds degree 0 alone); the
+    # nullspace runs only in the degrees where products of lower
+    # invariants fall short of the Molien count and, when every generator
+    # is block diagonal (S_3 and the trivial group, not Z/3 on C^2), so do
+    # the h block and its polarizations
     built, nullspace = [], []
     bases, original = poisson._invariant_bases, poisson.invariant_basis
 
@@ -452,7 +452,7 @@ def test_one_basis_per_degree(monkeypatch):
                                           (s3(), 3, False, []),
                                           (trivial(), 3, True, []),
                                           (trivial(), 0, True, []),
-                                          (order_three(), 0, True, [])):
+                                          (order_three(), 0, False, [])):
         built.clear()
         nullspace.clear()
         reports.append((action, hp0_dims(action, cutoff)))
@@ -1095,8 +1095,9 @@ def test_bracket_span_matches_full_rank(name):
             == _full_rank_bracket_span_dim(action, d, null)
 
 
-def test_bracket_span_stops_at_full_rank(monkeypatch):
-    # the full-rank span took 2252 brackets for S_3 through degree 10
+def _counted_brackets(monkeypatch):
+    """A list that gains one entry per `poisson._bracket_at` call from
+    here on."""
     calls = []
     original = poisson._bracket_at
 
@@ -1105,6 +1106,12 @@ def test_bracket_span_stops_at_full_rank(monkeypatch):
         return original(p, q, bivector, keys, packing)
 
     monkeypatch.setattr(poisson, "_bracket_at", counted)
+    return calls
+
+
+def test_bracket_span_stops_at_full_rank(monkeypatch):
+    # the full-rank span took 2252 brackets for S_3 through degree 10
+    calls = _counted_brackets(monkeypatch)
     assert hp0_dims(s3(), 10).total == 1
     assert 0 < len(calls) < 2252 // 2
 
@@ -1155,15 +1162,61 @@ def test_span_forms_at_most_one_bracket_per_generator_pair(monkeypatch):
     _, bases, generators = poisson._invariant_bases(action, 16)
     allowed = sum(len(bases[n + 2 - i]) for n in range(17) for i, _ in generators if i <= n + 1)
     assert allowed == 2703
-    calls = []
-    original = poisson._bracket_at
-
-    def counted(p, q, bivector, keys, packing):
-        calls.append(1)
-        return original(p, q, bivector, keys, packing)
-
-    monkeypatch.setattr(poisson, "_bracket_at", counted)
+    calls = _counted_brackets(monkeypatch)
     hp0_dims(action, 16)
+    assert 0 < len(calls) <= allowed
+
+
+def _basis_row_solutions_dim(action, degree, run):
+    """The dual count as `functional_solutions_dim` took it before it
+    paired the monomials with the generators alone, kept as the oracle:
+    each one-term monomial row {x^m: 1} of degree n + 2 - k with each
+    basis row of the degree-k invariants, k = 1..n + 1, read at every
+    degree-n monomial and stopped at rank len(keys)."""
+    packing, bases, _ = run
+    keys = {packing.pack(e) for e in monomials(action.dim, degree)}
+    bivector = poisson._bivector(action.form_inverse)
+    echelon = linalg.Echelon()
+    for k in range(1, degree + 2):
+        monos = [{packing.pack(e): 1} for e in monomials(action.dim, degree + 2 - k)]
+        for q in bases[k]:
+            for m in monos:
+                if echelon.rank == len(keys):
+                    return 0
+                echelon.add(poisson._bracket_at(m, q, bivector, keys, packing))
+    return len(keys) - echelon.rank
+
+
+@pytest.mark.parametrize("name", sorted(AFLS_CASES))
+def test_generator_pairs_give_the_basis_row_dual(name):
+    # by Leibniz, {x^m, ab} = {x^m a, b} + {x^m b, a}, so the brackets of
+    # the monomials with the generators span those with every basis row:
+    # the same dual counts on each AFLS group and on its seeded change of
+    # basis, read through 6 on B_3 and 4 on D_4 (through 8 the oracle took
+    # 20 s on B_3, and D_4's bases through 6 took 29 s)
+    action, moved, _ = _conjugated(name)
+    top = _oracle_cutoff(name)
+    for group, cutoff in ((action, top), (moved, min(top, {"b3": 6, "d4": 4}.get(name, top)))):
+        run = poisson._invariant_bases(group, cutoff + 1)
+        for n in range(cutoff + 1):
+            assert functional_solutions_dim(group, n, run) \
+                == _basis_row_solutions_dim(group, n, run)
+
+
+@pytest.mark.parametrize("make, top, allowed", [(g2, 8, 1965), (b3, 6, 4003)],
+                         ids=["g2", "b3"])
+def test_dual_forms_at_most_one_bracket_per_monomial_generator_pair(monkeypatch, make, top,
+                                                                    allowed):
+    # the brackets a dual check forms never exceed the (monomial,
+    # generator) pairs it may read: pairing the monomials with every basis
+    # row formed 3131 brackets on G_2 through 8 and 4744 on B_3 through 6
+    action = make()
+    graded = hp0_dims(action, top, dual=True)
+    generators = graded.bases[2]
+    assert sum(len(monomials(action.dim, n + 2 - i))
+               for n in range(top + 1) for i, _ in generators if i <= n + 1) == allowed
+    calls = _counted_brackets(monkeypatch)
+    duality_check(action, graded)
     assert 0 < len(calls) <= allowed
 
 
@@ -1340,7 +1393,7 @@ def test_functional_solutions_match_full_rank(name):
 
 def test_dual_rank_stops_at_full_rank(monkeypatch):
     # S_4 in degree 3 has no solution but P = 0: the rank is full before
-    # every bracket {x^m, q} is read
+    # every bracket {x^m, g} of a monomial with a generator is read
     added = []
     original = linalg.Echelon.add
 
@@ -1353,7 +1406,7 @@ def test_dual_rank_stops_at_full_rank(monkeypatch):
     bases = poisson._invariant_bases(action, 4)  # their echelons are not counted
     added.clear()
     assert functional_solutions_dim(action, 3, bases) == 0
-    rows = sum(len(bases[1][k]) * len(monomials(action.dim, 5 - k)) for k in range(1, 5))
+    rows = sum(len(monomials(action.dim, 5 - i)) for i, _ in bases[2] if i <= 4)
     assert len(monomials(action.dim, 3)) <= len(added) < rows
 
 
@@ -1576,7 +1629,7 @@ def test_one_packing_per_run(monkeypatch):
     monkeypatch.setattr(poisson, "_Packing", Packing)
     monkeypatch.setattr(linalg, "Echelon", Echelon)
     for action, cutoff, top in ((order_three(), 6, 6), (s3(), 5, 5), (trivial(), 3, 4),
-                                (order_three(), 0, 1)):
+                                (order_three(), 0, 0)):
         packings.clear()
         hp0_dims(action, cutoff)
         assert packings == [top]
